@@ -17,7 +17,7 @@ import json
 
 import numpy as np
 
-from .errors import MissingGradient, ShapeMismatch
+from .errors import CorruptCheckpoint, MissingGradient, ShapeMismatch
 
 DEFAULT_DTYPE = np.float64
 
@@ -286,24 +286,6 @@ class Tensor:
 
         return Tensor._result(data, (a,), backward_fn)
 
-    def exp(self):
-        a = self
-        data = np.exp(a.data)
-
-        def backward_fn(g):
-            a._accumulate(g * data)
-
-        return Tensor._result(data, (a,), backward_fn)
-
-    def log(self):
-        a = self
-        data = np.log(a.data)
-
-        def backward_fn(g):
-            a._accumulate(g / a.data)
-
-        return Tensor._result(data, (a,), backward_fn)
-
     def sqrt(self):
         a = self
         data = np.sqrt(a.data)
@@ -508,16 +490,24 @@ def save_arrays(path, arrays, extra=None):
 
 
 def load_arrays(path):
-    """Inverse of :func:`save_arrays`; returns (arrays, extra)."""
+    """Inverse of :func:`save_arrays`; returns (arrays, extra).  Raises
+    CorruptCheckpoint unless the payload holds exactly the declared arrays."""
     with open(path, "rb") as f:
         header_line = f.readline()
-        header = json.loads(header_line.decode("utf-8"))
-        if header.get("format_version") != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version in {path}")
+        try:
+            header = json.loads(header_line.decode("utf-8"))
+        except ValueError as exc:
+            raise CorruptCheckpoint(f"undecodable header in {path}: {exc}") from None
+        if not isinstance(header, dict) or header.get("format_version") != CHECKPOINT_VERSION:
+            raise CorruptCheckpoint(f"unsupported checkpoint version in {path}")
         arrays = {}
         for spec in header["params"]:
             shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            buf = f.read(count * 8)
+            nbytes = 8 * (int(np.prod(shape)) if shape else 1)
+            buf = f.read(nbytes)
+            if len(buf) != nbytes:
+                raise CorruptCheckpoint(f"{path} is truncated at {spec['path']!r}")
             arrays[spec["path"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if f.read(1):
+            raise CorruptCheckpoint(f"{path} has bytes after its last array")
     return arrays, header.get("extra", {})

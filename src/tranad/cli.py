@@ -8,6 +8,7 @@ temp files and renamed, and partial outputs are removed on failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -17,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dataset, detection, metrics, pot, training
-from .errors import ConfigMismatch, TranadError
+from .errors import ConfigMismatch, TranadError, check_fields
 from .model import ModelConfig, TranAD
 
 FLOAT_FMT = "%.17g"
@@ -91,15 +92,14 @@ def cmd_synth(args, cfg, out):
 
 
 def _model_config_from(cfg, m, seed):
-    fields = {k: cfg[k] for k in
-              ("window_size", "context_cap", "n_heads", "d_model", "ff_hidden",
-               "n_enc_layers", "dropout", "scale_mode", "focus_target")
-              if k in cfg}
+    # m comes from the data and init_seed from the run seed, not the config
+    fields = {f.name: cfg[f.name] for f in dataclasses.fields(ModelConfig)
+              if f.name in cfg and f.name not in ("m", "init_seed")}
     return ModelConfig(m=m, init_seed=derive_seed(seed, "model-init"), **fields)
 
 
 def _train_config_from(cfg, args, seed):
-    fields = dict(cfg.get("train", {}))
+    fields = check_fields(training.TrainConfig, dict(cfg.get("train", {})), "train")
     fields["seed"] = derive_seed(seed, "training")
     for flag, key in (("no_self_condition", "use_self_condition"),
                       ("no_adversarial", "use_adversarial"),
@@ -111,13 +111,13 @@ def _train_config_from(cfg, args, seed):
 
 def cmd_train(args, cfg, out):
     seed = _cfg_get(cfg, "seed", args.seed, 0)
+    train_cfg = _train_config_from(cfg, args, seed)
     raw = dataset.load_csv(args.data, has_header=args.header)
     normalized, stats = dataset.fit_normalize(raw, eps=cfg.get("eps", dataset.DEFAULT_EPS))
     model_cfg = _model_config_from(cfg, raw.m, seed)
     windows = dataset.make_windows(normalized, model_cfg.window_size,
                                    model_cfg.context_cap)
     train_b, val_b = dataset.split_train_val(windows, cfg.get("split_ratio", 0.8))
-    train_cfg = _train_config_from(cfg, args, seed)
     model = TranAD(model_cfg)
     report = training.fit(model, train_b, val_b, train_cfg,
                           progress=not args.quiet)
@@ -152,7 +152,7 @@ def cmd_detect(args, cfg, out):
     test_ts = dataset.apply_normalize(test_raw, stats)
     score_reduce = cfg.get("score_reduce", "last_row")
 
-    pot_fields = dict(cfg.get("pot", {}))
+    pot_fields = check_fields(pot.PotConfig, dict(cfg.get("pot", {})), "pot")
     if args.pot_q is not None:
         pot_fields["risk"] = args.pot_q
     if args.pot_low_quantile is not None:
@@ -199,7 +199,7 @@ def read_detection_report(path):
 
 
 def cmd_eval(args, cfg, out):
-    _, scores, dim_pred, agg_pred = read_detection_report(args.report)
+    _, scores, _, agg_pred = read_detection_report(args.report)
     result = {"detection": None}
     if args.labels:
         dim_truth = dataset.load_csv(args.labels).values.astype(np.int8)
@@ -208,10 +208,7 @@ def cmd_eval(args, cfg, out):
                 f"label rows {dim_truth.shape[0]} != report rows {scores.shape[0]}")
         agg_truth = dim_truth.any(axis=1).astype(np.int8)
         agg_scores = scores.max(axis=1)
-        records = [detection.ScoreRecord(timestamp=t, scores=scores[t],
-                                         labels=dim_pred[t], label=int(agg_pred[t]))
-                   for t in range(scores.shape[0])]
-        rankings = detection.diagnose(records)
+        rankings = detection.rank_dimensions(scores)
         raw = metrics.evaluate(agg_scores, agg_pred, agg_truth,
                                point_adjusted=False, rankings=rankings,
                                dim_truth=dim_truth)
@@ -332,7 +329,6 @@ COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    os.environ.setdefault("TRANAD_THREADS", "1")  # reference mode is sequential
     cfg = _load_config(args.config)
     os.makedirs(args.out, exist_ok=True)
     out = _OutputTracker()

@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     DimensionMismatch,
@@ -20,6 +21,7 @@ from .errors import (
     OverlapError,
     ParseError,
     ShapeMismatch,
+    check_fields,
 )
 
 log = logging.getLogger(__name__)
@@ -211,21 +213,14 @@ def make_windows(series, window_size, context_cap):
     if context_cap < window_size:
         raise ValueError("context_cap must be >= window_size")
     x = series.values
-    T, m = x.shape
+    T = x.shape[0]
     if T == 0:
         raise EmptySeries("cannot window an empty series")
-    K = window_size
-    windows = np.empty((T, K, m))
-    contexts = []
-    for t in range(T):
-        lo = max(0, t - K + 1)
-        span = x[lo:t + 1]
-        if span.shape[0] < K:
-            pad = np.repeat(span[:1], K - span.shape[0], axis=0)
-            windows[t] = np.concatenate([pad, span], axis=0)
-        else:
-            windows[t] = span
-        contexts.append(x[max(0, t + 1 - context_cap):t + 1])
+    padded = np.concatenate([np.repeat(x[:1], window_size - 1, axis=0), x])
+    # (T, m, K) view of every length-K run of rows -> dense (T, K, m) copy
+    windows = np.ascontiguousarray(
+        sliding_window_view(padded, window_size, axis=0).transpose(0, 2, 1))
+    contexts = [x[max(0, t + 1 - context_cap):t + 1] for t in range(T)]
     return WindowBatch(windows=windows, contexts=contexts, indices=np.arange(T))
 
 
@@ -282,12 +277,13 @@ class SynthSpec:
     anomalies: list = field(default_factory=list)
 
     def __post_init__(self):
-        self.anomalies = [a if isinstance(a, Anomaly) else Anomaly(**a)
+        self.anomalies = [a if isinstance(a, Anomaly)
+                          else Anomaly(**check_fields(Anomaly, a, "synth anomaly"))
                           for a in self.anomalies]
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        return cls(**check_fields(cls, d, "synth"))
 
     def to_dict(self):
         return {

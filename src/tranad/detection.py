@@ -24,20 +24,11 @@ class ScoreRecord:
     labels: np.ndarray        # (m,) in {0,1}
     label: int                # OR over dimensions
 
-    def __post_init__(self):
-        self.label = int(np.any(self.labels))
-
-
-def score_window(model, W, C, score_reduce="last_row"):
-    """Per-dimension anomaly scores for one window: the average of the squared
-    phase-1 and conditioned phase-2 deviations."""
-    scores = score_batch(model, W[None] if W.ndim == 2 else W,
-                         C[None] if C.ndim == 2 else C, score_reduce)
-    return scores[0]
-
 
 def score_batch(model, W, C, score_reduce="last_row"):
-    """Scores for a (B, K, m) window stack sharing one context length."""
+    """Per-dimension anomaly scores for a (B, K, m) window stack sharing one
+    context length: the average of the squared phase-1 and conditioned
+    phase-2 deviations."""
     with ad.no_grad():
         out = model.forward_two_phase(W, C, training=False)
     d1 = (out.O1.data - W) ** 2
@@ -62,23 +53,22 @@ def score_series(model, series, score_reduce="last_row", batch_size=256):
 def detect_stream(model, test_series, threshold_model, score_reduce="last_row"):
     """One ScoreRecord per test timestamp, in time order."""
     scores = score_series(model, test_series, score_reduce)
-    z = threshold_model.thresholds
-    records = []
-    for t in range(scores.shape[0]):
-        labels = (scores[t] >= z).astype(np.int8)
-        records.append(ScoreRecord(timestamp=t, scores=scores[t],
-                                   labels=labels, label=int(labels.any())))
-    return records
+    labels = (scores >= threshold_model.thresholds).astype(np.int8)
+    flagged = labels.any(axis=1)
+    return [ScoreRecord(timestamp=t, scores=scores[t], labels=labels[t],
+                        label=int(flagged[t]))
+            for t in range(scores.shape[0])]
+
+
+def rank_dimensions(scores):
+    """Each row of a (T, m) score matrix ranked by descending score; ties go
+    to the lower dimension index, which a stable sort of the negated scores
+    gives."""
+    return np.argsort(-np.asarray(scores), axis=1, kind="stable")
 
 
 def diagnose(records):
-    """Per-timestamp ranking of dimensions by descending score; ties broken
-    by ascending dimension index."""
+    """Per-timestamp ranking of dimensions by descending score, as lists."""
     if not records:
         raise ValueError("no records to diagnose")
-    rankings = []
-    for rec in records:
-        # stable sort on negated scores gives the deterministic tie rule
-        order = np.argsort(-rec.scores, kind="stable")
-        rankings.append(order.tolist())
-    return rankings
+    return rank_dimensions([rec.scores for rec in records]).tolist()

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import dataclasses
+
 
 class TranadError(Exception):
     """Base class for all errors raised by this package."""
@@ -69,3 +71,16 @@ class NoAnomalousTimestamps(TranadError):
 
 class ConfigMismatch(TranadError):
     pass
+
+
+class CorruptCheckpoint(TranadError):
+    pass
+
+
+def check_fields(cls, d, section):
+    """Return the mapping `d` once every key names a field of the dataclass
+    `cls`; otherwise raise ConfigMismatch naming the keys that do not."""
+    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    if unknown:
+        raise ConfigMismatch(f"unknown {section} keys: {', '.join(unknown)}")
+    return d

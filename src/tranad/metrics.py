@@ -11,7 +11,6 @@ is floor(G * P / 100).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -42,10 +41,11 @@ class EvalReport:
 
 def prf1(pred, truth):
     """Precision, recall, F1 with the zero-denominator-means-zero convention."""
-    pred, truth = _as_binary(pred, truth)
-    tp = int(np.sum((pred == 1) & (truth == 1)))
-    fp = int(np.sum((pred == 1) & (truth == 0)))
-    fn = int(np.sum((pred == 0) & (truth == 1)))
+    tp, fp, fn, _ = confusion(pred, truth)
+    return _prf1(tp, fp, fn)
+
+
+def _prf1(tp, fp, fn):
     p = tp / (tp + fp) if tp + fp > 0 else 0.0
     r = tp / (tp + fn) if tp + fn > 0 else 0.0
     f1 = 2 * p * r / (p + r) if p + r > 0 else 0.0
@@ -79,23 +79,12 @@ def roc_auc(scores, truth):
     nneg = int(np.sum(truth == 0))
     if npos == 0 or nneg == 0:
         raise DegenerateTruth("AUC needs at least one positive and one negative")
-    ranks = _midranks(scores)
+    # imported here: loading scipy.stats costs about half a second, which
+    # every command would pay at start-up if it sat at the top of the module
+    from scipy.stats import rankdata
+    ranks = rankdata(scores)   # midranks for ties
     pos_rank_sum = ranks[truth == 1].sum()
     return float((pos_rank_sum - npos * (npos + 1) / 2) / (npos * nneg))
-
-
-def _midranks(x):
-    order = np.argsort(x, kind="mergesort")
-    ranks = np.empty(x.size, dtype=np.float64)
-    sorted_x = x[order]
-    i = 0
-    while i < x.size:
-        j = i
-        while j + 1 < x.size and sorted_x[j + 1] == sorted_x[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
 
 
 def point_adjust(pred, truth):
@@ -103,62 +92,47 @@ def point_adjust(pred, truth):
     Never flips a prediction from 1 to 0."""
     pred, truth = _as_binary(pred, truth)
     adjusted = pred.copy()
-    t = 0
-    n = truth.size
-    while t < n:
-        if truth[t] == 1:
-            start = t
-            while t < n and truth[t] == 1:
-                t += 1
-            if adjusted[start:t].any():
-                adjusted[start:t] = 1
-        else:
-            t += 1
+    edges = np.flatnonzero(np.diff((truth == 1).astype(np.int8), prepend=0, append=0))
+    for start, end in zip(edges[::2], edges[1::2]):
+        if adjusted[start:end].any():
+            adjusted[start:end] = 1
     return adjusted
 
 
-def _candidate_count(g, p_pct):
-    return int(math.floor(g * p_pct / 100.0))
-
-
-def _qualifying(rankings, truth):
-    truth = np.asarray(truth)
-    if len(rankings) != truth.shape[0]:
+def _top_hits(rankings, truth, p_pct):
+    """Over the timestamps with at least one truly anomalous dimension G:
+    which ranks hold a true dimension among the top floor(G * P / 100)
+    candidates, as a dense (n, r) mask, with G and the candidate count."""
+    rankings = np.asarray(rankings)
+    true = np.asarray(truth) != 0
+    if rankings.shape[0] != true.shape[0]:
         raise LengthMismatch("rankings and truth lengths differ")
-    ts = [t for t in range(truth.shape[0]) if truth[t].sum() > 0]
-    if not ts:
+    g = true.sum(axis=1)
+    rows = g > 0
+    if not rows.any():
         raise NoAnomalousTimestamps("no timestamp has an anomalous dimension")
-    return ts, truth
+    g = g[rows]
+    k = np.floor(g * p_pct / 100.0).astype(np.int64)
+    hits = np.take_along_axis(true[rows], rankings[rows], axis=1)
+    return hits & (np.arange(hits.shape[1]) < k[:, None]), g, k
 
 
 def hitrate_at(rankings, truth, p_pct):
     """Mean fraction of truly anomalous dimensions found among the top
     floor(G * P / 100) ranked candidates, over anomalous timestamps."""
-    ts, truth = _qualifying(rankings, truth)
-    total = 0.0
-    for t in ts:
-        true_dims = set(np.flatnonzero(truth[t]))
-        g = len(true_dims)
-        top = rankings[t][:_candidate_count(g, p_pct)]
-        total += len(true_dims.intersection(top)) / g
-    return total / len(ts)
+    top, g, _ = _top_hits(rankings, truth, p_pct)
+    return float(np.mean(top.sum(axis=1) / g))
 
 
 def ndcg_at(rankings, truth, p_pct):
     """Mean normalized discounted cumulative gain with binary relevance over
     the same candidate sets as hitrate_at."""
-    ts, truth = _qualifying(rankings, truth)
-    total = 0.0
-    for t in ts:
-        true_dims = set(np.flatnonzero(truth[t]))
-        g = len(true_dims)
-        k = _candidate_count(g, p_pct)
-        top = rankings[t][:k]
-        dcg = sum(1.0 / math.log2(rank + 2)
-                  for rank, dim in enumerate(top) if dim in true_dims)
-        idcg = sum(1.0 / math.log2(rank + 2) for rank in range(min(g, k)))
-        total += dcg / idcg if idcg > 0 else 0.0
-    return total / len(ts)
+    top, g, k = _top_hits(rankings, truth, p_pct)
+    gain = 1.0 / np.log2(np.arange(max(top.shape[1], int(g.max()))) + 2.0)
+    dcg = top @ gain[:top.shape[1]]
+    # the ideal ranking holds a true dimension at each of the first min(G, k)
+    idcg = np.concatenate(([0.0], np.cumsum(gain)))[np.minimum(g, k)]
+    return float(np.mean(np.divide(dcg, idcg, out=np.zeros_like(dcg), where=idcg > 0)))
 
 
 def evaluate(scores_agg, pred, truth, point_adjusted=False,
@@ -171,8 +145,8 @@ def evaluate(scores_agg, pred, truth, point_adjusted=False,
     pred, truth = _as_binary(pred, truth)
     if point_adjusted:
         pred = point_adjust(pred, truth)
-    p, r, f1 = prf1(pred, truth)
     tp, fp, fn, tn = confusion(pred, truth)
+    p, r, f1 = _prf1(tp, fp, fn)
     degenerate = (tp + fp == 0) or (tp + fn == 0)
     try:
         auc = roc_auc(scores_agg, truth)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ParamStore
-from .errors import DimensionMismatch, OddWidth, ShapeMismatch
+from .errors import DimensionMismatch, OddWidth, ShapeMismatch, check_fields
 
 MASK_LOGIT = -1e9
 
@@ -33,36 +33,32 @@ class ModelConfig:
     window_size: int = 10
     context_cap: int = 100
     n_heads: int = None        # defaults to m
-    d_model: int = None        # defaults to 2m
     ff_hidden: int = 64
     n_enc_layers: int = 1
     dropout: float = 0.1
-    scale_mode: str = "head_dim"      # or "data_dim"
-    focus_target: str = "context"     # or "window"
     init_seed: int = 0
 
     def __post_init__(self):
         if self.n_heads is None:
             self.n_heads = self.m
-        if self.d_model is None:
-            self.d_model = 2 * self.m
         if self.d_model % self.n_heads != 0:
             raise ValueError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
         if self.window_size < 1:
             raise ValueError("window_size must be >= 1")
-        if self.scale_mode not in ("head_dim", "data_dim"):
-            raise ValueError(f"unknown scale_mode {self.scale_mode!r}")
-        if self.focus_target not in ("context", "window"):
-            raise ValueError(f"unknown focus_target {self.focus_target!r}")
+
+    @property
+    def d_model(self):
+        """Encoder width: m data columns concatenated with m focus columns."""
+        return 2 * self.m
 
     def to_dict(self):
         return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
-        return cls(**d)
+        return cls(**check_fields(cls, d, "model_config"))
 
 
 @dataclass
@@ -135,16 +131,13 @@ class Linear:
 class MultiHeadAttention:
     """Per-head linear projections, scaled attention, concat, output map."""
 
-    def __init__(self, store, prefix, d_model, n_heads, cfg, rng):
+    def __init__(self, store, prefix, d_model, n_heads, rng):
         if d_model % n_heads != 0:
             raise ValueError("d_model must be divisible by n_heads")
         self.n_heads = n_heads
         self.d_model = d_model
         self.head_dim = d_model // n_heads
-        if cfg.scale_mode == "head_dim":
-            self.scale = np.sqrt(self.head_dim)
-        else:
-            self.scale = np.sqrt(cfg.m)
+        self.scale = np.sqrt(self.head_dim)
         self.wq = Linear(store, f"{prefix}.q", d_model, d_model, rng)
         self.wk = Linear(store, f"{prefix}.k", d_model, d_model, rng)
         self.wv = Linear(store, f"{prefix}.v", d_model, d_model, rng)
@@ -197,7 +190,7 @@ class EncoderLayer:
 
     def __init__(self, store, prefix, cfg, rng):
         d = cfg.d_model
-        self.attn = MultiHeadAttention(store, f"{prefix}.attn", d, cfg.n_heads, cfg, rng)
+        self.attn = MultiHeadAttention(store, f"{prefix}.attn", d, cfg.n_heads, rng)
         self.ln1 = LayerNorm(store, f"{prefix}.ln1", d)
         self.ff = FeedForward(store, f"{prefix}.ff", d, cfg.ff_hidden, d, rng)
         self.ln2 = LayerNorm(store, f"{prefix}.ln2", d)
@@ -218,10 +211,10 @@ class WindowEncoder:
     def __init__(self, store, cfg, rng):
         d = cfg.d_model
         self.self_attn = MultiHeadAttention(store, "window_encoder.self_attn",
-                                            d, cfg.n_heads, cfg, rng)
+                                            d, cfg.n_heads, rng)
         self.ln1 = LayerNorm(store, "window_encoder.ln1", d)
         self.cross_attn = MultiHeadAttention(store, "window_encoder.cross_attn",
-                                             d, cfg.n_heads, cfg, rng)
+                                             d, cfg.n_heads, rng)
         self.ln2 = LayerNorm(store, "window_encoder.ln2", d)
         self.dropout = cfg.dropout
 
@@ -253,20 +246,10 @@ class TranAD:
         self.config = config
         self.params = ParamStore()
         rng = np.random.default_rng(config.init_seed)
-        d = config.d_model
-        m = config.m
-        # learned input projection for whichever stream is not carrying the
-        # focus concatenation (the other stream gets width 2m by concat)
-        if config.focus_target == "context":
-            self.window_embed = Linear(self.params, "embed.window", m, d, rng)
-            self.ctx_embed = None
-            if d != 2 * m:
-                raise ValueError("focus_target=context requires d_model == 2m")
-        else:
-            self.window_embed = None
-            self.ctx_embed = Linear(self.params, "embed.context", m, d, rng)
-            if d != 2 * m:
-                raise ValueError("focus_target=window requires d_model == 2m")
+        # the context reaches width 2m by the focus concatenation; the window
+        # gets there through a learned projection
+        self.window_embed = Linear(self.params, "embed.window", config.m,
+                                   config.d_model, rng)
         self.encoder_layers = [
             EncoderLayer(self.params, f"encoder1.l{i}", config, rng)
             for i in range(config.n_enc_layers)
@@ -289,35 +272,26 @@ class TranAD:
         return ad.concat([zeros, F], axis=1)
 
     def encode_context(self, C, F, training=False, rng=None, want_weights=False):
-        """First encoder: concat the focus score onto the context (or embed
-        the context when the focus rides on the window), position-encode, and
-        run the encoder layers."""
+        """First encoder: concat the focus score onto the context,
+        position-encode, and run the encoder layers."""
         if C.shape[-1] != self.config.m:
             raise DimensionMismatch(
                 f"context has {C.shape[-1]} dims, model expects {self.config.m}"
             )
-        L = C.shape[1]
-        if self.config.focus_target == "context":
-            aligned = self._align_focus(F, L)
-            I1 = position_encode(ad.concat([C, aligned], axis=2))
-        else:
-            I1 = position_encode(self.ctx_embed(C))
+        aligned = self._align_focus(F, C.shape[1])
+        x = position_encode(ad.concat([C, aligned], axis=2))
         weights = None
-        x = I1
         for layer in self.encoder_layers:
             x, weights = layer(x, training, rng, want_weights=want_weights)
         return x, weights
 
-    def encode_window(self, W, ctx_encoding, F=None, training=False, rng=None,
+    def encode_window(self, W, ctx_encoding, training=False, rng=None,
                       want_weights=False):
         if W.shape[-1] != self.config.m:
             raise DimensionMismatch(
                 f"window has {W.shape[-1]} dims, model expects {self.config.m}"
             )
-        if self.config.focus_target == "context":
-            I2 = position_encode(self.window_embed(W))
-        else:
-            I2 = position_encode(ad.concat([W, F], axis=2))
+        I2 = position_encode(self.window_embed(W))
         return self.window_encoder(I2, ctx_encoding, training, rng,
                                    want_weights=want_weights)
 
@@ -343,8 +317,7 @@ class TranAD:
         zero_focus = Tensor(np.zeros((B, K, m)))
         ctx1, enc_w1 = self.encode_context(C, zero_focus, training, rng,
                                            want_weights=want_weights)
-        I23, self_w1, cross_w1 = self.encode_window(W, ctx1, F=zero_focus,
-                                                    training=training, rng=rng,
+        I23, self_w1, cross_w1 = self.encode_window(W, ctx1, training, rng,
                                                     want_weights=want_weights)
         O1 = self.decoder1(I23)
         O2 = self.decoder2(I23)
@@ -355,8 +328,7 @@ class TranAD:
 
         ctx2, enc_w2 = self.encode_context(C, phase2_focus, training, rng,
                                            want_weights=want_weights)
-        I23_2, self_w2, cross_w2 = self.encode_window(W, ctx2, F=phase2_focus,
-                                                      training=training, rng=rng,
+        I23_2, self_w2, cross_w2 = self.encode_window(W, ctx2, training, rng,
                                                       want_weights=want_weights)
         O2_hat = self.decoder2(I23_2)
 

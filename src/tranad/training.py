@@ -8,7 +8,6 @@ receives the sum of both contributions.
 
 from __future__ import annotations
 
-import logging
 import sys
 import time
 from dataclasses import dataclass, field, asdict
@@ -18,8 +17,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
 from .errors import NonFiniteLoss, ShapeMismatch
-
-log = logging.getLogger(__name__)
 
 
 @dataclass

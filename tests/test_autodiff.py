@@ -7,7 +7,7 @@ import pytest
 
 from tranad import autodiff as ad
 from tranad.autodiff import AdamW, ParamStore, Tensor
-from tranad.errors import MissingGradient, ShapeMismatch
+from tranad.errors import CorruptCheckpoint, MissingGradient, ShapeMismatch
 
 
 def finite_difference(f, x, h=1e-5):
@@ -252,5 +252,18 @@ class TestCheckpointIO:
     def test_version_check(self, tmp_path):
         path = tmp_path / "bad.bin"
         path.write_bytes(b'{"format_version": 999, "params": []}\n')
-        with pytest.raises(ValueError):
+        with pytest.raises(CorruptCheckpoint):
+            ad.load_arrays(path)
+
+    @pytest.mark.parametrize("mutate", [
+        lambda b: b[:-1003],                 # payload cut short
+        lambda b: b + b"\0",                 # a byte after the last array
+        lambda b: b"\xff" + b,               # header is not UTF-8
+        lambda b: b"[" + b,                  # header is not JSON
+    ])
+    def test_corrupt_payload_rejected(self, tmp_path, mutate):
+        path = tmp_path / "ckpt.bin"
+        ad.save_arrays(path, {"w": np.zeros((20, 20)), "b": np.zeros(20)})
+        path.write_bytes(mutate(path.read_bytes()))
+        with pytest.raises(CorruptCheckpoint):
             ad.load_arrays(path)

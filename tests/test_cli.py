@@ -149,6 +149,76 @@ class TestDetect:
         assert "m=" in capsys.readouterr().err
 
 
+def detect_argv(pipeline, out, cfg=None, checkpoint=None):
+    _, train_dir, test_dir, run_dir, run_cfg = pipeline
+    return ["detect", "--config", cfg or run_cfg,
+            "--data", str(train_dir / "values.csv"),
+            "--test", str(test_dir / "values.csv"),
+            "--checkpoint", str(checkpoint or run_dir / "checkpoint.bin"),
+            "--stats", str(run_dir / "stats.json"), "--out", str(out)]
+
+
+def assert_failed(code, capsys, *names):
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and "Traceback" not in err
+    for name in names:
+        assert name in err
+
+
+class TestBadInputs:
+    """Unknown config keys and damaged checkpoints end with exit 1, one
+    `error:` line and no partial outputs."""
+
+    def test_unknown_train_key(self, pipeline, tmp_path, capsys):
+        _, train_dir, _, _, _ = pipeline
+        cfg = write_cfg(tmp_path / "c.json", {"train": {"epochs": 1, "bogus": 1}})
+        out = tmp_path / "out"
+        code = cli.main(["train", "--config", cfg, "--quiet", "--out", str(out),
+                         "--data", str(train_dir / "values.csv")])
+        assert_failed(code, capsys, "bogus")
+        assert list(out.iterdir()) == []
+
+    def test_unknown_pot_key(self, pipeline, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.json", dict(RUN_CFG, pot={"bogus": 1}))
+        assert_failed(cli.main(detect_argv(pipeline, tmp_path, cfg=cfg)), capsys, "bogus")
+        assert not (tmp_path / "detection.csv").exists()
+
+    @pytest.mark.parametrize("synth", [
+        {"T": 50, "bogus": 1},
+        {"T": 50, "anomalies": [{"kind": "spike", "start": 1, "length": 1,
+                                 "dims": [0], "magnitude": 5.0, "bogus": 1}]},
+    ])
+    def test_unknown_synth_key(self, tmp_path, capsys, synth):
+        cfg = write_cfg(tmp_path / "c.json", {"synth": synth})
+        out = tmp_path / "out"
+        assert_failed(cli.main(["synth", "--config", cfg, "--out", str(out)]),
+                      capsys, "bogus")
+        assert list(out.iterdir()) == []
+
+    def test_checkpoint_with_removed_model_keys(self, pipeline, tmp_path, capsys):
+        # the model_config a checkpoint of the earlier format carried
+        _, _, _, run_dir, _ = pipeline
+        header, payload = (run_dir / "checkpoint.bin").read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        meta["extra"]["model_config"].update(d_model=4, scale_mode="head_dim",
+                                             focus_target="context")
+        old = tmp_path / "old.bin"
+        old.write_bytes(json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
+        code = cli.main(detect_argv(pipeline, tmp_path, checkpoint=old))
+        assert_failed(code, capsys, "d_model", "focus_target", "scale_mode")
+        assert not (tmp_path / "detection.csv").exists()
+
+    def test_truncated_checkpoint(self, pipeline, tmp_path, capsys):
+        _, _, _, run_dir, _ = pipeline
+        header, payload = (run_dir / "checkpoint.bin").read_bytes().split(b"\n", 1)
+        cut = tmp_path / "cut.bin"
+        cut.write_bytes(header + b"\n" + payload[:1003])
+        assert_failed(cli.main(detect_argv(pipeline, tmp_path, checkpoint=cut)),
+                      capsys, "truncated")
+        assert not (tmp_path / "detection.csv").exists()
+
+
 class TestEval:
     def test_both_modes_reported(self, pipeline):
         _, _, _, run_dir, _ = pipeline

@@ -138,6 +138,20 @@ class TestMakeWindows:
             batch = dataset.make_windows(self._series(9), K, 20)
             assert len(batch) == 9
 
+    def test_matches_per_timestamp_loop(self):
+        rng = np.random.default_rng(0)
+        for T, m, K in ((3, 2, 5), (5, 2, 5), (40, 38, 10), (6, 1, 1)):
+            x = rng.normal(size=(T, m))
+            ts = dataset.TimeSeries(values=x, stats=None)
+            batch = dataset.make_windows(ts, K, K + 2)
+            expected = np.empty((T, K, m))
+            for t in range(T):
+                span = x[max(0, t - K + 1):t + 1]
+                pad = np.repeat(span[:1], K - span.shape[0], axis=0)
+                expected[t] = np.concatenate([pad, span], axis=0)
+            np.testing.assert_array_equal(batch.windows, expected)
+            assert batch.windows.flags["C_CONTIGUOUS"]
+
     def test_no_padding_from_K(self):
         ts = self._series(8)
         batch = dataset.make_windows(ts, 4, 8)

@@ -41,7 +41,7 @@ class TestScoring:
         out = model.forward_two_phase(W[None], C[None])
         expected = 0.5 * (out.O1.data[0, -1] - W[-1]) ** 2 \
             + 0.5 * (out.O2_hat.data[0, -1] - W[-1]) ** 2
-        got = detection.score_window(model, W, C)
+        got = detection.score_batch(model, W[None], C[None])[0]
         np.testing.assert_allclose(got, expected, rtol=1e-12)
 
     def test_window_mean_reduce(self, scored_setup):
@@ -51,15 +51,16 @@ class TestScoring:
         W, C = batch.windows[t], batch.contexts[t]
         out = model.forward_two_phase(W[None], C[None])
         s = 0.5 * (out.O1.data[0] - W) ** 2 + 0.5 * (out.O2_hat.data[0] - W) ** 2
-        got = detection.score_window(model, W, C, score_reduce="window_mean")
+        got = detection.score_batch(model, W[None], C[None],
+                                    score_reduce="window_mean")[0]
         np.testing.assert_allclose(got, s.mean(axis=0), rtol=1e-12)
 
     def test_unknown_reduce_rejected(self, scored_setup):
         model, norm = scored_setup
         batch = dataset.make_windows(norm, 4, 8)
         with pytest.raises(ValueError):
-            detection.score_window(model, batch.windows[0], batch.contexts[0],
-                                   score_reduce="bogus")
+            detection.score_batch(model, batch.windows[:1], batch.contexts[0][None],
+                                  score_reduce="bogus")
 
     def test_online_causality_truncation(self, scored_setup):
         model, norm = scored_setup

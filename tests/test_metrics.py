@@ -102,6 +102,23 @@ class TestPointAdjust:
         pred = np.ones(4, dtype=int)
         np.testing.assert_array_equal(metrics.point_adjust(pred, truth), pred)
 
+    def test_matches_segment_loop(self):
+        rng = np.random.default_rng(4)
+        for _ in range(30):
+            truth = rng.integers(0, 2, size=25)
+            truth[0] = truth[-1] = 1             # segments at both ends
+            pred = rng.integers(0, 2, size=25) * (rng.random(25) < 0.3)
+            expected = pred.copy()
+            t = 0
+            while t < truth.size:
+                end = t
+                while end < truth.size and truth[end] == 1:
+                    end += 1
+                if end > t and pred[t:end].any():
+                    expected[t:end] = 1
+                t = max(end, t + 1)
+            np.testing.assert_array_equal(metrics.point_adjust(pred, truth), expected)
+
     def test_never_flips_one_to_zero(self):
         rng = np.random.default_rng(2)
         for _ in range(30):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tranad import dataset, training
-from tranad.autodiff import ParamStore, Tensor
+from tranad.autodiff import AdamW, ParamStore, Tensor
 from tranad.errors import NonFiniteLoss, ShapeMismatch
 from tranad.model import ModelConfig, TranAD
 
@@ -153,6 +153,19 @@ class TestMeta:
         training.maml_step(model, group, cfg, n=1)
         for k, v in model.params.snapshot().items():
             np.testing.assert_array_equal(before[k], v)
+
+
+class TestScheduleIndex:
+    @pytest.mark.parametrize("mode", ["epoch", "iteration"])
+    def test_train_epoch_advances_n(self, mode):
+        model, train_b, _ = tiny_setup()
+        groups = training.batch_groups(train_b, 16)
+        cfg = training.TrainConfig(seed=0, n_semantics=mode)
+        opt = AdamW(model.params, lr=cfg.lr)
+        _, _, n = training.train_epoch(model, groups, cfg, opt, 5, 1,
+                                       np.random.default_rng(0))
+        assert len(groups) > 1
+        assert n == 5 + (len(groups) if mode == "iteration" else 1)
 
 
 class TestFit:
