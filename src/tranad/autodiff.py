@@ -1,10 +1,16 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
 A dynamically recorded tape: every operation on a :class:`Tensor` that has
-gradient tracking enabled records its parents and a closure that propagates
-the upstream gradient.  ``backward()`` on a scalar walks the tape in reverse
-topological order.  Gradients accumulate into ``.grad`` until explicitly
-zeroed, so calling backward twice doubles them.
+gradient tracking enabled records its parents and a closure that maps the
+node's cotangent to one cotangent per parent.  A single reverse walk
+(:func:`reverse_walk`) owns accumulation: it visits the nodes of
+:func:`tape_order` from the last to the first, stores a parent's first
+contribution as is and releases each node's cotangent once the node is
+processed.  ``backward()`` on a scalar runs one walk and accumulates into the
+leaves' ``.grad`` until explicitly zeroed, so calling it twice doubles them.
+
+Network layers are single nodes with hand-derived backward rules:
+:func:`linear`, :func:`layer_norm` and multi-head :func:`attention`.
 
 Also hosts the parameter store, the AdamW optimizer with a step-based
 learning-rate scheduler, and the binary checkpoint format.
@@ -20,6 +26,7 @@ import numpy as np
 from .errors import CorruptCheckpoint, MissingGradient, ShapeMismatch
 
 DEFAULT_DTYPE = np.float64
+MASK_LOGIT = -1e9
 
 _GRAD_ENABLED = True
 
@@ -50,6 +57,9 @@ def _unbroadcast(grad, shape):
 
 
 class Tensor:
+    """An array on the tape.  An op node's `_backward(g, need)` returns one
+    cotangent per parent, None where `need` is false."""
+
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, dtype=None):
@@ -94,38 +104,13 @@ class Tensor:
     def zero_grad(self):
         self.grad = None
 
-    def _accumulate(self, g):
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
-
     def backward(self):
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
-        topo = []
-        seen = set()
-        stack = [(self, False)]
-        while stack:
-            node, processed = stack.pop()
-            if processed:
-                topo.append(node)
-                continue
-            if id(node) in seen:
-                continue
-            seen.add(id(node))
-            stack.append((node, True))
-            for p in node._parents:
-                if id(p) not in seen and p.requires_grad:
-                    stack.append((p, False))
-        # non-leaf grads are scratch space for this pass; only leaves (no
-        # recorded parents) accumulate across backward calls
-        for node in topo:
-            if node._backward is not None:
-                node.grad = None
-        self._accumulate(np.ones_like(self.data))
-        for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+        seeds = [(self, np.ones_like(self.data))]
+        for leaf, g in reverse_walk(seeds, tape_order([self])).items():
+            # a cotangent may be shared between parents; each .grad is its own
+            leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -137,21 +122,16 @@ class Tensor:
         a, b = self, other
         data = a.data + b.data
 
-        def backward_fn(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.data.shape))
+        def backward_fn(g, need):
+            return (_unbroadcast(g, a.data.shape) if need[0] else None,
+                    _unbroadcast(g, b.data.shape) if need[1] else None)
 
         return Tensor._result(data, (a, b), backward_fn)
 
     __radd__ = __add__
 
     def __neg__(self):
-        a = self
-        def backward_fn(g):
-            a._accumulate(-g)
-        return Tensor._result(-a.data, (a,), backward_fn)
+        return Tensor._result(-self.data, (self,), lambda g, need: (-g,))
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -164,84 +144,32 @@ class Tensor:
         a, b = self, other
         data = a.data * b.data
 
-        def backward_fn(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * a.data, b.data.shape))
+        def backward_fn(g, need):
+            return (_unbroadcast(g * b.data, a.data.shape) if need[0] else None,
+                    _unbroadcast(g * a.data, b.data.shape) if need[1] else None)
 
         return Tensor._result(data, (a, b), backward_fn)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        data = a.data / b.data
-
-        def backward_fn(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-        return Tensor._result(data, (a, b), backward_fn)
-
-    # -- matrix product -------------------------------------------------------
-
-    def __matmul__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
-        if a.data.shape[-1] != b.data.shape[-2 if b.ndim > 1 else 0]:
-            raise ShapeMismatch(
-                f"matmul inner dimensions disagree: {a.data.shape} @ {b.data.shape}"
-            )
-        data = a.data @ b.data
-
-        def backward_fn(g):
-            if a.requires_grad:
-                ga = g @ np.swapaxes(b.data, -1, -2)
-                a._accumulate(_unbroadcast(ga, a.data.shape))
-            if b.requires_grad:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-                b._accumulate(_unbroadcast(gb, b.data.shape))
-
-        return Tensor._result(data, (a, b), backward_fn)
 
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape):
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        a = self
-        old = a.data.shape
-        data = a.data.reshape(shape)
-
-        def backward_fn(g):
-            a._accumulate(g.reshape(old))
-
-        return Tensor._result(data, (a,), backward_fn)
-
-    def transpose(self, axes):
-        a = self
-        inv = np.argsort(axes)
-        data = np.transpose(a.data, axes)
-
-        def backward_fn(g):
-            a._accumulate(np.transpose(g, inv))
-
-        return Tensor._result(data, (a,), backward_fn)
+        old = self.data.shape
+        return Tensor._result(self.data.reshape(shape), (self,),
+                              lambda g, need: (g.reshape(old),))
 
     def __getitem__(self, key):
         a = self
-        data = a.data[key]
 
-        def backward_fn(g):
+        def backward_fn(g, need):
             full = np.zeros_like(a.data)
             np.add.at(full, key, g)
-            a._accumulate(full)
+            return (full,)
 
-        return Tensor._result(data, (a,), backward_fn)
+        return Tensor._result(a.data[key], (a,), backward_fn)
 
     # -- reductions -----------------------------------------------------------
 
@@ -249,14 +177,10 @@ class Tensor:
         a = self
         data = a.data.sum(axis=axis, keepdims=keepdims)
 
-        def backward_fn(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, a.data.shape).copy())
-                return
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(gg, axis)
-            a._accumulate(np.broadcast_to(gg, a.data.shape).copy())
+        def backward_fn(g, need):
+            if axis is not None and not keepdims:
+                g = np.expand_dims(g, axis)
+            return (np.broadcast_to(g, a.data.shape).copy(),)
 
         return Tensor._result(data, (a,), backward_fn)
 
@@ -270,32 +194,98 @@ class Tensor:
 
     def relu(self):
         a = self
-        data = np.maximum(a.data, 0.0)
-
-        def backward_fn(g):
-            a._accumulate(g * (a.data > 0))
-
-        return Tensor._result(data, (a,), backward_fn)
+        return Tensor._result(np.maximum(a.data, 0.0), (a,),
+                              lambda g, need: (g * (a.data > 0),))
 
     def sigmoid(self):
-        a = self
-        data = 1.0 / (1.0 + np.exp(-a.data))
-
-        def backward_fn(g):
-            a._accumulate(g * data * (1.0 - data))
-
-        return Tensor._result(data, (a,), backward_fn)
+        data = 1.0 / (1.0 + np.exp(-self.data))
+        return Tensor._result(data, (self,),
+                              lambda g, need: (g * data * (1.0 - data),))
 
     def sqrt(self):
-        a = self
-        data = np.sqrt(a.data)
+        data = np.sqrt(self.data)
 
-        def backward_fn(g):
+        def backward_fn(g, need):
             # subgradient guard at exactly zero
             denom = np.where(data > 0, data, np.inf)
-            a._accumulate(g * 0.5 / denom)
+            return (g * 0.5 / denom,)
 
-        return Tensor._result(data, (a,), backward_fn)
+        return Tensor._result(data, (self,), backward_fn)
+
+
+# -- the reverse walk ---------------------------------------------------------
+
+
+def tape_order(roots):
+    """Every recorded node reachable from `roots`, each after its parents."""
+    order = []
+    seen = set()
+    stack = [(r, False) for r in roots]
+    while stack:
+        node, processed = stack.pop()
+        if processed:
+            order.append(node)
+            continue
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        stack.append((node, True))
+        for p in node._parents:
+            if id(p) not in seen and p.requires_grad:
+                stack.append((p, False))
+    return order
+
+
+def reaching(order, targets):
+    """Ids of the nodes of `order` from which a tensor of `targets` is
+    reached through parents, the targets included."""
+    reach = {id(t) for t in targets}
+    for node in order:
+        if any(id(p) in reach for p in node._parents):
+            reach.add(id(node))
+    return reach
+
+
+def reverse_walk(seeds, order, reach=None):
+    """Propagate the (tensor, cotangent) `seeds` back through `order` and
+    return {leaf: cotangent} for the leaves reached.
+
+    With `reach` (from :func:`reaching`) a node asks its backward rule only
+    for the parents in it; without, for every parent that requires grad.  A
+    cotangent summed from several contributions that comes out exactly zero
+    is not propagated further."""
+    cot = {}
+    summed = set()
+
+    def add(node, g):
+        key = id(node)
+        if key in cot:
+            cot[key] = cot[key] + g
+            summed.add(key)
+        else:
+            cot[key] = g
+
+    for node, g in seeds:
+        add(node, g)
+    leaves = {}
+    for node in reversed(order):
+        g = cot.pop(id(node), None)
+        if g is None:
+            continue
+        if node._backward is None:
+            leaves[node] = g
+            continue
+        if id(node) in summed and not g.any():
+            continue
+        parents = node._parents
+        if reach is None:
+            need = tuple(p.requires_grad for p in parents)
+        else:
+            need = tuple(id(p) in reach for p in parents)
+        for p, wanted, gp in zip(parents, need, node._backward(g, need)):
+            if wanted:
+                add(p, gp)
+    return leaves
 
 
 # -- composite / functional ops ----------------------------------------------
@@ -304,46 +294,17 @@ class Tensor:
 def concat(tensors, axis):
     parts = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
     data = np.concatenate([p.data for p in parts], axis=axis)
-    sizes = [p.data.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
+    bounds = np.cumsum([0] + [p.data.shape[axis] for p in parts])
 
-    def backward_fn(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                p._accumulate(g[tuple(idx)])
+    def backward_fn(g, need):
+        index = [slice(None)] * g.ndim
+        out = []
+        for wanted, lo, hi in zip(need, bounds[:-1], bounds[1:]):
+            index[axis] = slice(lo, hi)
+            out.append(g[tuple(index)] if wanted else None)
+        return out
 
     return Tensor._result(data, tuple(parts), backward_fn)
-
-
-def softmax(x, axis=-1):
-    """Softmax along `axis`, computed with max-subtraction for stability."""
-    a = x if isinstance(x, Tensor) else Tensor(x)
-    shifted = a.data - a.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    data = e / e.sum(axis=axis, keepdims=True)
-
-    def backward_fn(g):
-        dot = (g * data).sum(axis=axis, keepdims=True)
-        a._accumulate(data * (g - dot))
-
-    return Tensor._result(data, (a,), backward_fn)
-
-
-def masked_fill(x, mask, value):
-    """Replace entries where boolean `mask` is true with the constant `value`.
-
-    The replaced entries are constants: no gradient flows to them and the
-    original data there cannot influence the output (exact causality).
-    """
-    a = x if isinstance(x, Tensor) else Tensor(x)
-    data = np.where(mask, value, a.data)
-
-    def backward_fn(g):
-        a._accumulate(np.where(mask, 0.0, g))
-
-    return Tensor._result(data, (a,), backward_fn)
 
 
 def dropout(x, p, training, rng):
@@ -354,21 +315,96 @@ def dropout(x, p, training, rng):
     if not training or p == 0.0:
         return a
     mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    data = a.data * mask
+    return Tensor._result(a.data * mask, (a,), lambda g, need: (g * mask,))
 
-    def backward_fn(g):
-        a._accumulate(g * mask)
 
-    return Tensor._result(data, (a,), backward_fn)
+def linear(x, W, b):
+    """x @ W + b over the last axis of x, as one node.  The weight cotangent
+    is one 2-D product over the flattened rows."""
+    if x.shape[-1] != W.shape[0]:
+        raise ShapeMismatch(f"linear input width {x.shape[-1]} != weight rows {W.shape[0]}")
+    data = x.data @ W.data + b.data
+
+    def backward_fn(g, need):
+        rows = g.reshape(-1, g.shape[-1])
+        return (g @ W.data.T if need[0] else None,
+                x.data.reshape(-1, W.shape[0]).T @ rows if need[1] else None,
+                rows.sum(axis=0) if need[2] else None)
+
+    return Tensor._result(data, (x, W, b), backward_fn)
 
 
 def layer_norm(x, gain, bias, eps=1e-5):
-    """Per-row (last axis) zero-mean unit-variance normalization, then affine."""
-    mu = x.mean(axis=-1, keepdims=True)
-    centered = x - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv = (var + eps).sqrt()
-    return centered / inv * gain + bias
+    """Per-row (last axis) zero-mean unit-variance normalization, then
+    affine, as one node."""
+    inv_n = 1.0 / float(x.shape[-1])
+    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+    xhat = centered / std
+    data = xhat * gain.data + bias.data
+
+    def backward_fn(g, need):
+        rows = tuple(range(g.ndim - 1))
+        gx = None
+        if need[0]:
+            gh = g * gain.data
+            gx = (gh - gh.mean(axis=-1, keepdims=True)
+                  - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
+        return (gx,
+                (g * xhat).sum(axis=rows) if need[1] else None,
+                g.sum(axis=rows) if need[2] else None)
+
+    return Tensor._result(data, (x, gain, bias), backward_fn)
+
+
+def _heads(x, n_heads):
+    """View (..., L, d) as (..., n_heads, L, d / n_heads)."""
+    return x.reshape(*x.shape[:-1], n_heads, x.shape[-1] // n_heads).swapaxes(-3, -2)
+
+
+def _merge(x):
+    """Inverse of :func:`_heads`: (..., h, L, e) -> (..., L, h * e)."""
+    x = x.swapaxes(-3, -2)
+    return x.reshape(*x.shape[:-2], -1)
+
+
+def attention(q, k, v, n_heads, mask=None, want_weights=False):
+    """Multi-head scaled dot-product attention as one node: split the last
+    axis of the (..., L, d) inputs into heads, softmax(q k^T / sqrt(d / h))
+    per head, weight the values and merge the heads.
+
+    `mask` marks logits to suppress (broadcast over the leading axes); they
+    get the constant MASK_LOGIT, so their weight is exactly zero and masked
+    inputs cannot influence the output or receive gradient.  Returns (output,
+    weights), the weights (..., h, Lq, Lk) only when `want_weights`."""
+    if q.shape[-1] != k.shape[-1]:
+        raise ShapeMismatch(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
+    if k.shape[-2] != v.shape[-2]:
+        raise ShapeMismatch(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
+    qh, kh, vh = (_heads(t.data, n_heads) for t in (q, k, v))
+    inv_scale = 1.0 / np.sqrt(q.shape[-1] // n_heads)
+    # the weights are built in one buffer, in place
+    w = qh @ kh.swapaxes(-1, -2)
+    w *= inv_scale
+    if mask is not None:
+        np.copyto(w, MASK_LOGIT, where=mask)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    data = _merge(w @ vh)
+
+    def backward_fn(g, need):
+        gh = _heads(g, n_heads)
+        gs = gh @ vh.swapaxes(-1, -2)
+        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        gs *= w
+        gs *= inv_scale
+        return (_merge(gs @ kh) if need[0] else None,
+                _merge(gs.swapaxes(-1, -2) @ qh) if need[1] else None,
+                _merge(w.swapaxes(-1, -2) @ gh) if need[2] else None)
+
+    out = Tensor._result(data, (q, k, v), backward_fn)
+    return out, (w.copy() if want_weights else None)
 
 
 def frobenius_norm(diff):

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dataset, detection, metrics, pot, training
-from .errors import ConfigMismatch, TranadError, check_fields
+from .errors import ConfigMismatch, ParseError, TranadError, check_fields, check_real
 from .model import ModelConfig, TranAD
 
 FLOAT_FMT = "%.17g"
@@ -30,17 +30,42 @@ def derive_seed(seed, tag):
     return int.from_bytes(digest[:8], "little") % (2 ** 31)
 
 
+# The top-level config keys the commands read, with their defaults.  The
+# other keys a config may hold are the ModelConfig fields bar m and
+# init_seed, which come from the data and the run seed.
+SETTINGS = {"seed": 0, "eps": dataset.DEFAULT_EPS, "split_ratio": 0.8,
+            "score_reduce": "last_row", "synth": {}, "train": {}, "pot": {}}
+MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig)
+                   if f.name not in ("m", "init_seed"))
+
+
 def _load_config(path):
     if path is None:
         return {}
     with open(path) as f:
-        return json.load(f)
+        try:
+            cfg = json.load(f)
+        except ValueError as exc:
+            raise ParseError(f"config {path} is not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigMismatch(f"config {path} must hold a JSON object")
+    unknown = sorted(set(cfg) - set(SETTINGS) - set(MODEL_KEYS))
+    if unknown:
+        raise ConfigMismatch(f"unknown config keys: {', '.join(unknown)}")
+    for key, default in SETTINGS.items():
+        if isinstance(default, dict) and not isinstance(cfg.get(key, default), dict):
+            raise ConfigMismatch(f"config section {key!r} must be a JSON object")
+    check_real("config", "eps", _setting(cfg, "eps"), lambda v: v > 0, "> 0")
+    check_real("config", "split_ratio", _setting(cfg, "split_ratio"),
+               lambda v: 0 < v <= 1, "in (0, 1]")
+    return cfg
 
 
-def _cfg_get(cfg, key, flag_value, default):
+def _setting(cfg, key, flag_value=None):
+    """A top-level value: the flag if given, else the config's, else the default."""
     if flag_value is not None:
         return flag_value
-    return cfg.get(key, default)
+    return cfg.get(key, SETTINGS[key])
 
 
 class _OutputTracker:
@@ -78,7 +103,7 @@ def _matrix_csv(values, fmt=FLOAT_FMT):
 
 
 def cmd_synth(args, cfg, out):
-    spec_dict = dict(cfg.get("synth", {}))
+    spec_dict = dict(_setting(cfg, "synth"))
     if args.seed is not None:
         spec_dict["seed"] = args.seed
     spec = dataset.SynthSpec.from_dict(spec_dict)
@@ -93,13 +118,12 @@ def cmd_synth(args, cfg, out):
 
 def _model_config_from(cfg, m, seed):
     # m comes from the data and init_seed from the run seed, not the config
-    fields = {f.name: cfg[f.name] for f in dataclasses.fields(ModelConfig)
-              if f.name in cfg and f.name not in ("m", "init_seed")}
+    fields = {key: cfg[key] for key in MODEL_KEYS if key in cfg}
     return ModelConfig(m=m, init_seed=derive_seed(seed, "model-init"), **fields)
 
 
 def _train_config_from(cfg, args, seed):
-    fields = check_fields(training.TrainConfig, dict(cfg.get("train", {})), "train")
+    fields = check_fields(training.TrainConfig, dict(_setting(cfg, "train")), "train")
     fields["seed"] = derive_seed(seed, "training")
     for flag, key in (("no_self_condition", "use_self_condition"),
                       ("no_adversarial", "use_adversarial"),
@@ -110,14 +134,14 @@ def _train_config_from(cfg, args, seed):
 
 
 def cmd_train(args, cfg, out):
-    seed = _cfg_get(cfg, "seed", args.seed, 0)
+    seed = _setting(cfg, "seed", args.seed)
     train_cfg = _train_config_from(cfg, args, seed)
     raw = dataset.load_csv(args.data, has_header=args.header)
-    normalized, stats = dataset.fit_normalize(raw, eps=cfg.get("eps", dataset.DEFAULT_EPS))
+    normalized, stats = dataset.fit_normalize(raw, eps=_setting(cfg, "eps"))
     model_cfg = _model_config_from(cfg, raw.m, seed)
     windows = dataset.make_windows(normalized, model_cfg.window_size,
                                    model_cfg.context_cap)
-    train_b, val_b = dataset.split_train_val(windows, cfg.get("split_ratio", 0.8))
+    train_b, val_b = dataset.split_train_val(windows, _setting(cfg, "split_ratio"))
     model = TranAD(model_cfg)
     report = training.fit(model, train_b, val_b, train_cfg,
                           progress=not args.quiet)
@@ -150,9 +174,9 @@ def cmd_detect(args, cfg, out):
                 f"checkpoint expects m={model.config.m}, data has m={raw.m}")
     train_ts = dataset.apply_normalize(train_raw, stats)
     test_ts = dataset.apply_normalize(test_raw, stats)
-    score_reduce = cfg.get("score_reduce", "last_row")
+    score_reduce = _setting(cfg, "score_reduce")
 
-    pot_fields = check_fields(pot.PotConfig, dict(cfg.get("pot", {})), "pot")
+    pot_fields = check_fields(pot.PotConfig, dict(_setting(cfg, "pot")), "pot")
     if args.pot_q is not None:
         pot_fields["risk"] = args.pot_q
     if args.pot_low_quantile is not None:
@@ -163,11 +187,8 @@ def cmd_detect(args, cfg, out):
     thresholds = pot.fit_thresholds(train_scores, pot_cfg)
     records = detection.detect_stream(model, test_ts, thresholds, score_reduce)
 
-    m = model.config.m
-    lines = ["# threshold_model " + json.dumps(thresholds.to_dict(), sort_keys=True)]
-    cols = ["t"] + [f"s_{i + 1}" for i in range(m)] + \
-           [f"y_{i + 1}" for i in range(m)] + ["y"]
-    lines.append(",".join(cols))
+    lines = ["# threshold_model " + json.dumps(thresholds.to_dict(), sort_keys=True),
+             ",".join(_report_columns(model.config.m))]
     for rec in records:
         row = [str(rec.timestamp)]
         row += [FLOAT_FMT % s for s in rec.scores]
@@ -178,22 +199,45 @@ def cmd_detect(args, cfg, out):
     return 0
 
 
+def _report_columns(m):
+    return (["t"] + [f"s_{i + 1}" for i in range(m)] + [f"y_{i + 1}" for i in range(m)]
+            + ["y"])
+
+
 def read_detection_report(path):
     """Parse a detection.csv back into (threshold_model, scores, dim_labels,
-    agg_labels)."""
+    agg_labels).  Raises ParseError on a missing or undecodable header or a
+    row that is short or not numeric."""
     with open(path) as f:
         lines = [ln.rstrip("\n") for ln in f]
-    header_json = lines[0].split(" ", 2)[2]
-    thresholds = pot.ThresholdModel.from_dict(json.loads(header_json))
+    head = lines[0].split(" ", 2) if lines else []
+    if head[:2] != ["#", "threshold_model"] or len(head) < 3:
+        raise ParseError(f"{path}: the first line is not a '# threshold_model' header",
+                         row=1)
+    try:
+        thresholds = pot.ThresholdModel.from_dict(json.loads(head[2]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"{path}: undecodable threshold model header: {exc!r}",
+                         row=1) from None
     m = len(thresholds.dims)
+    columns = _report_columns(m)
+    if len(lines) < 2 or lines[1] != ",".join(columns):
+        raise ParseError(f"{path}: the second line is not the column header "
+                         f"{','.join(columns)}", row=2)
     scores, dim_labels, agg = [], [], []
-    for ln in lines[2:]:
+    for row, ln in enumerate(lines[2:], start=3):
         if not ln:
             continue
         parts = ln.split(",")
-        scores.append([float(x) for x in parts[1:1 + m]])
-        dim_labels.append([int(x) for x in parts[1 + m:1 + 2 * m]])
-        agg.append(int(parts[-1]))
+        if len(parts) != len(columns):
+            raise ParseError(f"{path} row {row}: expected {len(columns)} cells, "
+                             f"got {len(parts)}", row=row)
+        try:
+            scores.append([float(x) for x in parts[1:1 + m]])
+            dim_labels.append([int(x) for x in parts[1 + m:1 + 2 * m]])
+            agg.append(int(parts[-1]))
+        except ValueError as exc:
+            raise ParseError(f"{path} row {row}: {exc}", row=row) from None
     return thresholds, np.array(scores), np.array(dim_labels, dtype=np.int8), \
         np.array(agg, dtype=np.int8)
 
@@ -329,10 +373,10 @@ COMMANDS = {
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    cfg = _load_config(args.config)
-    os.makedirs(args.out, exist_ok=True)
     out = _OutputTracker()
     try:
+        cfg = _load_config(args.config)
+        os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](args, cfg, out)
     except TranadError as exc:
         out.cleanup()

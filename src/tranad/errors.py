@@ -1,6 +1,7 @@
 """Exception types shared across the package."""
 
 import dataclasses
+import numbers
 
 
 class TranadError(Exception):
@@ -77,6 +78,10 @@ class CorruptCheckpoint(TranadError):
     pass
 
 
+class InvalidConfig(TranadError):
+    """A configuration value of the wrong type or out of range."""
+
+
 def check_fields(cls, d, section):
     """Return the mapping `d` once every key names a field of the dataclass
     `cls`; otherwise raise ConfigMismatch naming the keys that do not."""
@@ -84,3 +89,16 @@ def check_fields(cls, d, section):
     if unknown:
         raise ConfigMismatch(f"unknown {section} keys: {', '.join(unknown)}")
     return d
+
+
+def check_int(section, name, value, low):
+    """Raise InvalidConfig unless `value` is an integer (not a bool) >= `low`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < low:
+        raise InvalidConfig(f"{section} {name} must be an integer >= {low}, got {value!r}")
+
+
+def check_real(section, name, value, ok, expected):
+    """Raise InvalidConfig unless `value` is a real number (not a bool) with
+    `ok(value)`; `expected` describes the allowed range."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+        raise InvalidConfig(f"{section} {name} must be {expected}, got {value!r}")

@@ -22,9 +22,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ParamStore
-from .errors import DimensionMismatch, OddWidth, ShapeMismatch, check_fields
-
-MASK_LOGIT = -1e9
+from .errors import (DimensionMismatch, InvalidConfig, OddWidth, ShapeMismatch,
+                     check_fields, check_int, check_real)
 
 
 @dataclass
@@ -41,12 +40,14 @@ class ModelConfig:
     def __post_init__(self):
         if self.n_heads is None:
             self.n_heads = self.m
+        for name, low in (("m", 1), ("window_size", 1), ("n_heads", 1), ("ff_hidden", 1),
+                          ("n_enc_layers", 1), ("init_seed", 0)):
+            check_int("model", name, getattr(self, name), low)
+        check_int("model", "context_cap", self.context_cap, self.window_size)
         if self.d_model % self.n_heads != 0:
-            raise ValueError(
-                f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
-            )
-        if self.window_size < 1:
-            raise ValueError("window_size must be >= 1")
+            raise InvalidConfig(
+                f"model n_heads={self.n_heads} does not divide d_model={self.d_model} (2m)")
+        check_real("model", "dropout", self.dropout, lambda p: 0 <= p < 1, "in [0, 1)")
 
     @property
     def d_model(self):
@@ -94,30 +95,6 @@ def position_encode(x):
     return x + Tensor(position_encoding(L, d))
 
 
-def attention(Q, K, V, scale, mask=None, want_weights=False):
-    """Scaled dot-product attention.  `mask` is a boolean array marking
-    logits to suppress; suppressed positions get a constant large-negative
-    logit, so masked inputs cannot influence the output at all."""
-    if Q.shape[-1] != K.shape[-1]:
-        raise ShapeMismatch(f"query width {Q.shape[-1]} != key width {K.shape[-1]}")
-    if K.shape[-2] != V.shape[-2]:
-        raise ShapeMismatch(f"key count {K.shape[-2]} != value count {V.shape[-2]}")
-    logits = (Q @ K.transpose(_swap_last(K.ndim))) * (1.0 / scale)
-    if mask is not None:
-        logits = ad.masked_fill(logits, mask, MASK_LOGIT)
-    weights = ad.softmax(logits, axis=-1)
-    out = weights @ V
-    if want_weights:
-        return out, weights.data.copy()
-    return out, None
-
-
-def _swap_last(ndim):
-    axes = list(range(ndim))
-    axes[-1], axes[-2] = axes[-2], axes[-1]
-    return tuple(axes)
-
-
 class Linear:
     def __init__(self, store, prefix, d_in, d_out, rng):
         bound = 1.0 / np.sqrt(d_in)
@@ -125,43 +102,28 @@ class Linear:
         self.b = store.add(f"{prefix}.b", np.zeros(d_out))
 
     def __call__(self, x):
-        return x @ self.W + self.b
+        return ad.linear(x, self.W, self.b)
 
 
 class MultiHeadAttention:
     """Per-head linear projections, scaled attention, concat, output map."""
 
     def __init__(self, store, prefix, d_model, n_heads, rng):
-        if d_model % n_heads != 0:
-            raise ValueError("d_model must be divisible by n_heads")
         self.n_heads = n_heads
-        self.d_model = d_model
-        self.head_dim = d_model // n_heads
-        self.scale = np.sqrt(self.head_dim)
         self.wq = Linear(store, f"{prefix}.q", d_model, d_model, rng)
         self.wk = Linear(store, f"{prefix}.k", d_model, d_model, rng)
         self.wv = Linear(store, f"{prefix}.v", d_model, d_model, rng)
         self.wo = Linear(store, f"{prefix}.out", d_model, d_model, rng)
 
-    def _split(self, x):
-        # (B, L, d) -> (B, h, L, head_dim)
-        B, L, _ = x.shape
-        return x.reshape(B, L, self.n_heads, self.head_dim).transpose((0, 2, 1, 3))
-
     def __call__(self, Q, K, V, masked=False, want_weights=False):
-        B, Lq, _ = Q.shape
-        Lk = K.shape[1]
-        qh = self._split(self.wq(Q))
-        kh = self._split(self.wk(K))
-        vh = self._split(self.wv(V))
         mask = None
         if masked:
+            Lq, Lk = Q.shape[-2], K.shape[-2]
             if Lq != Lk:
                 raise ShapeMismatch("causal mask requires square attention")
             mask = np.triu(np.ones((Lq, Lk), dtype=bool), k=1)
-        out, weights = attention(qh, kh, vh, self.scale, mask=mask,
-                                 want_weights=want_weights)
-        out = out.transpose((0, 2, 1, 3)).reshape(B, Lq, self.d_model)
+        out, weights = ad.attention(self.wq(Q), self.wk(K), self.wv(V), self.n_heads,
+                                    mask=mask, want_weights=want_weights)
         return self.wo(out), weights
 
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy import optimize
 
-from .errors import EmptyInput, TooFewExcesses
+from .errors import EmptyInput, InvalidConfig, TooFewExcesses, check_int, check_real
 
 
 @dataclass
@@ -24,10 +24,12 @@ class PotConfig:
     min_excesses: int = 10
 
     def __post_init__(self):
-        if not 0 < self.risk < self.low_quantile < 1:
-            raise ValueError(
-                f"need 0 < risk < low_quantile < 1, got {self.risk}, {self.low_quantile}"
-            )
+        check_int("pot", "min_excesses", self.min_excesses, 1)
+        for name in ("risk", "low_quantile"):
+            check_real("pot", name, getattr(self, name), lambda v: 0 < v < 1, "in (0, 1)")
+        if not self.risk < self.low_quantile:
+            raise InvalidConfig(
+                f"pot risk must be below low_quantile, got {self.risk}, {self.low_quantile}")
 
     def to_dict(self):
         return asdict(self)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
-from .errors import NonFiniteLoss, ShapeMismatch
+from .errors import InvalidConfig, NonFiniteLoss, ShapeMismatch, check_int, check_real
 
 
 @dataclass
@@ -37,14 +37,19 @@ class TrainConfig:
     lr_decay_every_epochs: int = 1
 
     def __post_init__(self):
-        if self.epsilon <= 1:
-            raise ValueError("epsilon must be > 1 so the schedule decays")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.early_stop_patience < 1:
-            raise ValueError("early_stop_patience must be >= 1")
+        for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0),
+                          ("early_stop_patience", 1), ("lr_decay_every_epochs", 1)):
+            check_int("train", name, getattr(self, name), low)
+        for name in ("lr", "meta_lr", "weight_decay"):
+            check_real("train", name, getattr(self, name), lambda v: v >= 0, ">= 0")
+        check_real("train", "epsilon", self.epsilon, lambda v: v > 1,
+                   "> 1 so the schedule decays")
+        check_real("train", "lr_decay", self.lr_decay, lambda v: v > 0, "> 0")
+        for name in ("use_self_condition", "use_adversarial", "use_maml"):
+            if not isinstance(getattr(self, name), bool):
+                raise InvalidConfig(f"train {name} must be true or false")
         if self.n_semantics not in ("epoch", "iteration"):
-            raise ValueError(f"unknown n_semantics {self.n_semantics!r}")
+            raise InvalidConfig(f"unknown train n_semantics {self.n_semantics!r}")
 
     def to_dict(self):
         return asdict(self)
@@ -137,27 +142,24 @@ def _partition(path):
 
 def partitioned_grads(model, L1, L2):
     """Gradients with decoder1 driven by L1, decoder2 by L2, and shared
-    parameters by L1 + L2.  Returns {path: array}."""
-    store = model.params
-    store.zero_grads()
-    L1.backward()
-    g1 = store.grads()
-    store.zero_grads()
-    L2.backward()
-    g2 = store.grads()
-    store.zero_grads()
-    out = {}
-    for path, p in store.items():
-        a = g1[path] if g1[path] is not None else np.zeros_like(p.data)
-        b = g2[path] if g2[path] is not None else np.zeros_like(p.data)
-        part = _partition(path)
-        if part == "d1":
-            out[path] = a
-        elif part == "d2":
-            out[path] = b
-        else:
-            out[path] = a + b
-    return out
+    parameters by L1 + L2.  Returns {path: array}.
+
+    Three reverse walks over one tape order.  The shared walk starts from L1
+    and L2 together: the adversarial terms +-(1-w)*d cancel exactly at d, so
+    it never enters the phase-2 half of the tape.  Each decoder's walk starts
+    from its own loss and visits only nodes that lead to its parameters."""
+    groups = {}
+    for path, p in model.params.items():
+        groups.setdefault(_partition(path), []).append(p)
+    order = ad.tape_order([L1, L2])
+    one = np.ones_like(L1.data)
+    found = {}
+    for part, seeds in (("shared", [(L1, one), (L2, one)]), ("d1", [(L1, one)]),
+                        ("d2", [(L2, one)])):
+        targets = groups.get(part, [])
+        found.update(ad.reverse_walk(seeds, order, ad.reaching(order, targets)))
+    return {path: found[p] if p in found else np.zeros_like(p.data)
+            for path, p in model.params.items()}
 
 
 def batch_groups(batch, batch_size):

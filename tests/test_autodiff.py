@@ -27,48 +27,63 @@ def finite_difference(f, x, h=1e-5):
     return g
 
 
+def softmax_rows(logits):
+    """Softmax over the last axis of `logits`, read off attention weights:
+    one width-1 query of ones per row against the logits as keys."""
+    x = np.asarray(logits, dtype=float)
+    _, w = ad.attention(Tensor(np.ones(x.shape[:-1] + (1, 1))), Tensor(x[..., None]),
+                        Tensor(np.zeros(x.shape + (1,))), n_heads=1, want_weights=True)
+    return w[..., 0, 0, :]
+
+
 class TestMatmul:
+    """The matrix product, through linear (x @ W + b) with a zero bias."""
+
     def test_identity(self):
         a = np.eye(3)
         b = np.arange(9.0).reshape(3, 3)
-        out = Tensor(a) @ Tensor(b)
+        out = ad.linear(Tensor(a), Tensor(b), Tensor(np.zeros(3)))
         np.testing.assert_array_equal(out.data, b)
 
     def test_hand_arithmetic(self):
-        out = Tensor([[1.0, 2.0], [3.0, 4.0]]) @ Tensor([[1.0], [1.0]])
+        out = ad.linear(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]),
+                        Tensor(np.zeros(1)))
         np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            Tensor(np.zeros((2, 3))) @ Tensor(np.zeros((4, 5)))
+            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))),
+                      Tensor(np.zeros(5)))
 
     def test_gradients(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
         b = Tensor(np.array([[5.0], [6.0]]), requires_grad=True)
-        (a @ b).sum().backward()
+        ad.linear(a, b, Tensor(np.zeros(1))).sum().backward()
         np.testing.assert_allclose(a.grad, [[5.0, 6.0], [5.0, 6.0]])
         np.testing.assert_allclose(b.grad, [[4.0], [6.0]])
 
 
 class TestSoftmax:
+    """The softmax inside the attention node."""
+
     def test_uniform(self):
-        out = ad.softmax(Tensor([[0.0, 0.0, 0.0]]))
-        np.testing.assert_allclose(out.data, [[1 / 3, 1 / 3, 1 / 3]])
+        out = softmax_rows([[0.0, 0.0, 0.0]])
+        np.testing.assert_allclose(out, [[1 / 3, 1 / 3, 1 / 3]])
 
     def test_no_overflow(self):
-        out = ad.softmax(Tensor([[1000.0, 0.0]]))
-        assert np.isfinite(out.data).all()
-        np.testing.assert_allclose(out.data[0, 0], 1.0, atol=1e-12)
+        out = softmax_rows([[1000.0, 0.0]])
+        assert np.isfinite(out).all()
+        np.testing.assert_allclose(out[0, 0], 1.0, atol=1e-12)
 
     def test_closed_form(self):
-        out = ad.softmax(Tensor([[math.log(2.0), 0.0]]))
-        np.testing.assert_allclose(out.data, [[2 / 3, 1 / 3]], rtol=1e-12)
+        out = softmax_rows([[math.log(2.0), 0.0]])
+        np.testing.assert_allclose(out, [[2 / 3, 1 / 3]], rtol=1e-12)
 
     def test_rows_sum_to_one(self):
         x = np.random.default_rng(3).normal(size=(6, 9))
-        out = ad.softmax(Tensor(x))
-        np.testing.assert_allclose(out.data.sum(axis=-1), np.ones(6), atol=1e-9)
-        assert ((out.data > 0) & (out.data < 1)).all()
+        out = softmax_rows(x)
+        np.testing.assert_allclose(out.sum(axis=-1), np.ones(6), atol=1e-9)
+        assert ((out > 0) & (out < 1)).all()
 
 
 class TestLayerNorm:
@@ -111,10 +126,56 @@ class TestElementwise:
         np.testing.assert_array_equal(a, b)
 
     def test_masked_fill_blocks_gradient(self):
-        x = Tensor(np.arange(4.0).reshape(2, 2), requires_grad=True)
+        # the attention mask: a masked key and value get exactly no gradient
+        q, k, v = (Tensor(np.arange(2.0).reshape(2, 1) + i, requires_grad=True)
+                   for i in range(3))
         mask = np.array([[False, True], [False, False]])
-        ad.masked_fill(x, mask, -1e9).sum().backward()
-        np.testing.assert_array_equal(x.grad, [[1.0, 0.0], [1.0, 1.0]])
+        out, _ = ad.attention(q, k, v, n_heads=1, mask=mask)
+        out[0].sum().backward()
+        np.testing.assert_array_equal(k.grad[1], [0.0])
+        np.testing.assert_array_equal(v.grad, [[1.0], [0.0]])
+
+
+def check_node_gradients(fn, arrays, seed=0):
+    """Backward of sum(R * fn(*inputs)) for a random R against central
+    differences, for every input of the node `fn`."""
+    tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*tensors)
+    R = np.random.default_rng(seed).normal(size=out.shape)
+    (out * Tensor(R)).sum().backward()
+    for i, t in enumerate(tensors):
+        def f(x, i=i):
+            args = [Tensor(x if j == i else a) for j, a in enumerate(arrays)]
+            return float((fn(*args).data * R).sum())
+        fd = finite_difference(f, arrays[i].copy())
+        np.testing.assert_allclose(t.grad, fd, rtol=1e-6, atol=1e-9, err_msg=f"input {i}")
+
+
+class TestFusedNodes:
+    """The one-node layers against finite differences."""
+
+    def test_linear_3d_input(self):
+        rng = np.random.default_rng(11)
+        check_node_gradients(ad.linear, [rng.normal(size=(2, 3, 4)),
+                                         rng.normal(size=(4, 5)), rng.normal(size=5)])
+
+    def test_layer_norm(self):
+        rng = np.random.default_rng(12)
+        check_node_gradients(ad.layer_norm, [rng.normal(size=(2, 3, 6)),
+                                             rng.normal(size=6), rng.normal(size=6)])
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_self_attention_three_heads(self, masked):
+        rng = np.random.default_rng(13)
+        mask = np.triu(np.ones((4, 4), dtype=bool), k=1) if masked else None
+        check_node_gradients(lambda q, k, v: ad.attention(q, k, v, 3, mask=mask)[0],
+                             [rng.normal(size=(2, 4, 6)) for _ in range(3)])
+
+    def test_cross_attention_two_heads(self):
+        rng = np.random.default_rng(14)
+        check_node_gradients(lambda q, k, v: ad.attention(q, k, v, 2)[0],
+                             [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4)),
+                              rng.normal(size=(2, 5, 6))])
 
 
 class TestBackward:
@@ -133,14 +194,18 @@ class TestBackward:
         w = rng.normal(size=(4, 3))
         x0 = rng.normal(size=(2, 4))
 
+        b = rng.normal(size=3)
+
+        def graph(x):
+            h = ad.linear(x, Tensor(w), Tensor(b)).relu().sigmoid()
+            att, _ = ad.attention(h, h, h, n_heads=1)
+            return att.sum() * 0.5 + (h * h).mean()
+
         def f(arr):
-            x = Tensor(arr)
-            h = (x @ Tensor(w)).relu().sigmoid()
-            return float(ad.softmax(h).sum().data * 0.5 + (h * h).mean().data)
+            return float(graph(Tensor(arr)).data)
 
         x = Tensor(x0.copy(), requires_grad=True)
-        h = (x @ Tensor(w)).relu().sigmoid()
-        loss = ad.softmax(h).sum() * 0.5 + (h * h).mean()
+        loss = graph(x)
         loss.backward()
         fd = finite_difference(f, x0.copy())
         np.testing.assert_allclose(x.grad, fd, rtol=1e-4, atol=1e-8)
@@ -166,6 +231,14 @@ class TestBackward:
         g2 = x.grad.copy()
         np.testing.assert_allclose(g1, [2.0, 4.0])
         np.testing.assert_allclose(g2, [4.0, 32.0])   # d/dx x^4 = 4x^3
+
+    def test_leaf_grads_are_separate_arrays(self):
+        # the add node hands one cotangent to both parents
+        x = Tensor(np.ones(2), requires_grad=True)
+        y = Tensor(np.ones(2), requires_grad=True)
+        (x + y).sum().backward()
+        x.grad *= 3.0
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)

@@ -219,6 +219,62 @@ class TestBadInputs:
         assert not (tmp_path / "detection.csv").exists()
 
 
+    @pytest.mark.parametrize("cfg, names", [
+        ({"n_heads": 3}, ["n_heads"]),                 # 3 does not divide 2m = 4
+        ({"dropout": 1.5}, ["dropout"]),
+        ({"window_size": 4, "context_cap": 2}, ["context_cap"]),
+        ({"train": {"epsilon": 1.0}}, ["epsilon"]),
+        ({"train": {"batch_size": 0}}, ["batch_size"]),
+        ({"windw_size": 4}, ["windw_size"]),
+        ({"m": 3, "init_seed": 1}, ["init_seed", "m"]),
+        ({"train": 5}, ["train"]),
+        ({"split_ratio": 0}, ["split_ratio"]),
+    ])
+    def test_bad_train_config(self, pipeline, tmp_path, capsys, cfg, names):
+        _, train_dir, _, _, _ = pipeline
+        out = tmp_path / "out"
+        code = cli.main(["train", "--config", write_cfg(tmp_path / "c.json", cfg),
+                         "--quiet", "--out", str(out),
+                         "--data", str(train_dir / "values.csv")])
+        assert_failed(code, capsys, *names)
+        assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("text", ["{", "[1, 2]"])
+    def test_config_not_an_object(self, tmp_path, capsys, text):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(text)
+        out = tmp_path / "out"
+        assert_failed(cli.main(["synth", "--config", str(cfg), "--out", str(out)]),
+                      capsys, "c.json")
+        assert not out.exists()
+
+    def test_bad_pot_value(self, pipeline, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "c.json", dict(RUN_CFG, pot={"risk": 0.5}))
+        assert_failed(cli.main(detect_argv(pipeline, tmp_path, cfg=cfg)), capsys, "risk")
+        assert not (tmp_path / "detection.csv").exists()
+
+    @pytest.mark.parametrize("mutate, names", [
+        (lambda lines: ["garbage", "1,2"], ["threshold_model"]),
+        (lambda lines: [], ["threshold_model"]),
+        (lambda lines: ["# threshold_model {"] + lines[1:], ["undecodable"]),
+        (lambda lines: ['# threshold_model {"dims": 3}'] + lines[1:], ["undecodable"]),
+        (lambda lines: lines[:1] + lines[2:], ["column header"]),
+        (lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:], ["row 6"]),
+        (lambda lines: lines[:5] + [lines[5].replace(",", ",x", 1)] + lines[6:],
+         ["row 6"]),
+    ])
+    def test_bad_report(self, pipeline, tmp_path, capsys, mutate, names):
+        _, _, test_dir, run_dir, _ = pipeline
+        lines = (run_dir / "detection.csv").read_text().splitlines()
+        report = tmp_path / "detection.csv"
+        report.write_text("".join(ln + "\n" for ln in mutate(lines)))
+        out = tmp_path / "out"
+        code = cli.main(["eval", "--report", str(report), "--out", str(out),
+                         "--labels", str(test_dir / "labels.csv")])
+        assert_failed(code, capsys, *names)
+        assert list(out.iterdir()) == []
+
+
 class TestEval:
     def test_both_modes_reported(self, pipeline):
         _, _, _, run_dir, _ = pipeline

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from tranad import dataset, detection, pot
+from tranad import dataset, detection, model as model_module, pot
+from tranad.autodiff import Tensor
 from tranad.model import ModelConfig, TranAD
 
 
@@ -135,3 +136,48 @@ class TestDiagnose:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             detection.diagnose([])
+
+
+# -- the layers as separate tape ops, before they became one node each -------
+
+
+def unfused_linear(self, x):
+    return Tensor(x.data @ self.W.data + self.b.data)
+
+
+def unfused_layer_norm(self, x):
+    d = x.data
+    inv_n = 1.0 / float(d.shape[-1])
+    centered = d + (-(d.sum(axis=-1, keepdims=True) * inv_n))
+    var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
+    return Tensor(centered / np.sqrt(var + 1e-5) * self.gain.data + self.bias.data)
+
+
+def unfused_attention(self, Q, K, V, masked=False, want_weights=False):
+    def split(x):
+        B, L, d = x.shape
+        return x.reshape(B, L, self.n_heads, d // self.n_heads).transpose((0, 2, 1, 3))
+
+    qh, kh, vh = (split(lin(x).data) for lin, x in
+                  ((self.wq, Q), (self.wk, K), (self.wv, V)))
+    logits = (qh @ np.transpose(kh, (0, 1, 3, 2))) * (1.0 / np.sqrt(qh.shape[-1]))
+    if masked:
+        mask = np.triu(np.ones(logits.shape[-2:], dtype=bool), k=1)
+        logits = np.where(mask, -1e9, logits)
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    weights = e / e.sum(axis=-1, keepdims=True)
+    out = (weights @ vh).transpose((0, 2, 1, 3)).reshape(Q.shape[0], Q.shape[1], -1)
+    return self.wo(Tensor(out)), None
+
+
+@pytest.mark.parametrize("m, B, L", [(3, 16, 30), (3, 1, 4), (6, 5, 12)])
+def test_score_batch_bit_identical_to_unfused_layers(monkeypatch, m, B, L):
+    model = TranAD(ModelConfig(m=m, window_size=10, context_cap=30, init_seed=m,
+                               dropout=0.0))
+    rng = np.random.default_rng(B)
+    W, C = rng.uniform(size=(B, 10, m)), rng.uniform(size=(B, L, m))
+    fused = detection.score_batch(model, W, C)
+    monkeypatch.setattr(model_module.Linear, "__call__", unfused_linear)
+    monkeypatch.setattr(model_module.LayerNorm, "__call__", unfused_layer_norm)
+    monkeypatch.setattr(model_module.MultiHeadAttention, "__call__", unfused_attention)
+    np.testing.assert_array_equal(fused, detection.score_batch(model, W, C))

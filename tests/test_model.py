@@ -13,7 +13,6 @@ from tranad.errors import DimensionMismatch, OddWidth, ShapeMismatch
 from tranad.model import (
     ModelConfig,
     TranAD,
-    attention,
     position_encode,
     position_encoding,
 )
@@ -61,31 +60,32 @@ class TestAttention:
         Q = Tensor(np.array([[1.0, 2.0]]))
         K = Tensor(np.array([[0.3, -0.1]]))
         V = Tensor(np.array([[5.0, 6.0]]))
-        out, w = attention(Q, K, V, scale=1.0, want_weights=True)
-        np.testing.assert_allclose(w, [[1.0]])
+        out, w = ad.attention(Q, K, V, n_heads=1, want_weights=True)
+        np.testing.assert_allclose(w[0], [[1.0]])      # the one head
         np.testing.assert_allclose(out.data, [[5.0, 6.0]])
 
     def test_uniform_logits_give_value_mean(self):
         Q = Tensor(np.zeros((2, 3)))
         K = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
         V = Tensor(np.arange(8.0).reshape(4, 2))
-        out, _ = attention(Q, K, V, scale=1.0)
+        out, _ = ad.attention(Q, K, V, n_heads=1)
         np.testing.assert_allclose(out.data, np.tile(V.data.mean(axis=0), (2, 1)))
 
     def test_hand_two_by_two(self):
         eye = np.eye(2)
-        out, w = attention(Tensor(eye), Tensor(eye), Tensor(eye),
-                           scale=math.sqrt(2.0), want_weights=True)
+        # one head of width 2: the logits are scaled by sqrt(2)
+        out, w = ad.attention(Tensor(eye), Tensor(eye), Tensor(eye), n_heads=1,
+                              want_weights=True)
         logits = eye @ eye.T / math.sqrt(2.0)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected_w = e / e.sum(axis=1, keepdims=True)
-        np.testing.assert_allclose(w, expected_w, rtol=1e-12)
+        np.testing.assert_allclose(w[0], expected_w, rtol=1e-12)
         np.testing.assert_allclose(out.data, expected_w @ eye, rtol=1e-12)
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                      Tensor(np.zeros((2, 4))), scale=1.0)
+            ad.attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
+                         Tensor(np.zeros((2, 4))), n_heads=1)
 
 
 class TestMultiHead:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tranad import pot
-from tranad.errors import EmptyInput, TooFewExcesses
+from tranad.errors import EmptyInput, InvalidConfig, TooFewExcesses
 
 
 def gpd_sample(gamma, sigma, n, seed):
@@ -140,7 +140,7 @@ class TestPotThreshold:
         assert scaled.sigma == pytest.approx(3 * base.sigma, rel=1e-4)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             pot.PotConfig(risk=0.5, low_quantile=0.01)
 
     def test_model_roundtrip(self):

@@ -6,7 +6,7 @@ import pytest
 
 from tranad import dataset, training
 from tranad.autodiff import AdamW, ParamStore, Tensor
-from tranad.errors import NonFiniteLoss, ShapeMismatch
+from tranad.errors import InvalidConfig, NonFiniteLoss, ShapeMismatch
 from tranad.model import ModelConfig, TranAD
 
 
@@ -81,41 +81,71 @@ class TestSchedule:
         assert float(L1.data) == 1.0 and float(L2.data) == 2.0
 
     def test_epsilon_must_exceed_one(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig):
             training.TrainConfig(epsilon=1.0)
+
+
+def assert_routing_matches_fresh_graphs(cfg):
+    model, train_b, _ = tiny_setup()
+    groups = training.batch_groups(train_b, 16)
+    W, C, _ = groups[-1]
+
+    L1, L2 = training._batch_losses(model, W, C, cfg, n=1, training=False,
+                                    rng=None)
+    routed = training.partitioned_grads(model, L1, L2)
+
+    # oracle: evaluate each loss on its own fresh graph
+    L1f, _ = training._batch_losses(model, W, C, cfg, n=1, training=False,
+                                    rng=None)
+    model.params.zero_grads()
+    L1f.backward()
+    g1 = model.params.grads()
+    _, L2f = training._batch_losses(model, W, C, cfg, n=1, training=False,
+                                    rng=None)
+    model.params.zero_grads()
+    L2f.backward()
+    g2 = model.params.grads()
+    for path in model.params.paths():
+        if path.startswith("decoder1."):
+            expected = g1[path]
+        elif path.startswith("decoder2."):
+            expected = g2[path]
+        else:
+            expected = g1[path] + g2[path]
+        np.testing.assert_allclose(routed[path], expected, atol=1e-12,
+                                   err_msg=path)
+
+
+def count_op_nodes(*roots):
+    """Op nodes (nodes with a backward rule) reachable from `roots`."""
+    seen, stack, ops = set(), list(roots), 0
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            ops += node._backward is not None
+            stack.extend(node._parents)
+    return ops
 
 
 class TestGradientRouting:
     def test_partition_matches_fresh_graphs(self):
-        model, train_b, _ = tiny_setup()
-        groups = training.batch_groups(train_b, 16)
-        W, C, _ = groups[-1]
-        cfg = training.TrainConfig(seed=0, use_maml=False)
+        assert_routing_matches_fresh_graphs(training.TrainConfig(seed=0, use_maml=False))
 
-        L1, L2 = training._batch_losses(model, W, C, cfg, n=1, training=False,
-                                        rng=None)
-        routed = training.partitioned_grads(model, L1, L2)
+    @pytest.mark.parametrize("toggle", ["use_adversarial", "use_self_condition"])
+    def test_partition_matches_fresh_graphs_toggled_off(self, toggle):
+        assert_routing_matches_fresh_graphs(
+            training.TrainConfig(seed=0, use_maml=False, **{toggle: False}))
 
-        # oracle: evaluate each loss on its own fresh graph
-        L1f, _ = training._batch_losses(model, W, C, cfg, n=1, training=False,
-                                        rng=None)
-        model.params.zero_grads()
-        L1f.backward()
-        g1 = model.params.grads()
-        _, L2f = training._batch_losses(model, W, C, cfg, n=1, training=False,
-                                        rng=None)
-        model.params.zero_grads()
-        L2f.backward()
-        g2 = model.params.grads()
-        for path in model.params.paths():
-            if path.startswith("decoder1."):
-                expected = g1[path]
-            elif path.startswith("decoder2."):
-                expected = g2[path]
-            else:
-                expected = g1[path] + g2[path]
-            np.testing.assert_allclose(routed[path], expected, atol=1e-12,
-                                       err_msg=path)
+    def test_step_tape_has_at_most_100_op_nodes(self):
+        # the benchmark's training shape: B=16, K=10, L=30, m=3; one node per
+        # layer keeps the step at 98
+        model = TranAD(ModelConfig(m=3, window_size=10, context_cap=30, dropout=0.0))
+        rng = np.random.default_rng(0)
+        W, C = rng.uniform(size=(16, 10, 3)), rng.uniform(size=(16, 30, 3))
+        L1, L2 = training._batch_losses(model, W, C, training.TrainConfig(), n=1,
+                                        training=True, rng=rng)
+        assert count_op_nodes(L1, L2) <= 100
 
     def test_batch_groups_share_context_length(self):
         _, train_b, _ = tiny_setup(T=30, cap=8)
