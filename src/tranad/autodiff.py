@@ -94,13 +94,6 @@ class Tensor:
     def ndim(self):
         return self.data.ndim
 
-    @property
-    def size(self):
-        return self.data.size
-
-    def __repr__(self):
-        return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
     def zero_grad(self):
         self.grad = None
 
@@ -391,16 +384,18 @@ def attention(q, k, v, n_heads, mask=None, want_weights=False):
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    data = _merge(w @ vh)
+    oh = w @ vh
+    data = _merge(oh)
 
     def backward_fn(g, need):
+        # softmax backward: the row term sum_j w_ij (g_i . v_j) equals
+        # g_i . o_i, a reduction over the head width instead of the keys
         gh = _heads(g, n_heads)
         gs = gh @ vh.swapaxes(-1, -2)
-        gs -= (gs * w).sum(axis=-1, keepdims=True)
+        gs -= (gh * oh).sum(axis=-1, keepdims=True)
         gs *= w
-        gs *= inv_scale
-        return (_merge(gs @ kh) if need[0] else None,
-                _merge(gs.swapaxes(-1, -2) @ qh) if need[1] else None,
+        return (_merge(gs @ kh) * inv_scale if need[0] else None,
+                _merge(gs.swapaxes(-1, -2) @ qh) * inv_scale if need[1] else None,
                 _merge(w.swapaxes(-1, -2) @ gh) if need[2] else None)
 
     out = Tensor._result(data, (q, k, v), backward_fn)
@@ -432,12 +427,6 @@ class ParamStore:
 
     def __getitem__(self, path):
         return self._params[path]
-
-    def __contains__(self, path):
-        return path in self._params
-
-    def __len__(self):
-        return len(self._params)
 
     def items(self):
         return sorted(self._params.items())

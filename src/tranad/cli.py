@@ -12,13 +12,15 @@ import dataclasses
 import hashlib
 import json
 import os
+import pathlib
 import sys
 
 import numpy as np
 
 from . import autodiff as ad
 from . import dataset, detection, metrics, pot, training
-from .errors import ConfigMismatch, ParseError, TranadError, check_fields, check_real
+from .errors import (ConfigMismatch, InvalidConfig, ParseError, TranadError, check_fields,
+                     check_real)
 from .model import ModelConfig, TranAD
 
 FLOAT_FMT = "%.17g"
@@ -58,6 +60,9 @@ def _load_config(path):
     check_real("config", "eps", _setting(cfg, "eps"), lambda v: v > 0, "> 0")
     check_real("config", "split_ratio", _setting(cfg, "split_ratio"),
                lambda v: 0 < v <= 1, "in (0, 1]")
+    if _setting(cfg, "score_reduce") not in detection.SCORE_REDUCES:
+        raise InvalidConfig(f"config score_reduce must be one of {detection.SCORE_REDUCES}, "
+                            f"got {cfg['score_reduce']!r}")
     return cfg
 
 
@@ -75,11 +80,7 @@ class _OutputTracker:
         self.written = []
 
     def write_text(self, path, text):
-        tmp = str(path) + ".tmp"
-        with open(tmp, "w") as f:
-            f.write(text)
-        os.replace(tmp, path)
-        self.written.append(str(path))
+        self.write_binary(path, lambda tmp: pathlib.Path(tmp).write_text(text))
 
     def write_binary(self, path, writer):
         tmp = str(path) + ".tmp"
@@ -157,10 +158,23 @@ def cmd_train(args, cfg, out):
 
 
 def _load_stats(path):
+    """Read a stats.json: a JSON object of exactly `eps` and equally long
+    lists of finite numbers `min` and `max`, else a ParseError."""
     with open(path) as f:
-        d = json.load(f)
-    return dataset.NormStats(min=np.array(d["min"]), max=np.array(d["max"]),
-                             eps=d["eps"])
+        try:
+            d = json.load(f, parse_int=float)   # an integer too large for a float is inf
+        except ValueError as exc:
+            raise ParseError(f"stats {path} is not valid JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise ParseError(f"stats {path} must hold a JSON object")
+    check_fields(dataset.NormStats, d, "stats", error=ParseError)
+    lo, hi = d.get("min"), d.get("max")
+    if not ("eps" in d and isinstance(lo, list) and isinstance(hi, list) and len(lo) == len(hi)
+            and all(type(v) is float and np.isfinite(v) for v in lo + hi)):
+        raise ParseError(f"stats {path} must hold eps and equally long lists of "
+                         f"finite numbers min and max")
+    return dataset.NormStats(min=np.array(lo, dtype=np.float64),
+                             max=np.array(hi, dtype=np.float64), eps=d["eps"])
 
 
 def cmd_detect(args, cfg, out):
@@ -295,7 +309,7 @@ def cmd_inspect(args, cfg, out):
         "t," + ",".join(f"f_{d + 1}" for d in range(model.config.m)),
     ]
     with ad.no_grad():
-        for W, C, idx in training.batch_groups(batch, 256):
+        for W, C, idx in training.batch_groups(batch, detection.SCORE_CHUNK):
             res = model.forward_two_phase(W, C, training=False, want_weights=True)
             weights = res.attention_maps["window_self_phase2"]  # (B, h, K, K)
             focus = res.focus.data

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -17,11 +17,13 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .errors import (
     DimensionMismatch,
     EmptySeries,
+    InvalidConfig,
     NonFiniteInput,
     OverlapError,
     ParseError,
     ShapeMismatch,
     check_fields,
+    check_real,
 )
 
 log = logging.getLogger(__name__)
@@ -70,10 +72,9 @@ class NormStats:
     def __post_init__(self):
         self.min = np.asarray(self.min, dtype=np.float64)
         self.max = np.asarray(self.max, dtype=np.float64)
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        check_real("stats", "eps", self.eps, lambda v: 0 < v < math.inf, "finite and > 0")
         if np.any(self.min > self.max):
-            raise ValueError("min exceeds max in some dimension")
+            raise InvalidConfig("stats min exceeds max in some dimension")
 
 
 @dataclass
@@ -108,14 +109,6 @@ class WindowBatch:
 
     def __len__(self):
         return self.windows.shape[0]
-
-    @property
-    def m(self):
-        return self.windows.shape[2]
-
-    @property
-    def window_size(self):
-        return self.windows.shape[1]
 
 
 def load_csv(path, has_header=False, label_path=None, name=None):
@@ -171,8 +164,6 @@ def fit_normalize(train, eps=DEFAULT_EPS):
 
     Returns the normalized series and the stats to reuse on test data.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     if not np.isfinite(train.values).all():
         raise NonFiniteInput("training series contains non-finite values")
     lo = train.values.min(axis=0)
@@ -286,12 +277,7 @@ class SynthSpec:
         return cls(**check_fields(cls, d, "synth"))
 
     def to_dict(self):
-        return {
-            "T": self.T, "m": self.m, "seed": self.seed,
-            "noise_sigma": self.noise_sigma,
-            "sinusoids": self.sinusoids,
-            "anomalies": [vars(a).copy() for a in self.anomalies],
-        }
+        return asdict(self)
 
 
 def synth_generate(spec):

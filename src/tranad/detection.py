@@ -3,7 +3,8 @@ labeling against fitted thresholds, and root-cause ranking.
 
 Each timestamp's score depends only on its own window and context (both end
 at that timestamp), so records are identical whether the stream is truncated
-at t or not; batching below is purely a speed device.
+at t or not; batching below is purely a speed device.  SCORE_CHUNK windows
+per forward keep its attention buffers small enough to stay in the cache.
 """
 
 from __future__ import annotations
@@ -14,7 +15,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .dataset import make_windows
+from .errors import InvalidConfig
 from .training import batch_groups
+
+SCORE_REDUCES = ("last_row", "window_mean")
+SCORE_CHUNK = 32
 
 
 @dataclass
@@ -29,6 +34,8 @@ def score_batch(model, W, C, score_reduce="last_row"):
     """Per-dimension anomaly scores for a (B, K, m) window stack sharing one
     context length: the average of the squared phase-1 and conditioned
     phase-2 deviations."""
+    if score_reduce not in SCORE_REDUCES:
+        raise InvalidConfig(f"score_reduce must be one of {SCORE_REDUCES}, got {score_reduce!r}")
     with ad.no_grad():
         out = model.forward_two_phase(W, C, training=False)
     d1 = (out.O1.data - W) ** 2
@@ -36,16 +43,14 @@ def score_batch(model, W, C, score_reduce="last_row"):
     s = 0.5 * d1 + 0.5 * d2
     if score_reduce == "last_row":
         return s[:, -1, :]
-    if score_reduce == "window_mean":
-        return s.mean(axis=1)
-    raise ValueError(f"unknown score_reduce {score_reduce!r}")
+    return s.mean(axis=1)
 
 
-def score_series(model, series, score_reduce="last_row", batch_size=256):
+def score_series(model, series, score_reduce="last_row"):
     """Per-timestamp, per-dimension scores over a normalized series."""
     batch = make_windows(series, model.config.window_size, model.config.context_cap)
     scores = np.empty((len(batch), series.m))
-    for W, C, idx in batch_groups(batch, batch_size):
+    for W, C, idx in batch_groups(batch, SCORE_CHUNK):
         scores[idx] = score_batch(model, W, C, score_reduce)
     return scores
 

@@ -82,12 +82,12 @@ class InvalidConfig(TranadError):
     """A configuration value of the wrong type or out of range."""
 
 
-def check_fields(cls, d, section):
+def check_fields(cls, d, section, error=ConfigMismatch):
     """Return the mapping `d` once every key names a field of the dataclass
-    `cls`; otherwise raise ConfigMismatch naming the keys that do not."""
+    `cls`; otherwise raise `error` naming the keys that do not."""
     unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
     if unknown:
-        raise ConfigMismatch(f"unknown {section} keys: {', '.join(unknown)}")
+        raise error(f"unknown {section} keys: {', '.join(unknown)}")
     return d
 
 

@@ -11,11 +11,13 @@ A forward pass runs twice: phase 1 with a zero focus score produces both
 reconstructions O1 and O2; the element-wise squared deviation of O1 from the
 window becomes the focus score for phase 2, which produces the conditioned
 reconstruction O2_hat.  Gradients flow through both phases, including through
-the focus score.
+the focus score.  The window's embedding and masked self-attention see the
+window alone, so they run once and both phases cross-attend from that result.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
@@ -75,9 +77,11 @@ class TwoPhaseOutput:
     attention_maps: dict = field(default_factory=dict)
 
 
+@functools.cache
 def position_encoding(length, width):
     """Sinusoidal position table: PE[p, 2i] = sin(p / 10000^(2i/d)),
-    PE[p, 2i+1] = cos of the same argument."""
+    PE[p, 2i+1] = cos of the same argument.  Built once per shape and
+    returned read-only, since every caller shares it."""
     if width % 2 != 0:
         raise OddWidth(f"position encoding needs an even width, got {width}")
     pos = np.arange(length)[:, None].astype(np.float64)
@@ -86,6 +90,7 @@ def position_encoding(length, width):
     pe = np.empty((length, width))
     pe[:, 0::2] = np.sin(angle)
     pe[:, 1::2] = np.cos(angle)
+    pe.flags.writeable = False
     return pe
 
 
@@ -167,8 +172,8 @@ class EncoderLayer:
 
 
 class WindowEncoder:
-    """Masked self-attention over the window, then cross-attention with the
-    context encoding as keys/values and the encoded window as query."""
+    """Masked self-attention over the window (`attend_self`), then (call)
+    cross-attention from it into the context encoding as keys/values."""
 
     def __init__(self, store, cfg, rng):
         d = cfg.d_model
@@ -180,14 +185,16 @@ class WindowEncoder:
         self.ln2 = LayerNorm(store, "window_encoder.ln2", d)
         self.dropout = cfg.dropout
 
-    def __call__(self, I2, ctx_encoding, training, rng, want_weights=False):
+    def attend_self(self, I2, training, rng, want_weights=False):
         att, self_w = self.self_attn(I2, I2, I2, masked=True, want_weights=want_weights)
         att = ad.dropout(att, self.dropout, training, rng)
-        I2_2 = self.ln1(I2 + att)
+        return self.ln1(I2 + att), self_w
+
+    def __call__(self, I2_2, ctx_encoding, training, rng, want_weights=False):
         cross, cross_w = self.cross_attn(I2_2, ctx_encoding, ctx_encoding,
                                          want_weights=want_weights)
         cross = ad.dropout(cross, self.dropout, training, rng)
-        return self.ln2(I2_2 + cross), self_w, cross_w
+        return self.ln2(I2_2 + cross), cross_w
 
 
 class Decoder:
@@ -247,15 +254,16 @@ class TranAD:
             x, weights = layer(x, training, rng, want_weights=want_weights)
         return x, weights
 
-    def encode_window(self, W, ctx_encoding, training=False, rng=None,
-                      want_weights=False):
+    def encode_window(self, W, training=False, rng=None, want_weights=False):
+        """Embed, position-encode and self-attend the window: the part of the
+        window encoder both phases share."""
         if W.shape[-1] != self.config.m:
             raise DimensionMismatch(
                 f"window has {W.shape[-1]} dims, model expects {self.config.m}"
             )
         I2 = position_encode(self.window_embed(W))
-        return self.window_encoder(I2, ctx_encoding, training, rng,
-                                   want_weights=want_weights)
+        return self.window_encoder.attend_self(I2, training, rng,
+                                               want_weights=want_weights)
 
     # -- the two-phase pass ---------------------------------------------------
 
@@ -279,27 +287,28 @@ class TranAD:
         zero_focus = Tensor(np.zeros((B, K, m)))
         ctx1, enc_w1 = self.encode_context(C, zero_focus, training, rng,
                                            want_weights=want_weights)
-        I23, self_w1, cross_w1 = self.encode_window(W, ctx1, training, rng,
-                                                    want_weights=want_weights)
+        win, self_w = self.encode_window(W, training, rng, want_weights=want_weights)
+        I23, cross_w1 = self.window_encoder(win, ctx1, training, rng,
+                                            want_weights=want_weights)
         O1 = self.decoder1(I23)
         O2 = self.decoder2(I23)
 
         diff = O1 - W
         focus = diff * diff
-        phase2_focus = focus if self_condition else Tensor(np.zeros((B, K, m)))
+        phase2_focus = focus if self_condition else zero_focus
 
         ctx2, enc_w2 = self.encode_context(C, phase2_focus, training, rng,
                                            want_weights=want_weights)
-        I23_2, self_w2, cross_w2 = self.encode_window(W, ctx2, training, rng,
-                                                      want_weights=want_weights)
+        I23_2, cross_w2 = self.window_encoder(win, ctx2, training, rng,
+                                              want_weights=want_weights)
         O2_hat = self.decoder2(I23_2)
 
         maps = {}
         if want_weights:
             maps = {
-                "context_phase1": enc_w1, "window_self_phase1": self_w1,
+                "context_phase1": enc_w1, "window_self_phase1": self_w,
                 "window_cross_phase1": cross_w1,
-                "context_phase2": enc_w2, "window_self_phase2": self_w2,
+                "context_phase2": enc_w2, "window_self_phase2": self_w,
                 "window_cross_phase2": cross_w2,
             }
         return TwoPhaseOutput(O1=O1, O2=O2, O2_hat=O2_hat, focus=phase2_focus,

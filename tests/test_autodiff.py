@@ -178,6 +178,34 @@ class TestFusedNodes:
                               rng.normal(size=(2, 5, 6))])
 
 
+def attention_cotangents_explicit(q, k, v, g, n_heads, mask):
+    """Attention backward with the softmax row term summed over the keys,
+    (gs * w).sum(-1), and the scale applied to the full score cotangent."""
+    split = lambda x: ad._heads(x, n_heads)
+    qh, kh, vh, gh = split(q), split(k), split(v), split(g)
+    scale = 1.0 / np.sqrt(q.shape[-1] // n_heads)
+    logits = qh @ kh.swapaxes(-1, -2) * scale
+    if mask is not None:
+        logits = np.where(mask, ad.MASK_LOGIT, logits)
+    w = softmax_rows(logits)
+    gs = gh @ vh.swapaxes(-1, -2)
+    gs = (gs - (gs * w).sum(axis=-1, keepdims=True)) * w * scale
+    return (ad._merge(gs @ kh), ad._merge(gs.swapaxes(-1, -2) @ qh),
+            ad._merge(w.swapaxes(-1, -2) @ gh))
+
+
+@pytest.mark.parametrize("n_heads, masked", [(3, False), (3, True), (6, True), (1, False)])
+def test_attention_backward_matches_explicit_row_term(n_heads, masked):
+    rng = np.random.default_rng(n_heads + masked)
+    q, k, v, g = (rng.normal(size=(2, 5, 6)) for _ in range(4))
+    mask = np.triu(np.ones((5, 5), dtype=bool), k=1) if masked else None
+    out, _ = ad.attention(*(Tensor(x, requires_grad=True) for x in (q, k, v)),
+                          n_heads, mask=mask)
+    got = out._backward(g, (True, True, True))
+    for name, a, b in zip("qkv", got, attention_cotangents_explicit(q, k, v, g, n_heads, mask)):
+        np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
+
+
 class TestBackward:
     def test_sum_gradient(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)

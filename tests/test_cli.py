@@ -253,6 +253,42 @@ class TestBadInputs:
         assert_failed(cli.main(detect_argv(pipeline, tmp_path, cfg=cfg)), capsys, "risk")
         assert not (tmp_path / "detection.csv").exists()
 
+    def test_unknown_score_reduce_fails_before_reading_files(self, pipeline, tmp_path,
+                                                             capsys):
+        cfg = write_cfg(tmp_path / "c.json", dict(RUN_CFG, score_reduce="bogus"))
+        argv = detect_argv(pipeline, tmp_path, cfg=cfg, checkpoint=tmp_path / "absent.bin")
+        assert_failed(cli.main(argv), capsys, "score_reduce", "bogus")
+        assert not (tmp_path / "detection.csv").exists()
+
+    @pytest.mark.parametrize("command", ["detect", "inspect"])
+    @pytest.mark.parametrize("text, names", [
+        ("{", ["not valid JSON"]),
+        ("[0, 1]", ["JSON object"]),
+        ('{"min": [0, 0]}', ["eps and equally long"]),
+        ('{"min": [0, 0], "max": [1, 1], "eps": 1e-8, "bogus": 1}', ["bogus"]),
+        ('{"min": [0, "a"], "max": [1, 1], "eps": 1e-8}', ["finite numbers min and max"]),
+        ('{"min": [0, true], "max": [1, 1], "eps": 1e-8}', ["finite numbers min and max"]),
+        ('{"min": [0, NaN], "max": [1, 1], "eps": 1e-8}', ["finite numbers min and max"]),
+        ('{"min": [0, 0], "max": [1, 1%s], "eps": 1e-8}' % ("0" * 400),
+         ["finite numbers min and max"]),
+        ('{"min": [0], "max": [1, 1], "eps": 1e-8}', ["equally long lists"]),
+        ('{"min": [0, 0], "max": [1, 1], "eps": 0}', ["eps"]),
+        ('{"min": [0, 2], "max": [1, 1], "eps": 1e-8}', ["min exceeds max"]),
+    ], ids=["not-json", "not-object", "missing-keys", "unknown-key", "string", "bool", "nan",
+            "huge-int", "unequal", "eps-zero", "min-above-max"])
+    def test_bad_stats(self, pipeline, tmp_path, capsys, command, text, names):
+        _, train_dir, test_dir, run_dir, cfg = pipeline
+        stats = tmp_path / "stats.json"
+        stats.write_text(text)
+        out = tmp_path / "out"
+        argv = [command, "--config", cfg, "--data", str(train_dir / "values.csv"),
+                "--checkpoint", str(run_dir / "checkpoint.bin"),
+                "--stats", str(stats), "--out", str(out)]
+        if command == "detect":
+            argv += ["--test", str(test_dir / "values.csv")]
+        assert_failed(cli.main(argv), capsys, *names)
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("mutate, names", [
         (lambda lines: ["garbage", "1,2"], ["threshold_model"]),
         (lambda lines: [], ["threshold_model"]),

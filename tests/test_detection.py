@@ -5,6 +5,7 @@ import pytest
 
 from tranad import dataset, detection, model as model_module, pot
 from tranad.autodiff import Tensor
+from tranad.errors import InvalidConfig
 from tranad.model import ModelConfig, TranAD
 
 
@@ -59,7 +60,7 @@ class TestScoring:
     def test_unknown_reduce_rejected(self, scored_setup):
         model, norm = scored_setup
         batch = dataset.make_windows(norm, 4, 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(InvalidConfig, match="bogus"):
             detection.score_batch(model, batch.windows[:1], batch.contexts[0][None],
                                   score_reduce="bogus")
 
@@ -70,6 +71,22 @@ class TestScoring:
         prefix = dataset.TimeSeries(values=norm.values[:cut], stats=norm.stats)
         truncated = detection.score_series(model, prefix)
         np.testing.assert_array_equal(full[:cut], truncated)
+
+    @pytest.mark.parametrize("T", [detection.SCORE_CHUNK - 1, detection.SCORE_CHUNK,
+                                   detection.SCORE_CHUNK + 1, 2 * detection.SCORE_CHUNK + 29])
+    def test_chunks_match_per_prefix_scores(self, scored_setup, T):
+        # every row, the first context_cap - 1 short-context ones included,
+        # equals the score of the one window a stream cut at that row ends with
+        model, norm = scored_setup
+        values = np.tile(norm.values, (2, 1))[:T]
+        series = dataset.TimeSeries(values=values, stats=norm.stats)
+        full = detection.score_series(model, series)
+        for t in range(T):
+            prefix = dataset.TimeSeries(values=values[:t + 1], stats=norm.stats)
+            batch = dataset.make_windows(prefix, 4, 8)
+            np.testing.assert_array_equal(
+                full[t], detection.score_batch(model, batch.windows[-1:],
+                                               batch.contexts[-1][None])[0])
 
     def test_deterministic(self, scored_setup):
         model, norm = scored_setup

@@ -49,6 +49,18 @@ class TestPositionEncoding:
         with pytest.raises(OddWidth):
             position_encoding(4, 5)
 
+    def test_cached_table_read_only_and_closed_form(self):
+        pe = position_encoding(7, 6)
+        assert pe is position_encoding(7, 6)
+        assert not pe.flags.writeable
+        with pytest.raises(ValueError):
+            pe[0, 0] = 1.0
+        for p in range(7):
+            for i in range(3):
+                angle = p / 10000.0 ** (2 * i / 6)
+                assert pe[p, 2 * i] == pytest.approx(math.sin(angle), rel=1e-12, abs=1e-15)
+                assert pe[p, 2 * i + 1] == pytest.approx(math.cos(angle), rel=1e-12)
+
     def test_position_encode_adds_table(self):
         x = np.zeros((3, 4))
         out = position_encode(Tensor(x))
@@ -139,7 +151,8 @@ class TestEncoders:
         model = small_model(m=2, K=4)
         W, C = random_inputs(model)
         ctx, _ = model.encode_context(Tensor(C), Tensor(np.zeros((1, 4, 2))))
-        out, _, _ = model.encode_window(Tensor(W), ctx)
+        win, _ = model.encode_window(Tensor(W))
+        out, _ = model.window_encoder(win, ctx, False, None)
         assert out.shape == (1, 4, model.config.d_model)
 
 
@@ -195,6 +208,12 @@ class TestTwoPhase:
         for name, w in out.attention_maps.items():
             np.testing.assert_allclose(w.sum(axis=-1), np.ones(w.shape[:-1]),
                                        atol=1e-9, err_msg=name)
+
+    def test_phases_share_window_self_attention(self):
+        model = small_model()
+        W, C = random_inputs(model, B=2)
+        maps = model.forward_two_phase(W, C, want_weights=True).attention_maps
+        assert maps["window_self_phase2"] is maps["window_self_phase1"]
 
     def test_gradient_reaches_every_parameter(self):
         model = small_model(seed=3)
