@@ -12,14 +12,17 @@ leaves' ``.grad`` until explicitly zeroed, so calling it twice doubles them.
 Network layers are single nodes with hand-derived backward rules:
 :func:`linear`, :func:`layer_norm` and multi-head :func:`attention`.
 
-Also hosts the parameter store, the AdamW optimizer with a step-based
-learning-rate scheduler, and the binary checkpoint format.
+Also hosts the parameter store, which lays every weight and gradient out in
+flat buffers, the AdamW optimizer with a step-based learning-rate
+scheduler, and the binary checkpoint format.
 """
 
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import json
+import math
 
 import numpy as np
 
@@ -35,8 +38,7 @@ _GRAD_ENABLED = True
 def no_grad():
     """Disable tape recording inside the block (inference fast path)."""
     global _GRAD_ENABLED
-    prev = _GRAD_ENABLED
-    _GRAD_ENABLED = False
+    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
     try:
         yield
     finally:
@@ -65,34 +67,21 @@ class Tensor:
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self.grad = None
-        self._parents = ()
-        self._backward = None
+        self.grad, self._parents, self._backward = None, (), None
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def _result(data, parents, backward_fn):
         out = Tensor.__new__(Tensor)
-        out.data = data
-        out.grad = None
-        if _GRAD_ENABLED and any(p.requires_grad for p in parents):
-            out.requires_grad = True
-            out._parents = tuple(parents)
-            out._backward = backward_fn
-        else:
-            out.requires_grad = False
-            out._parents = ()
-            out._backward = None
+        out.data, out.grad = data, None
+        out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
+        out._parents, out._backward = ((tuple(parents), backward_fn) if out.requires_grad
+                                       else ((), None))
         return out
 
-    @property
-    def shape(self):
-        return self.data.shape
-
-    @property
-    def ndim(self):
-        return self.data.ndim
+    shape = property(lambda self: self.data.shape)
+    ndim = property(lambda self: self.data.ndim)
 
     def zero_grad(self):
         self.grad = None
@@ -101,7 +90,7 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         seeds = [(self, np.ones_like(self.data))]
-        for leaf, g in reverse_walk(seeds, tape_order([self])).items():
+        for leaf, g in reverse_walk(seeds, tape_order([self], {})[0]).items():
             # a cotangent may be shared between parents; each .grad is its own
             leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
 
@@ -111,8 +100,7 @@ class Tensor:
         return other if isinstance(other, Tensor) else Tensor(other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
+        a, b = self, self._coerce(other)
         data = a.data + b.data
 
         def backward_fn(g, need):
@@ -133,8 +121,7 @@ class Tensor:
         return self._coerce(other) + (-self)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        a, b = self, other
+        a, b = self, self._coerce(other)
         data = a.data * b.data
 
         def backward_fn(g, need):
@@ -148,10 +135,8 @@ class Tensor:
     # -- shape ops ------------------------------------------------------------
 
     def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
         old = self.data.shape
-        return Tensor._result(self.data.reshape(shape), (self,),
+        return Tensor._result(self.data.reshape(*shape), (self,),
                               lambda g, need: (g.reshape(old),))
 
     def __getitem__(self, key):
@@ -178,9 +163,8 @@ class Tensor:
         return Tensor._result(data, (a,), backward_fn)
 
     def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else np.prod(
-            [self.data.shape[ax] for ax in np.atleast_1d(axis)]
-        )
+        n = self.data.size if axis is None else math.prod(
+            self.data.shape[ax] for ax in np.atleast_1d(axis))
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
 
     # -- nonlinearities -------------------------------------------------------
@@ -209,44 +193,38 @@ class Tensor:
 # -- the reverse walk ---------------------------------------------------------
 
 
-def tape_order(roots):
-    """Every recorded node reachable from `roots`, each after its parents."""
-    order = []
-    seen = set()
+def tape_order(roots, tags):
+    """Every recorded node reachable from `roots`, each after its parents,
+    and {id(node): mask}: a node's tag in `tags` ({id: bits}) ORed with its
+    parents' masks, so bit b is set where a node leads to a tensor tagged b."""
+    order, masks = [], {}
     stack = [(r, False) for r in roots]
     while stack:
         node, processed = stack.pop()
+        key = id(node)
         if processed:
+            mask = masks[key]
+            for p in node._parents:
+                mask |= masks.get(id(p), 0)
+            masks[key] = mask
             order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in seen and p.requires_grad:
-                stack.append((p, False))
-    return order
+        elif key not in masks:
+            masks[key] = tags.get(key, 0)
+            stack.append((node, True))
+            for p in node._parents:
+                if p.requires_grad and id(p) not in masks:
+                    stack.append((p, False))
+    return order, masks
 
 
-def reaching(order, targets):
-    """Ids of the nodes of `order` from which a tensor of `targets` is
-    reached through parents, the targets included."""
-    reach = {id(t) for t in targets}
-    for node in order:
-        if any(id(p) in reach for p in node._parents):
-            reach.add(id(node))
-    return reach
-
-
-def reverse_walk(seeds, order, reach=None):
+def reverse_walk(seeds, order, masks=None, bit=0):
     """Propagate the (tensor, cotangent) `seeds` back through `order` and
     return {leaf: cotangent} for the leaves reached.
 
-    With `reach` (from :func:`reaching`) a node asks its backward rule only
-    for the parents in it; without, for every parent that requires grad.  A
-    cotangent summed from several contributions that comes out exactly zero
-    is not propagated further."""
+    With `masks` (from :func:`tape_order`) a node asks its backward rule only
+    for the parents whose mask has `bit`; without, for every parent that
+    requires grad.  A cotangent summed from several contributions that comes
+    out exactly zero is not propagated further."""
     cot = {}
     summed = set()
 
@@ -271,10 +249,10 @@ def reverse_walk(seeds, order, reach=None):
         if id(node) in summed and not g.any():
             continue
         parents = node._parents
-        if reach is None:
+        if masks is None:
             need = tuple(p.requires_grad for p in parents)
         else:
-            need = tuple(id(p) in reach for p in parents)
+            need = tuple(masks.get(id(p), 0) & bit for p in parents)
         for p, wanted, gp in zip(parents, need, node._backward(g, need)):
             if wanted:
                 add(p, gp)
@@ -404,26 +382,81 @@ def attention(q, k, v, n_heads, mask=None, want_weights=False):
 
 def frobenius_norm(diff):
     """Norm over the trailing (row, column) axes; batched over leading axes."""
-    sq = (diff * diff).sum(axis=(-2, -1))
-    return sq.sqrt()
+    return (diff * diff).sum(axis=(-2, -1)).sqrt()
 
 
 # -- parameters ---------------------------------------------------------------
 
 
+def _cut(shapes):
+    """[(path, lo, hi, shape)]: where each (path, shape) of `shapes` lies
+    when the arrays are laid end to end in one flat buffer."""
+    bounds = np.cumsum([0] + [math.prod(shape) for _, shape in shapes]).tolist()
+    return [(k, lo, hi, tuple(shape)) for (k, shape), lo, hi in zip(shapes, bounds, bounds[1:])]
+
+
+class Parameter(Tensor):
+    """A trainable leaf whose data and gradient are views into the flat
+    buffers of its :class:`ParamStore`; `grad` reads None until it is set."""
+
+    __slots__ = ("_store", "_index")
+
+    @property
+    def grad(self):
+        store = self._store
+        return store._grad_views[self._index] if store.has_grad[self._index] else None
+
+    @grad.setter
+    def grad(self, value):
+        store = self._store
+        if value is not None:
+            np.copyto(store._grad_views[self._index], value)
+        store.has_grad[self._index] = value is not None
+
+
 class ParamStore:
-    """Named map from parameter path to trainable Tensor."""
+    """Named map from parameter path to trainable Tensor.
+
+    The weights lie in one contiguous float64 buffer, `flat`, in path-sorted
+    order, and each parameter's `.data` is a view into it; the gradients lie
+    the same way in `grad`, with `has_grad` flagging the ones that are set.
+    Loading writes into the views and never rebinds them.  The buffers are
+    laid out on first use after the last `add`."""
+
+    _LAID_OUT = ("flat", "grad", "has_grad", "_grad_views", "_layout", "_tags")
 
     def __init__(self):
-        self._params: dict[str, Tensor] = {}
+        self._params: dict[str, Parameter] = {}
+
+    def __getattr__(self, name):
+        if name not in ParamStore._LAID_OUT:
+            raise AttributeError(name)
+        self._lay_out()
+        return getattr(self, name)
 
     def add(self, path, data):
         if path in self._params:
             raise ValueError(f"duplicate parameter path {path!r}")
-        t = Tensor(np.asarray(data, dtype=DEFAULT_DTYPE))
-        t.requires_grad = True
-        self._params[path] = t
-        return t
+        p = Parameter.__new__(Parameter)
+        p.data = np.asarray(data, dtype=DEFAULT_DTYPE)
+        p.requires_grad, p._parents, p._backward, p._store = True, (), None, self
+        self._params[path] = p
+        for name in ParamStore._LAID_OUT:
+            self.__dict__.pop(name, None)
+        return p
+
+    def _lay_out(self):
+        """Copy the weights into new flat buffers in path order and point
+        each parameter at its slice.  Gradients are cleared."""
+        items = self.items()
+        self._layout = _cut([(k, p.data.shape) for k, p in items])
+        self.flat = np.concatenate([p.data.ravel() for _, p in items] + [np.empty(0)])
+        self.grad = np.zeros_like(self.flat)
+        self.has_grad = np.zeros(len(items), dtype=bool)
+        self._grad_views = list(self.views(self.grad).values())
+        for i, (view, (_, p)) in enumerate(zip(self.views(self.flat).values(), items)):
+            p.data, p._index = view, i
+        self._tags = {}
 
     def __getitem__(self, path):
         return self._params[path]
@@ -434,22 +467,33 @@ class ParamStore:
     def paths(self):
         return sorted(self._params)
 
+    def views(self, flat):
+        """{path: array}: views into a buffer laid out like `flat`."""
+        return {k: flat[lo:hi].reshape(shape) for k, lo, hi, shape in self._layout}
+
+    def flatten(self, arrays):
+        """One buffer holding {path: array} in this store's layout; raises
+        ShapeMismatch unless the paths and shapes are the parameters'."""
+        bad = sorted(set(arrays) ^ set(self._params)) or [
+            k for k, *_, shape in self._layout if np.shape(arrays[k]) != shape]
+        if bad:
+            raise ShapeMismatch(f"arrays differ from the parameters at {', '.join(bad)}")
+        return np.concatenate([np.ravel(arrays[k]) for k, *_ in self._layout] + [np.empty(0)])
+
+    def tags(self, group):
+        """{id(parameter): group(path)}, built once per `group` function."""
+        if group not in self._tags:
+            self._tags[group] = {id(p): group(k) for k, p in self._params.items()}
+        return self._tags[group]
+
     def zero_grads(self):
-        for p in self._params.values():
-            p.grad = None
+        self.has_grad[:] = False
 
     def snapshot(self):
-        return {k: v.data.copy() for k, v in self._params.items()}
+        return self.views(self.flat.copy())
 
     def load(self, arrays):
-        for k, v in self._params.items():
-            if k not in arrays:
-                raise KeyError(f"missing parameter {k!r} in snapshot")
-            if arrays[k].shape != v.data.shape:
-                raise ShapeMismatch(
-                    f"parameter {k!r}: expected {v.data.shape}, got {arrays[k].shape}"
-                )
-            v.data = arrays[k].astype(DEFAULT_DTYPE).copy()
+        self.flat[:] = self.flatten(arrays)
 
     def grads(self):
         return {k: (None if v.grad is None else v.grad.copy())
@@ -457,82 +501,98 @@ class ParamStore:
 
 
 class AdamW:
-    """Adam with decoupled weight decay and a step-interval halving scheduler."""
+    """Adam with decoupled weight decay and a step-interval halving scheduler.
+
+    Moments are flat buffers laid out like the store's weights, and a step
+    is one in-place pass over them: per element the same operations, in the
+    same order, as an update parameter by parameter."""
 
     def __init__(self, store, lr=0.01, betas=(0.9, 0.999), eps=1e-8,
                  weight_decay=1e-5, scheduler_decay=0.5, scheduler_interval=None):
-        self.store = store
-        self.lr = lr
+        self.store, self.lr, self.eps = store, lr, eps
         self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.scheduler_decay = scheduler_decay
-        self.scheduler_interval = scheduler_interval
-        self.step_count = 0
-        self.m = {k: np.zeros_like(v.data) for k, v in store.items()}
-        self.v = {k: np.zeros_like(v.data) for k, v in store.items()}
+        self.weight_decay, self.scheduler_decay = weight_decay, scheduler_decay
+        self.scheduler_interval, self.step_count = scheduler_interval, 0
+        self.m, self.v, self._a, self._b = (np.zeros_like(store.flat) for _ in range(4))
 
     def zero_grad(self):
         self.store.zero_grads()
 
     def step(self):
+        store = self.store
+        if not store.has_grad.all():
+            raise MissingGradient(f"parameter {store.paths()[np.argmin(store.has_grad)]!r} "
+                                  f"has no gradient")
         self.step_count += 1
         t = self.step_count
-        for k, p in self.store.items():
-            if p.grad is None:
-                raise MissingGradient(f"parameter {k!r} has no gradient")
-            g = p.grad
-            p.data -= self.lr * self.weight_decay * p.data
-            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
-            mhat = self.m[k] / (1 - self.beta1 ** t)
-            vhat = self.v[k] / (1 - self.beta2 ** t)
-            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        w, g, m, v, a, b = store.flat, store.grad, self.m, self.v, self._a, self._b
+        w -= np.multiply(w, self.lr * self.weight_decay, out=a)
+        m *= self.beta1
+        m += np.multiply(g, 1 - self.beta1, out=a)
+        v *= self.beta2
+        v += np.multiply(np.multiply(g, 1 - self.beta2, out=a), g, out=a)
+        np.multiply(np.divide(m, 1 - self.beta1 ** t, out=a), self.lr, out=a)   # lr * m-hat
+        np.sqrt(np.divide(v, 1 - self.beta2 ** t, out=b), out=b)              # sqrt(v-hat)
+        b += self.eps
+        w -= np.divide(a, b, out=a)
         if self.scheduler_interval and self.step_count % self.scheduler_interval == 0:
             self.lr *= self.scheduler_decay
 
 
 # -- checkpoint io ------------------------------------------------------------
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 def save_arrays(path, arrays, extra=None):
-    """Write named float arrays: a JSON header line, then little-endian data
-    in path-sorted order."""
+    """Write named float arrays: a JSON header line, then one little-endian
+    payload of every array in path-sorted order.  The header gives each
+    array's path and shape, and the payload's length and sha256."""
     names = sorted(arrays)
+    payload = np.concatenate([np.ravel(arrays[n]) for n in names]
+                             + [np.empty(0)]).astype("<f8", copy=False).tobytes()
     header = {
         "format_version": CHECKPOINT_VERSION,
         "dtype": "float64",
-        "params": [{"path": n, "shape": list(arrays[n].shape)} for n in names],
+        "params": [{"path": n, "shape": list(np.shape(arrays[n]))} for n in names],
+        "payload_bytes": len(payload),
+        "sha256": hashlib.sha256(payload).hexdigest(),
         "extra": extra or {},
     }
     with open(path, "wb") as f:
-        f.write(json.dumps(header, sort_keys=True).encode("utf-8"))
-        f.write(b"\n")
-        for n in names:
-            f.write(np.ascontiguousarray(arrays[n], dtype="<f8").tobytes())
+        f.write(json.dumps(header, sort_keys=True).encode("utf-8") + b"\n" + payload)
 
 
 def load_arrays(path):
     """Inverse of :func:`save_arrays`; returns (arrays, extra).  Raises
-    CorruptCheckpoint unless the payload holds exactly the declared arrays."""
+    CorruptCheckpoint unless the header is well formed and the payload holds
+    exactly the declared bytes with the declared checksum."""
     with open(path, "rb") as f:
-        header_line = f.readline()
-        try:
-            header = json.loads(header_line.decode("utf-8"))
-        except ValueError as exc:
-            raise CorruptCheckpoint(f"undecodable header in {path}: {exc}") from None
-        if not isinstance(header, dict) or header.get("format_version") != CHECKPOINT_VERSION:
-            raise CorruptCheckpoint(f"unsupported checkpoint version in {path}")
-        arrays = {}
-        for spec in header["params"]:
-            shape = tuple(spec["shape"])
-            nbytes = 8 * (int(np.prod(shape)) if shape else 1)
-            buf = f.read(nbytes)
-            if len(buf) != nbytes:
-                raise CorruptCheckpoint(f"{path} is truncated at {spec['path']!r}")
-            arrays[spec["path"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if f.read(1):
-            raise CorruptCheckpoint(f"{path} has bytes after its last array")
-    return arrays, header.get("extra", {})
+        header_line, payload = f.readline(), f.read()
+    try:
+        header = json.loads(header_line.decode("utf-8"))
+    except ValueError as exc:
+        raise CorruptCheckpoint(f"undecodable header in {path}: {exc}") from None
+    if not isinstance(header, dict) or header.get("format_version") != CHECKPOINT_VERSION:
+        raise CorruptCheckpoint(f"unsupported checkpoint version in {path}; retrain to "
+                                f"write format {CHECKPOINT_VERSION}")
+    specs = header.get("params")
+    if not (isinstance(specs, list) and all(
+            isinstance(s, dict) and isinstance(s.get("path"), str)
+            and isinstance(s.get("shape"), list)
+            and all(type(d) is int and d >= 0 for d in s["shape"]) for s in specs)
+            and len({s["path"] for s in specs}) == len(specs)):
+        raise CorruptCheckpoint(f"{path} does not list distinct arrays with integer shapes")
+    layout = _cut([(s["path"], s["shape"]) for s in specs])
+    nbytes = 8 * (layout[-1][2] if layout else 0)
+    if (header.get("payload_bytes") != nbytes or not isinstance(header.get("sha256"), str)
+            or not isinstance(header.get("extra", {}), dict)):
+        raise CorruptCheckpoint(f"{path} has a header that does not describe its payload")
+    if len(payload) != nbytes:
+        raise CorruptCheckpoint(f"{path} is truncated" if len(payload) < nbytes
+                                else f"{path} has bytes after its last array")
+    if hashlib.sha256(payload).hexdigest() != header["sha256"]:
+        raise CorruptCheckpoint(f"{path} fails its sha256 check")
+    flat = np.frombuffer(payload, dtype="<f8").astype(DEFAULT_DTYPE)
+    return ({k: flat[lo:hi].reshape(shape) for k, lo, hi, shape in layout},
+            header.get("extra", {}))

@@ -173,21 +173,24 @@ def _load_stats(path):
             and all(type(v) is float and np.isfinite(v) for v in lo + hi)):
         raise ParseError(f"stats {path} must hold eps and equally long lists of "
                          f"finite numbers min and max")
-    return dataset.NormStats(min=np.array(lo, dtype=np.float64),
-                             max=np.array(hi, dtype=np.float64), eps=d["eps"])
+    return dataset.NormStats(min=lo, max=hi, eps=d["eps"])
 
 
-def cmd_detect(args, cfg, out):
+def _load_for_scoring(args, *paths):
+    """The checkpoint's model and each CSV of `paths` normalized with the
+    stats file; ConfigMismatch unless every CSV has the model's width."""
     model, _ = TranAD.load(args.checkpoint)
     stats = _load_stats(args.stats)
-    train_raw = dataset.load_csv(args.data, has_header=args.header)
-    test_raw = dataset.load_csv(args.test, has_header=args.header)
-    for raw in (train_raw, test_raw):
+    raws = [dataset.load_csv(path, has_header=args.header) for path in paths]
+    for raw in raws:
         if raw.m != model.config.m:
             raise ConfigMismatch(
                 f"checkpoint expects m={model.config.m}, data has m={raw.m}")
-    train_ts = dataset.apply_normalize(train_raw, stats)
-    test_ts = dataset.apply_normalize(test_raw, stats)
+    return [model] + [dataset.apply_normalize(raw, stats) for raw in raws]
+
+
+def cmd_detect(args, cfg, out):
+    model, train_ts, test_ts = _load_for_scoring(args, args.data, args.test)
     score_reduce = _setting(cfg, "score_reduce")
 
     pot_fields = check_fields(pot.PotConfig, dict(_setting(cfg, "pot")), "pot")
@@ -204,11 +207,8 @@ def cmd_detect(args, cfg, out):
     lines = ["# threshold_model " + json.dumps(thresholds.to_dict(), sort_keys=True),
              ",".join(_report_columns(model.config.m))]
     for rec in records:
-        row = [str(rec.timestamp)]
-        row += [FLOAT_FMT % s for s in rec.scores]
-        row += [str(int(v)) for v in rec.labels]
-        row.append(str(rec.label))
-        lines.append(",".join(row))
+        lines.append(",".join([str(rec.timestamp)] + [FLOAT_FMT % s for s in rec.scores]
+                              + [str(int(v)) for v in rec.labels] + [str(rec.label)]))
     out.write_text(os.path.join(args.out, "detection.csv"), "\n".join(lines) + "\n")
     return 0
 
@@ -267,35 +267,24 @@ def cmd_eval(args, cfg, out):
         agg_truth = dim_truth.any(axis=1).astype(np.int8)
         agg_scores = scores.max(axis=1)
         rankings = detection.rank_dimensions(scores)
-        raw = metrics.evaluate(agg_scores, agg_pred, agg_truth,
-                               point_adjusted=False, rankings=rankings,
-                               dim_truth=dim_truth)
-        adjusted = metrics.evaluate(agg_scores, agg_pred, agg_truth,
-                                    point_adjusted=True, rankings=rankings,
-                                    dim_truth=dim_truth)
-        result = {"raw": raw.to_dict(), "point_adjusted": adjusted.to_dict()}
+        result = {mode: metrics.evaluate(agg_scores, agg_pred, agg_truth, point_adjusted=pa,
+                                         rankings=rankings, dim_truth=dim_truth).to_dict()
+                  for mode, pa in (("raw", False), ("point_adjusted", True))}
     else:
         print("no labels given: detection metrics skipped", file=sys.stderr)
     text = json.dumps(result, indent=2, sort_keys=True) + "\n"
     out.write_text(os.path.join(args.out, "eval.json"), text)
     if "raw" in result:
         keys = sorted(result["raw"])
-        csv_lines = ["mode," + ",".join(keys)]
-        for mode in ("raw", "point_adjusted"):
-            csv_lines.append(mode + "," + ",".join(
-                str(result[mode][k]) for k in keys))
+        csv_lines = ["mode," + ",".join(keys)] + [
+            mode + "," + ",".join(str(result[mode][k]) for k in keys)
+            for mode in ("raw", "point_adjusted")]
         out.write_text(os.path.join(args.out, "eval.csv"), "\n".join(csv_lines) + "\n")
     return 0
 
 
 def cmd_inspect(args, cfg, out):
-    model, _ = TranAD.load(args.checkpoint)
-    stats = _load_stats(args.stats)
-    raw = dataset.load_csv(args.data, has_header=args.header)
-    if raw.m != model.config.m:
-        raise ConfigMismatch(
-            f"checkpoint expects m={model.config.m}, data has m={raw.m}")
-    ts = dataset.apply_normalize(raw, stats)
+    model, ts = _load_for_scoring(args, args.data)
     batch = dataset.make_windows(ts, model.config.window_size, model.config.context_cap)
     K = model.config.window_size
     att_lines = [
@@ -348,10 +337,9 @@ def build_parser():
     p = sub.add_parser("train", help="train a model on a values CSV")
     _add_common(p)
     p.add_argument("--data", required=True, help="training values CSV")
-    p.add_argument("--no-self-condition", dest="no_self_condition",
-                   action="store_true")
-    p.add_argument("--no-adversarial", dest="no_adversarial", action="store_true")
-    p.add_argument("--no-maml", dest="no_maml", action="store_true")
+    p.add_argument("--no-self-condition", action="store_true")
+    p.add_argument("--no-adversarial", action="store_true")
+    p.add_argument("--no-maml", action="store_true")
 
     p = sub.add_parser("detect", help="score a test series against a checkpoint")
     _add_common(p)

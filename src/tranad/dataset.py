@@ -23,6 +23,7 @@ from .errors import (
     ParseError,
     ShapeMismatch,
     check_fields,
+    check_int,
     check_real,
 )
 
@@ -49,8 +50,7 @@ class RawSeries:
             self.labels = np.asarray(self.labels)
             if self.labels.shape != self.values.shape:
                 raise ShapeMismatch(
-                    f"labels shape {self.labels.shape} != values shape {self.values.shape}"
-                )
+                    f"labels shape {self.labels.shape} != values shape {self.values.shape}")
 
     @property
     def T(self):
@@ -120,8 +120,7 @@ def load_csv(path, has_header=False, label_path=None, name=None):
         labels = _read_numeric_csv(label_path, has_header)
         if labels.shape != values.shape:
             raise ShapeMismatch(
-                f"label file shape {labels.shape} != values shape {values.shape}"
-            )
+                f"label file shape {labels.shape} != values shape {values.shape}")
         bad = ~np.isin(labels, (0.0, 1.0))
         if bad.any():
             r, c = np.argwhere(bad)[0]
@@ -151,9 +150,8 @@ def _read_numeric_csv(path, has_header):
                     try:
                         float(cell)
                     except ValueError:
-                        raise ParseError(
-                            f"non-numeric cell {cell!r} at row {i}, col {j}", row=i, col=j
-                        ) from None
+                        raise ParseError(f"non-numeric cell {cell!r} at row {i}, col {j}",
+                                         row=i, col=j) from None
     if not rows:
         raise ParseError(f"no data rows in {path}")
     return np.asarray(rows, dtype=np.float64)
@@ -178,8 +176,7 @@ def apply_normalize(series, stats):
     training range may fall outside [0, 1); they are kept and logged."""
     if series.m != stats.min.shape[0]:
         raise DimensionMismatch(
-            f"series has m={series.m} but stats were fit for m={stats.min.shape[0]}"
-        )
+            f"series has m={series.m} but stats were fit for m={stats.min.shape[0]}")
     normed = (series.values - stats.min) / (stats.max - stats.min + stats.eps)
     n_over = int(np.sum((normed < 0) | (normed >= 1 + 1e-6)))
     if n_over:
@@ -223,16 +220,15 @@ def split_train_val(batch, ratio=0.8):
     cut = math.ceil(ratio * n)
     if cut >= n:
         log.warning("validation split is empty (N=%d, ratio=%g); validation disabled", n, ratio)
-    train = WindowBatch(windows=batch.windows[:cut],
-                        contexts=batch.contexts[:cut],
-                        indices=batch.indices[:cut])
-    val = WindowBatch(windows=batch.windows[cut:],
-                      contexts=batch.contexts[cut:],
-                      indices=batch.indices[cut:])
-    return train, val
+    return tuple(WindowBatch(windows=batch.windows[s], contexts=batch.contexts[s],
+                             indices=batch.indices[s])
+                 for s in (slice(None, cut), slice(cut, None)))
 
 
 # -- synthetic benchmark data -------------------------------------------------
+
+
+ANOMALY_KINDS = ("spike", "level_shift", "burst")
 
 
 @dataclass
@@ -250,11 +246,6 @@ class Anomaly:
     dims: list
     magnitude: float
 
-    def cells(self):
-        for t in range(self.start, self.start + self.length):
-            for d in self.dims:
-                yield (t, d)
-
 
 @dataclass
 class SynthSpec:
@@ -268,9 +259,23 @@ class SynthSpec:
     anomalies: list = field(default_factory=list)
 
     def __post_init__(self):
+        for name, low in (("T", 1), ("m", 1), ("seed", 0)):
+            check_int("synth", name, getattr(self, name), low)
         self.anomalies = [a if isinstance(a, Anomaly)
                           else Anomaly(**check_fields(Anomaly, a, "synth anomaly"))
                           for a in self.anomalies]
+        for a in self.anomalies:
+            if a.kind not in ANOMALY_KINDS:
+                raise InvalidConfig(f"unknown synth anomaly kind {a.kind!r}; "
+                                    f"choose from {', '.join(ANOMALY_KINDS)}")
+            check_int("synth anomaly", "start", a.start, 0)
+            check_int("synth anomaly", "length", a.length, 1)
+            check_real("synth anomaly", "magnitude", a.magnitude, math.isfinite, "finite")
+            if a.start + a.length > self.T or not isinstance(a.dims, list) or not all(
+                    isinstance(d, (int, np.integer)) and not isinstance(d, bool)
+                    and 0 <= d < self.m for d in a.dims) or len(set(a.dims)) < len(a.dims):
+                raise InvalidConfig(f"synth anomaly {a} repeats a dim or falls outside "
+                                    f"the series of {self.T} rows and {self.m} dims")
 
     @classmethod
     def from_dict(cls, d):
@@ -293,26 +298,17 @@ def synth_generate(spec):
             comps = [{"amplitude": 1.0, "period": 100.0 + 30.0 * d, "phase": 0.7 * d}]
         for comp in comps:
             values[:, d] += comp["amplitude"] * np.sin(
-                2 * np.pi * t / comp["period"] + comp["phase"]
-            )
+                2 * np.pi * t / comp["period"] + comp["phase"])
     values += rng.normal(0.0, spec.noise_sigma, size=values.shape)
 
     labels = np.zeros((spec.T, spec.m), dtype=np.int8)
-    occupied = set()
     for a in spec.anomalies:
-        for cell in a.cells():
-            if cell in occupied:
-                raise OverlapError(f"anomalies overlap at (t={cell[0]}, dim={cell[1]})")
-            occupied.add(cell)
-    for a in spec.anomalies:
-        if a.kind not in ("spike", "level_shift", "burst"):
-            raise ValueError(f"unknown anomaly kind {a.kind!r}")
+        rows = slice(a.start, a.start + a.length)
+        if labels[rows, a.dims].any():
+            t, d = np.argwhere(labels[rows, a.dims])[0]
+            raise OverlapError(f"anomalies overlap at (t={a.start + t}, dim={a.dims[d]})")
         # all three kinds are additive offsets of magnitude*sigma; they differ
         # in intent (short pulse / long step / correlated multi-dim pulse)
-        delta = a.magnitude * spec.noise_sigma
-        for ts, d in a.cells():
-            if not 0 <= ts < spec.T:
-                raise ValueError(f"anomaly timestamp {ts} outside series of length {spec.T}")
-            values[ts, d] += delta
-            labels[ts, d] = 1
+        values[rows, a.dims] += a.magnitude * spec.noise_sigma
+        labels[rows, a.dims] = 1
     return RawSeries(values=values, labels=labels, name=f"synth-seed{spec.seed}")

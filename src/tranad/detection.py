@@ -38,12 +38,8 @@ def score_batch(model, W, C, score_reduce="last_row"):
         raise InvalidConfig(f"score_reduce must be one of {SCORE_REDUCES}, got {score_reduce!r}")
     with ad.no_grad():
         out = model.forward_two_phase(W, C, training=False)
-    d1 = (out.O1.data - W) ** 2
-    d2 = (out.O2_hat.data - W) ** 2
-    s = 0.5 * d1 + 0.5 * d2
-    if score_reduce == "last_row":
-        return s[:, -1, :]
-    return s.mean(axis=1)
+    s = 0.5 * (out.O1.data - W) ** 2 + 0.5 * (out.O2_hat.data - W) ** 2
+    return s[:, -1, :] if score_reduce == "last_row" else s.mean(axis=1)
 
 
 def score_series(model, series, score_reduce="last_row"):

@@ -24,8 +24,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ParamStore
-from .errors import (DimensionMismatch, InvalidConfig, OddWidth, ShapeMismatch,
-                     check_fields, check_int, check_real)
+from .errors import (CorruptCheckpoint, DimensionMismatch, InvalidConfig, OddWidth,
+                     ShapeMismatch, check_fields, check_int, check_real)
 
 
 @dataclass
@@ -35,7 +35,6 @@ class ModelConfig:
     context_cap: int = 100
     n_heads: int = None        # defaults to m
     ff_hidden: int = 64
-    n_enc_layers: int = 1
     dropout: float = 0.1
     init_seed: int = 0
 
@@ -43,7 +42,7 @@ class ModelConfig:
         if self.n_heads is None:
             self.n_heads = self.m
         for name, low in (("m", 1), ("window_size", 1), ("n_heads", 1), ("ff_hidden", 1),
-                          ("n_enc_layers", 1), ("init_seed", 0)):
+                          ("init_seed", 0)):
             check_int("model", name, getattr(self, name), low)
         check_int("model", "context_cap", self.context_cap, self.window_size)
         if self.d_model % self.n_heads != 0:
@@ -121,12 +120,9 @@ class MultiHeadAttention:
         self.wo = Linear(store, f"{prefix}.out", d_model, d_model, rng)
 
     def __call__(self, Q, K, V, masked=False, want_weights=False):
-        mask = None
-        if masked:
-            Lq, Lk = Q.shape[-2], K.shape[-2]
-            if Lq != Lk:
-                raise ShapeMismatch("causal mask requires square attention")
-            mask = np.triu(np.ones((Lq, Lk), dtype=bool), k=1)
+        if masked and Q.shape[-2] != K.shape[-2]:
+            raise ShapeMismatch("causal mask requires square attention")
+        mask = np.triu(np.ones((Q.shape[-2], K.shape[-2]), dtype=bool), k=1) if masked else None
         out, weights = ad.attention(self.wq(Q), self.wk(K), self.wv(V), self.n_heads,
                                     mask=mask, want_weights=want_weights)
         return self.wo(out), weights
@@ -219,10 +215,7 @@ class TranAD:
         # gets there through a learned projection
         self.window_embed = Linear(self.params, "embed.window", config.m,
                                    config.d_model, rng)
-        self.encoder_layers = [
-            EncoderLayer(self.params, f"encoder1.l{i}", config, rng)
-            for i in range(config.n_enc_layers)
-        ]
+        self.context_encoder = EncoderLayer(self.params, "encoder1.l0", config, rng)
         self.window_encoder = WindowEncoder(self.params, config, rng)
         self.decoder1 = Decoder(self.params, "decoder1", config, rng)
         self.decoder2 = Decoder(self.params, "decoder2", config, rng)
@@ -242,25 +235,20 @@ class TranAD:
 
     def encode_context(self, C, F, training=False, rng=None, want_weights=False):
         """First encoder: concat the focus score onto the context,
-        position-encode, and run the encoder layers."""
+        position-encode, and run the encoder layer."""
         if C.shape[-1] != self.config.m:
-            raise DimensionMismatch(
-                f"context has {C.shape[-1]} dims, model expects {self.config.m}"
-            )
+            raise DimensionMismatch(f"context has {C.shape[-1]} dims, "
+                                    f"model expects {self.config.m}")
         aligned = self._align_focus(F, C.shape[1])
         x = position_encode(ad.concat([C, aligned], axis=2))
-        weights = None
-        for layer in self.encoder_layers:
-            x, weights = layer(x, training, rng, want_weights=want_weights)
-        return x, weights
+        return self.context_encoder(x, training, rng, want_weights=want_weights)
 
     def encode_window(self, W, training=False, rng=None, want_weights=False):
         """Embed, position-encode and self-attend the window: the part of the
         window encoder both phases share."""
         if W.shape[-1] != self.config.m:
-            raise DimensionMismatch(
-                f"window has {W.shape[-1]} dims, model expects {self.config.m}"
-            )
+            raise DimensionMismatch(f"window has {W.shape[-1]} dims, "
+                                    f"model expects {self.config.m}")
         I2 = position_encode(self.window_embed(W))
         return self.window_encoder.attend_self(I2, training, rng,
                                                want_weights=want_weights)
@@ -274,12 +262,8 @@ class TranAD:
         W: (B, K, m) array or Tensor; C: (B, L, m) with one shared context
         length per call.  Returns a TwoPhaseOutput of (B, K, m) tensors.
         """
-        W = W if isinstance(W, Tensor) else Tensor(W)
-        C = C if isinstance(C, Tensor) else Tensor(C)
-        if W.ndim == 2:
-            W = W.reshape(1, *W.shape)
-        if C.ndim == 2:
-            C = C.reshape(1, *C.shape)
+        W, C = (x if isinstance(x, Tensor) else Tensor(x) for x in (W, C))
+        W, C = (x.reshape(1, *x.shape) if x.ndim == 2 else x for x in (W, C))
         if rng is None:
             rng = np.random.default_rng(0)
         B, K, m = W.shape
@@ -303,29 +287,23 @@ class TranAD:
                                               want_weights=want_weights)
         O2_hat = self.decoder2(I23_2)
 
-        maps = {}
-        if want_weights:
-            maps = {
-                "context_phase1": enc_w1, "window_self_phase1": self_w,
-                "window_cross_phase1": cross_w1,
-                "context_phase2": enc_w2, "window_self_phase2": self_w,
-                "window_cross_phase2": cross_w2,
-            }
+        maps = {"context_phase1": enc_w1, "window_self_phase1": self_w,
+                "window_cross_phase1": cross_w1, "context_phase2": enc_w2,
+                "window_self_phase2": self_w, "window_cross_phase2": cross_w2}
         return TwoPhaseOutput(O1=O1, O2=O2, O2_hat=O2_hat, focus=phase2_focus,
-                              attention_maps=maps)
+                              attention_maps=maps if want_weights else {})
 
     # -- persistence ----------------------------------------------------------
 
     def save(self, path, extra=None):
-        meta = {"model_config": self.config.to_dict()}
-        if extra:
-            meta.update(extra)
+        meta = {"model_config": self.config.to_dict(), **(extra or {})}
         ad.save_arrays(path, self.params.snapshot(), extra=meta)
 
     @classmethod
     def load(cls, path):
         arrays, extra = ad.load_arrays(path)
-        config = ModelConfig.from_dict(extra["model_config"])
-        model = cls(config)
-        model.params.load(arrays)
+        if not isinstance(extra.get("model_config"), dict):
+            raise CorruptCheckpoint(f"{path} holds no model configuration")
+        model = cls(ModelConfig.from_dict(extra["model_config"]))
+        model.params.load(arrays)   # ShapeMismatch unless the arrays are the model's
         return model, extra

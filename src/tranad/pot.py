@@ -165,8 +165,7 @@ def fit_gpd(excesses, min_excesses=10):
     except Exception:
         candidates = None
     if candidates is None:
-        gamma, sigma = _moments_estimate(y)
-        return gamma, sigma, "moments"
+        return (*_moments_estimate(y), "moments")
     # the exponential boundary (gamma -> 0, sigma = mean) is always feasible
     best = (0.0, float(y.mean()))
     best_ll = gpd_log_likelihood(y, *best)
@@ -175,8 +174,7 @@ def fit_gpd(excesses, min_excesses=10):
         if ll > best_ll:
             best, best_ll = (gamma, sigma), ll
     if not np.isfinite(best_ll):
-        gamma, sigma = _moments_estimate(y)
-        return gamma, sigma, "moments"
+        return (*_moments_estimate(y), "moments")
     return best[0], best[1], "gpd"
 
 

@@ -74,12 +74,8 @@ class TrainReport:
     def to_dict(self, include_timing=True):
         # timing is excluded from on-disk artifacts so reruns with the same
         # seed produce byte-identical files
-        recs = []
-        for r in self.epochs:
-            d = asdict(r)
-            if not include_timing:
-                d.pop("seconds")
-            recs.append(d)
+        recs = [{k: v for k, v in asdict(r).items() if include_timing or k != "seconds"}
+                for r in self.epochs]
         return {"epochs": recs, "stop_reason": self.stop_reason,
                 "best_epoch": self.best_epoch}
 
@@ -132,34 +128,37 @@ def loss_combined(phase1, adv, n, eps, use_adversarial=True):
 # -- gradient routing ---------------------------------------------------------
 
 
+# walk bits: a parameter's group, and the reverse walk that serves it
+SHARED, D1, D2 = 1, 2, 4
+
+
 def _partition(path):
     if path.startswith("decoder1."):
-        return "d1"
+        return D1
     if path.startswith("decoder2."):
-        return "d2"
-    return "shared"
+        return D2
+    return SHARED
 
 
 def partitioned_grads(model, L1, L2):
     """Gradients with decoder1 driven by L1, decoder2 by L2, and shared
-    parameters by L1 + L2.  Returns {path: array}.
+    parameters by L1 + L2, written into the store's flat gradient (zero
+    where no walk reaches).  Returns {path: array}, a copy.
 
     Three reverse walks over one tape order.  The shared walk starts from L1
     and L2 together: the adversarial terms +-(1-w)*d cancel exactly at d, so
     it never enters the phase-2 half of the tape.  Each decoder's walk starts
     from its own loss and visits only nodes that lead to its parameters."""
-    groups = {}
-    for path, p in model.params.items():
-        groups.setdefault(_partition(path), []).append(p)
-    order = ad.tape_order([L1, L2])
+    store = model.params
+    order, masks = ad.tape_order([L1, L2], store.tags(_partition))
     one = np.ones_like(L1.data)
-    found = {}
-    for part, seeds in (("shared", [(L1, one), (L2, one)]), ("d1", [(L1, one)]),
-                        ("d2", [(L2, one)])):
-        targets = groups.get(part, [])
-        found.update(ad.reverse_walk(seeds, order, ad.reaching(order, targets)))
-    return {path: found[p] if p in found else np.zeros_like(p.data)
-            for path, p in model.params.items()}
+    store.grad.fill(0.0)
+    for bit, seeds in ((SHARED, [(L1, one), (L2, one)]), (D1, [(L1, one)]),
+                       (D2, [(L2, one)])):
+        for p, g in ad.reverse_walk(seeds, order, masks, bit).items():
+            p.grad = g
+    store.has_grad[:] = True
+    return store.views(store.grad.copy())
 
 
 def batch_groups(batch, batch_size):
@@ -193,9 +192,7 @@ def _batch_losses(model, W, C, cfg, n, training, rng):
 
 def train_epoch(model, groups, cfg, opt, n_start, epoch, rng):
     """One pass over the batch groups.  Returns (mean L1, mean L2, next n)."""
-    l1_sum = l2_sum = 0.0
-    count = 0
-    n = n_start
+    l1_sum, l2_sum, count, n = 0.0, 0.0, 0, n_start
     for b, (W, C, _) in enumerate(groups):
         L1, L2 = _batch_losses(model, W, C, cfg, n, training=True, rng=rng)
         v1, v2 = float(L1.data), float(L2.data)
@@ -203,9 +200,7 @@ def train_epoch(model, groups, cfg, opt, n_start, epoch, rng):
             raise NonFiniteLoss(
                 f"non-finite loss at epoch {epoch}, batch {b}: L1={v1}, L2={v2}",
                 epoch=epoch, batch=b)
-        grads = partitioned_grads(model, L1, L2)
-        for path, p in model.params.items():
-            p.grad = grads[path]
+        partitioned_grads(model, L1, L2)
         opt.step()
         opt.zero_grad()
         l1_sum += v1 * W.shape[0]
@@ -221,13 +216,11 @@ def train_epoch(model, groups, cfg, opt, n_start, epoch, rng):
 def meta_update(store, grad_fn, alpha, beta):
     """First-order meta step: inner update theta' = theta - alpha*g(theta),
     outer update theta <- theta - beta*g(theta'), approximating the gradient
-    at theta by the gradient evaluated at theta'."""
-    theta = store.snapshot()
-    g = grad_fn()
-    inner = {k: theta[k] - alpha * g[k] for k in theta}
-    store.load(inner)
-    g_adapted = grad_fn()
-    store.load({k: theta[k] - beta * g_adapted[k] for k in theta})
+    at theta by the gradient evaluated at theta'.  `grad_fn` returns
+    {path: array}."""
+    theta = store.flat.copy()
+    np.subtract(theta, alpha * store.flatten(grad_fn()), out=store.flat)
+    np.subtract(theta, beta * store.flatten(grad_fn()), out=store.flat)
 
 
 def maml_step(model, batch_group, cfg, n):
@@ -249,8 +242,7 @@ def validation_score(model, val_batch, cfg, n):
     """Mean combined loss over the validation windows, dropout off."""
     if len(val_batch) == 0:
         return float("nan")
-    total = 0.0
-    count = 0
+    total, count = 0.0, 0
     with ad.no_grad():
         for W, C, _ in batch_groups(val_batch, cfg.batch_size):
             L1, L2 = _batch_losses(model, W, C, cfg, n, training=False, rng=None)
@@ -273,18 +265,16 @@ def fit(model, train_batch, val_batch, cfg, progress=True):
     meta_rng = np.random.default_rng(cfg.seed + 1)
     have_val = len(val_batch) > 0
     best_score = float("inf")
-    best_params = model.params.snapshot()
-    best_epoch = 0
+    best_params = model.params.flat.copy()
     since_improve = 0
     n = 1
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         mean_l1, mean_l2, n_next = train_epoch(model, groups, cfg, opt, n, epoch, rng)
         if cfg.use_maml:
-            pick = meta_rng.integers(len(groups))
-            maml_step(model, groups[pick], cfg, n)
+            maml_step(model, groups[meta_rng.integers(len(groups))], cfg, n)
         n = n_next
-        val = validation_score(model, val_batch, cfg, n) if have_val else float("nan")
+        val = validation_score(model, val_batch, cfg, n)
         secs = time.perf_counter() - t0
         report.epochs.append(EpochRecord(epoch=epoch, mean_l1=mean_l1,
                                          mean_l2=mean_l2, val_score=val,
@@ -296,8 +286,8 @@ def fit(model, train_batch, val_batch, cfg, progress=True):
         track = val if have_val else mean_l1
         if track < best_score:
             best_score = track
-            best_params = model.params.snapshot()
-            best_epoch = epoch
+            best_params = model.params.flat.copy()
+            report.best_epoch = epoch
             since_improve = 0
         else:
             since_improve += 1
@@ -307,6 +297,5 @@ def fit(model, train_batch, val_batch, cfg, progress=True):
                 break
     else:
         report.stop_reason = "completed all epochs"
-    report.best_epoch = best_epoch
-    model.params.load(best_params)
+    model.params.flat[:] = best_params
     return report

@@ -1,5 +1,6 @@
 """Tape engine, layer primitives, optimizer and checkpoint format."""
 
+import json
 import math
 
 import numpy as np
@@ -296,6 +297,9 @@ class TestParamStore:
         store.load(snap)
         np.testing.assert_array_equal(store["a"].data, np.ones((2, 2)))
         assert [k for k, _ in store.items()] == ["a", "b"]
+        # one buffer in path order, every parameter a view into it
+        np.testing.assert_array_equal(store.flat, [1, 1, 1, 1, 0, 1, 2])
+        assert all(np.shares_memory(p.data, store.flat) for _, p in store.items())
 
 
 class TestAdamW:
@@ -333,6 +337,16 @@ class TestAdamW:
             opt.step()
 
 
+def edit_header(edit):
+    """A checkpoint mutation that applies `edit` to the decoded header."""
+    def mutate(b):
+        header, payload = b.split(b"\n", 1)
+        h = json.loads(header)
+        edit(h)
+        return json.dumps(h).encode() + b"\n" + payload
+    return mutate
+
+
 class TestCheckpointIO:
     def test_roundtrip(self, tmp_path):
         arrays = {"z": np.arange(6.0).reshape(2, 3), "a": np.array([1.5])}
@@ -361,6 +375,14 @@ class TestCheckpointIO:
         lambda b: b + b"\0",                 # a byte after the last array
         lambda b: b"\xff" + b,               # header is not UTF-8
         lambda b: b"[" + b,                  # header is not JSON
+        lambda b: b[:-5] + bytes([b[-5] ^ 1]) + b[-4:],     # one payload bit flipped
+        edit_header(lambda h: h.pop("params")),
+        edit_header(lambda h: h.update(params={"w": [20, 20]})),
+        edit_header(lambda h: h["params"].__setitem__(0, "w")),
+        edit_header(lambda h: h["params"][0].update(shape=[20.5, 20])),
+        edit_header(lambda h: h["params"][1].update(path=h["params"][0]["path"])),
+        edit_header(lambda h: h.pop("sha256")),
+        edit_header(lambda h: h.update(format_version=1)),   # written before sha256
     ])
     def test_corrupt_payload_rejected(self, tmp_path, mutate):
         path = tmp_path / "ckpt.bin"

@@ -218,6 +218,38 @@ class TestBadInputs:
                       capsys, "truncated")
         assert not (tmp_path / "detection.csv").exists()
 
+    def test_bit_flipped_checkpoint(self, pipeline, tmp_path, capsys):
+        _, _, _, run_dir, _ = pipeline
+        data = bytearray((run_dir / "checkpoint.bin").read_bytes())
+        data[-100] ^= 0x10
+        flipped = tmp_path / "flipped.bin"
+        flipped.write_bytes(bytes(data))
+        out = tmp_path / "out"
+        assert_failed(cli.main(detect_argv(pipeline, out, checkpoint=flipped)),
+                      capsys, "sha256")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("anomaly, names", [
+        ({"kind": "bump"}, ["bump"]),
+        ({"dims": [5]}, ["dims"]),
+        ({"dims": [-1]}, ["dims"]),
+        ({"dims": 0}, ["dims"]),
+        ({"start": 48}, ["outside"]),
+        ({"start": -1}, ["start"]),
+        ({"length": 0}, ["length"]),
+        ({"magnitude": float("nan")}, ["magnitude"]),
+        ({"magnitude": float("inf")}, ["magnitude"]),
+    ])
+    def test_bad_synth_anomaly(self, tmp_path, capsys, anomaly, names):
+        spec = dict({"kind": "spike", "start": 10, "length": 3, "dims": [0],
+                     "magnitude": 5.0}, **anomaly)
+        cfg = write_cfg(tmp_path / "c.json", {"synth": {"T": 50, "m": 2,
+                                                        "anomalies": [spec]}})
+        out = tmp_path / "out"
+        assert_failed(cli.main(["synth", "--config", cfg, "--out", str(out)]),
+                      capsys, *names)
+        assert list(out.iterdir()) == []
+
 
     @pytest.mark.parametrize("cfg, names", [
         ({"n_heads": 3}, ["n_heads"]),                 # 3 does not divide 2m = 4
@@ -229,6 +261,7 @@ class TestBadInputs:
         ({"m": 3, "init_seed": 1}, ["init_seed", "m"]),
         ({"train": 5}, ["train"]),
         ({"split_ratio": 0}, ["split_ratio"]),
+        ({"n_enc_layers": 1}, ["n_enc_layers"]),       # a removed model option
     ])
     def test_bad_train_config(self, pipeline, tmp_path, capsys, cfg, names):
         _, train_dir, _, _, _ = pipeline

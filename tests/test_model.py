@@ -9,7 +9,7 @@ import pytest
 from tranad import autodiff as ad
 from tranad import training
 from tranad.autodiff import Tensor
-from tranad.errors import DimensionMismatch, OddWidth, ShapeMismatch
+from tranad.errors import DimensionMismatch, OddWidth, ShapeMismatch, TranadError
 from tranad.model import (
     ModelConfig,
     TranAD,
@@ -239,3 +239,19 @@ class TestPersistence:
         assert extra["tag"] == "x"
         after = loaded.forward_two_phase(W, C).O2_hat.data
         np.testing.assert_array_equal(before, after)
+        assert all(np.shares_memory(p.data, loaded.params.flat)
+                   for _, p in loaded.params.items())
+
+    @pytest.mark.parametrize("change", [
+        lambda arrays: arrays.pop("decoder1.ff.l1.b"),
+        lambda arrays: arrays.update(extra=np.zeros(3)),
+        lambda arrays: arrays.update({"decoder1.ff.l1.b": np.zeros(3)}),
+    ])
+    def test_load_rejects_arrays_not_the_models(self, tmp_path, change):
+        model = small_model(m=2, K=4, seed=8)
+        arrays = model.params.snapshot()
+        change(arrays)
+        path = tmp_path / "ckpt.bin"
+        ad.save_arrays(path, arrays, extra={"model_config": model.config.to_dict()})
+        with pytest.raises(TranadError):
+            TranAD.load(path)

@@ -265,3 +265,88 @@ class TestFit:
         d = report.to_dict(include_timing=False)
         assert "seconds" not in d["epochs"][0]
         assert "seconds" in report.to_dict()["epochs"][0]
+
+
+# -- AdamW and the meta step one parameter at a time, before the flat buffers --
+
+
+class DictAdamW:
+    """AdamW with {path: array} moments, updating one parameter at a time."""
+
+    def __init__(self, store, lr=0.01, betas=(0.9, 0.999), eps=1e-8,
+                 weight_decay=1e-5, scheduler_decay=0.5, scheduler_interval=None):
+        self.store, self.lr, self.eps = store, lr, eps
+        self.beta1, self.beta2 = betas
+        self.weight_decay, self.scheduler_decay = weight_decay, scheduler_decay
+        self.scheduler_interval = scheduler_interval
+        self.step_count = 0
+        self.m = {k: np.zeros_like(p.data) for k, p in store.items()}
+        self.v = {k: np.zeros_like(p.data) for k, p in store.items()}
+
+    def zero_grad(self):
+        self.store.zero_grads()
+
+    def step(self):
+        self.step_count += 1
+        t = self.step_count
+        for k, p in self.store.items():
+            g = p.grad
+            p.data -= self.lr * self.weight_decay * p.data
+            self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
+            self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
+            mhat = self.m[k] / (1 - self.beta1 ** t)
+            vhat = self.v[k] / (1 - self.beta2 ** t)
+            p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
+        if self.scheduler_interval and self.step_count % self.scheduler_interval == 0:
+            self.lr *= self.scheduler_decay
+
+
+def dict_meta_update(store, grad_fn, alpha, beta):
+    theta = store.snapshot()
+    g = grad_fn()
+    store.load({k: theta[k] - alpha * g[k] for k in theta})
+    g_adapted = grad_fn()
+    store.load({k: theta[k] - beta * g_adapted[k] for k in theta})
+
+
+def assert_params_view_flat(store):
+    for path, p in store.items():
+        assert np.shares_memory(p.data, store.flat), path
+
+
+class TestFlatBuffers:
+    def _fit_bytes(self):
+        model, train_b, val_b = tiny_setup(T=120)
+        cfg = training.TrainConfig(epochs=2, batch_size=16, seed=0)
+        report = training.fit(model, train_b, val_b, cfg, progress=False)
+        assert report.epochs[-1].lr < cfg.lr      # the scheduler has fired
+        assert_params_view_flat(model.params)
+        snap = model.params.snapshot()
+        return b"".join(snap[k].tobytes() for k in sorted(snap))
+
+    def test_fit_matches_per_parameter_reference(self, monkeypatch):
+        flat = self._fit_bytes()
+        monkeypatch.setattr(training, "AdamW", DictAdamW)
+        monkeypatch.setattr(training, "meta_update", dict_meta_update)
+        assert self._fit_bytes() == flat
+
+    def test_maml_step_writes_into_the_views(self):
+        model, train_b, _ = tiny_setup()
+        before = model.params.flat.copy()
+        training.maml_step(model, training.batch_groups(train_b, 8)[0],
+                           training.TrainConfig(seed=0), n=1)
+        assert not np.array_equal(before, model.params.flat)
+        assert_params_view_flat(model.params)
+
+    def test_unreached_parameters_get_zero_gradients(self):
+        model, train_b, _ = tiny_setup()
+        W, C, _ = training.batch_groups(train_b, 16)[-1]
+        for d in ("decoder1", "decoder2"):
+            model.params[f"{d}.ff.l1.b"].data[:] = -1e3    # every hidden unit off
+        model.params.grad[:] = 7.0                           # left by an earlier step
+        grads = training.partitioned_grads(model, *training._batch_losses(
+            model, W, C, training.TrainConfig(seed=0), 1, False, None))
+        # the decoders' cotangents into the window encoding sum to exactly
+        # zero, so the shared walk stops there
+        shared = [k for k in grads if not k.startswith("decoder")]
+        assert shared and not any(grads[k].any() for k in shared)
