@@ -19,7 +19,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import dataset, detection, metrics, pot, training
-from .errors import (ConfigMismatch, InvalidConfig, ParseError, TranadError, check_fields,
+from .errors import (ConfigMismatch, ParseError, ShapeMismatch, TranadError, check_fields,
                      check_real)
 from .model import ModelConfig, TranAD
 
@@ -36,7 +36,7 @@ def derive_seed(seed, tag):
 # other keys a config may hold are the ModelConfig fields bar m and
 # init_seed, which come from the data and the run seed.
 SETTINGS = {"seed": 0, "eps": dataset.DEFAULT_EPS, "split_ratio": 0.8,
-            "score_reduce": "last_row", "synth": {}, "train": {}, "pot": {}}
+            "synth": {}, "train": {}, "pot": {}}
 MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig)
                    if f.name not in ("m", "init_seed"))
 
@@ -60,9 +60,6 @@ def _load_config(path):
     check_real("config", "eps", _setting(cfg, "eps"), lambda v: v > 0, "> 0")
     check_real("config", "split_ratio", _setting(cfg, "split_ratio"),
                lambda v: 0 < v <= 1, "in (0, 1]")
-    if _setting(cfg, "score_reduce") not in detection.SCORE_REDUCES:
-        raise InvalidConfig(f"config score_reduce must be one of {detection.SCORE_REDUCES}, "
-                            f"got {cfg['score_reduce']!r}")
     return cfg
 
 
@@ -152,8 +149,7 @@ def cmd_train(args, cfg, out):
         "min": stats.min.tolist(), "max": stats.max.tolist(), "eps": stats.eps,
     }, sort_keys=True) + "\n")
     out.write_text(os.path.join(args.out, "train_report.json"),
-                   json.dumps(report.to_dict(include_timing=False),
-                              indent=2, sort_keys=True) + "\n")
+                   json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -191,18 +187,10 @@ def _load_for_scoring(args, *paths):
 
 def cmd_detect(args, cfg, out):
     model, train_ts, test_ts = _load_for_scoring(args, args.data, args.test)
-    score_reduce = _setting(cfg, "score_reduce")
-
-    pot_fields = check_fields(pot.PotConfig, dict(_setting(cfg, "pot")), "pot")
-    if args.pot_q is not None:
-        pot_fields["risk"] = args.pot_q
-    if args.pot_low_quantile is not None:
-        pot_fields["low_quantile"] = args.pot_low_quantile
-    pot_cfg = pot.PotConfig(**pot_fields)
-
-    train_scores = detection.score_series(model, train_ts, score_reduce)
+    pot_cfg = pot.PotConfig(**check_fields(pot.PotConfig, dict(_setting(cfg, "pot")), "pot"))
+    train_scores = detection.score_series(model, train_ts)
     thresholds = pot.fit_thresholds(train_scores, pot_cfg)
-    records = detection.detect_stream(model, test_ts, thresholds, score_reduce)
+    records = detection.detect_stream(model, test_ts, thresholds)
 
     lines = ["# threshold_model " + json.dumps(thresholds.to_dict(), sort_keys=True),
              ",".join(_report_columns(model.config.m))]
@@ -260,10 +248,10 @@ def cmd_eval(args, cfg, out):
     _, scores, _, agg_pred = read_detection_report(args.report)
     result = {"detection": None}
     if args.labels:
-        dim_truth = dataset.load_csv(args.labels).values.astype(np.int8)
-        if dim_truth.shape[0] != scores.shape[0]:
-            raise TranadError(
-                f"label rows {dim_truth.shape[0]} != report rows {scores.shape[0]}")
+        dim_truth = dataset.load_labels(args.labels, has_header=args.header)
+        if dim_truth.shape != scores.shape:
+            raise ShapeMismatch(f"labels {args.labels} have shape {dim_truth.shape}, "
+                                f"the report's scores {scores.shape}")
         agg_truth = dim_truth.any(axis=1).astype(np.int8)
         agg_scores = scores.max(axis=1)
         rankings = detection.rank_dimensions(scores)
@@ -298,11 +286,11 @@ def cmd_inspect(args, cfg, out):
         "t," + ",".join(f"f_{d + 1}" for d in range(model.config.m)),
     ]
     with ad.no_grad():
-        for W, C, idx in training.batch_groups(batch, detection.SCORE_CHUNK):
+        for W, C, rows in dataset.batch_groups(batch, detection.SCORE_CHUNK):
             res = model.forward_two_phase(W, C, training=False, want_weights=True)
             weights = res.attention_maps["window_self_phase2"]  # (B, h, K, K)
             focus = res.focus.data
-            for b, t in enumerate(idx):
+            for b, t in enumerate(range(rows.start, rows.stop)):
                 for h in range(weights.shape[1]):
                     att_lines.append(f"{t},{h}," + ",".join(
                         FLOAT_FMT % w for w in weights[b, h, -1]))
@@ -347,8 +335,6 @@ def build_parser():
     p.add_argument("--test", required=True, help="test values CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--stats", required=True, help="normalization stats JSON")
-    p.add_argument("--pot-q", type=float, default=None)
-    p.add_argument("--pot-low-quantile", type=float, default=None)
 
     p = sub.add_parser("eval", help="metrics over a detection report")
     _add_common(p)

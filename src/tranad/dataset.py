@@ -15,6 +15,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
+    ConfigMismatch,
     DimensionMismatch,
     EmptySeries,
     InvalidConfig,
@@ -98,35 +99,51 @@ class TimeSeries:
 class WindowBatch:
     """Sliding windows with their capped context slices.
 
-    windows[i] is the K x m window ending at timestamp indices[i] (0-based);
-    contexts[i] is the slice of the last min(t+1, context_cap) rows ending at
-    the same timestamp.
+    windows[i] is the K x m window ending at the batch's i-th timestamp, in
+    time order; contexts[i] is the slice of the last min(t+1, context_cap)
+    rows ending at that same timestamp t.
     """
 
     windows: np.ndarray          # (N, K, m)
     contexts: list = field(repr=False, default_factory=list)  # list of (L_t, m)
-    indices: np.ndarray = None   # (N,)
 
     def __len__(self):
         return self.windows.shape[0]
 
 
-def load_csv(path, has_header=False, label_path=None, name=None):
-    """Parse a comma-separated numeric file (one optional label file) into a
-    RawSeries.  Any non-numeric cell is a ParseError."""
-    values = _read_numeric_csv(path, has_header)
-    labels = None
-    if label_path is not None:
-        labels = _read_numeric_csv(label_path, has_header)
-        if labels.shape != values.shape:
-            raise ShapeMismatch(
-                f"label file shape {labels.shape} != values shape {values.shape}")
-        bad = ~np.isin(labels, (0.0, 1.0))
-        if bad.any():
-            r, c = np.argwhere(bad)[0]
-            raise ParseError(f"label cell ({r},{c}) not in {{0,1}}", row=int(r), col=int(c))
-        labels = labels.astype(np.int8)
-    return RawSeries(values=values, labels=labels, name=name or str(path))
+def batch_groups(batch, batch_size):
+    """Chunk a WindowBatch into (windows, contexts, slice) groups of at most
+    batch_size windows whose contexts all share one length, so each group
+    stacks into a dense (B, L, m) array; the slice locates the group in the
+    batch."""
+    groups = []
+    i = 0
+    n = len(batch)
+    while i < n:
+        L = batch.contexts[i].shape[0]
+        j = i
+        while j < n and j - i < batch_size and batch.contexts[j].shape[0] == L:
+            j += 1
+        groups.append((batch.windows[i:j], np.stack(batch.contexts[i:j]), slice(i, j)))
+        i = j
+    return groups
+
+
+def load_csv(path, has_header=False):
+    """Parse a comma-separated numeric file into a RawSeries.  Any
+    non-numeric cell is a ParseError."""
+    return RawSeries(values=_read_numeric_csv(path, has_header), name=str(path))
+
+
+def load_labels(path, has_header=False):
+    """Parse a comma-separated {0,1} label file into an int8 matrix.  Any
+    other cell is a ParseError."""
+    labels = _read_numeric_csv(path, has_header)
+    bad = ~np.isin(labels, (0.0, 1.0))
+    if bad.any():
+        r, c = np.argwhere(bad)[0]
+        raise ParseError(f"label cell ({r},{c}) not in {{0,1}}", row=int(r), col=int(c))
+    return labels.astype(np.int8)
 
 
 def _read_numeric_csv(path, has_header):
@@ -185,10 +202,6 @@ def apply_normalize(series, stats):
     return TimeSeries(values=normed, stats=stats, labels=series.labels)
 
 
-def denormalize(values, stats):
-    return values * (stats.max - stats.min + stats.eps) + stats.min
-
-
 def make_windows(series, window_size, context_cap):
     """Slide a length-K window over the series, one window per timestamp.
 
@@ -209,7 +222,7 @@ def make_windows(series, window_size, context_cap):
     windows = np.ascontiguousarray(
         sliding_window_view(padded, window_size, axis=0).transpose(0, 2, 1))
     contexts = [x[max(0, t + 1 - context_cap):t + 1] for t in range(T)]
-    return WindowBatch(windows=windows, contexts=contexts, indices=np.arange(T))
+    return WindowBatch(windows=windows, contexts=contexts)
 
 
 def split_train_val(batch, ratio=0.8):
@@ -220,8 +233,7 @@ def split_train_val(batch, ratio=0.8):
     cut = math.ceil(ratio * n)
     if cut >= n:
         log.warning("validation split is empty (N=%d, ratio=%g); validation disabled", n, ratio)
-    return tuple(WindowBatch(windows=batch.windows[s], contexts=batch.contexts[s],
-                             indices=batch.indices[s])
+    return tuple(WindowBatch(windows=batch.windows[s], contexts=batch.contexts[s])
                  for s in (slice(None, cut), slice(cut, None)))
 
 
@@ -229,6 +241,7 @@ def split_train_val(batch, ratio=0.8):
 
 
 ANOMALY_KINDS = ("spike", "level_shift", "burst")
+SINUSOID_KEYS = ("amplitude", "period", "phase")
 
 
 @dataclass
@@ -261,6 +274,19 @@ class SynthSpec:
     def __post_init__(self):
         for name, low in (("T", 1), ("m", 1), ("seed", 0)):
             check_int("synth", name, getattr(self, name), low)
+        check_real("synth", "noise_sigma", self.noise_sigma, lambda v: 0 <= v < math.inf,
+                   "finite and >= 0")
+        if not (isinstance(self.sinusoids, list) and len(self.sinusoids) <= self.m and all(
+                isinstance(comps, list) and all(
+                    isinstance(c, dict) and set(c) == set(SINUSOID_KEYS) for c in comps)
+                for comps in self.sinusoids)):
+            raise ConfigMismatch(f"synth sinusoids must be a list of at most m={self.m} lists "
+                                 f"of objects with exactly the keys {', '.join(SINUSOID_KEYS)}")
+        for comps in self.sinusoids:
+            for c in comps:
+                for key in SINUSOID_KEYS:
+                    check_real("synth sinusoid", key, c[key], math.isfinite, "finite")
+                check_real("synth sinusoid", "period", c["period"], lambda v: v != 0, "nonzero")
         self.anomalies = [a if isinstance(a, Anomaly)
                           else Anomaly(**check_fields(Anomaly, a, "synth anomaly"))
                           for a in self.anomalies]
@@ -292,7 +318,7 @@ def synth_generate(spec):
     t = np.arange(spec.T, dtype=np.float64)
     values = np.zeros((spec.T, spec.m))
     for d in range(spec.m):
-        if spec.sinusoids and d < len(spec.sinusoids):
+        if d < len(spec.sinusoids):
             comps = spec.sinusoids[d]
         else:
             comps = [{"amplitude": 1.0, "period": 100.0 + 30.0 * d, "phase": 0.7 * d}]

@@ -14,11 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .dataset import make_windows
-from .errors import InvalidConfig
-from .training import batch_groups
+from .dataset import batch_groups, make_windows
 
-SCORE_REDUCES = ("last_row", "window_mean")
 SCORE_CHUNK = 32
 
 
@@ -30,30 +27,29 @@ class ScoreRecord:
     label: int                # OR over dimensions
 
 
-def score_batch(model, W, C, score_reduce="last_row"):
+def score_batch(model, W, C):
     """Per-dimension anomaly scores for a (B, K, m) window stack sharing one
     context length: the average of the squared phase-1 and conditioned
-    phase-2 deviations."""
-    if score_reduce not in SCORE_REDUCES:
-        raise InvalidConfig(f"score_reduce must be one of {SCORE_REDUCES}, got {score_reduce!r}")
+    phase-2 deviations at the last window row, the timestamp each window
+    ends at."""
     with ad.no_grad():
         out = model.forward_two_phase(W, C, training=False)
-    s = 0.5 * (out.O1.data - W) ** 2 + 0.5 * (out.O2_hat.data - W) ** 2
-    return s[:, -1, :] if score_reduce == "last_row" else s.mean(axis=1)
+    last = W[:, -1]
+    return 0.5 * (out.O1.data[:, -1] - last) ** 2 + 0.5 * (out.O2_hat.data[:, -1] - last) ** 2
 
 
-def score_series(model, series, score_reduce="last_row"):
+def score_series(model, series):
     """Per-timestamp, per-dimension scores over a normalized series."""
     batch = make_windows(series, model.config.window_size, model.config.context_cap)
     scores = np.empty((len(batch), series.m))
-    for W, C, idx in batch_groups(batch, SCORE_CHUNK):
-        scores[idx] = score_batch(model, W, C, score_reduce)
+    for W, C, rows in batch_groups(batch, SCORE_CHUNK):
+        scores[rows] = score_batch(model, W, C)
     return scores
 
 
-def detect_stream(model, test_series, threshold_model, score_reduce="last_row"):
+def detect_stream(model, test_series, threshold_model):
     """One ScoreRecord per test timestamp, in time order."""
-    scores = score_series(model, test_series, score_reduce)
+    scores = score_series(model, test_series)
     labels = (scores >= threshold_model.thresholds).astype(np.int8)
     flagged = labels.any(axis=1)
     return [ScoreRecord(timestamp=t, scores=scores[t], labels=labels[t],

@@ -16,6 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
+from .dataset import batch_groups
 from .errors import InvalidConfig, NonFiniteLoss, ShapeMismatch, check_int, check_real
 
 
@@ -31,7 +32,6 @@ class TrainConfig:
     use_adversarial: bool = True
     use_maml: bool = True
     early_stop_patience: int = 3
-    n_semantics: str = "epoch"      # or "iteration"
     weight_decay: float = 1e-5
     lr_decay: float = 0.5
     lr_decay_every_epochs: int = 1
@@ -48,8 +48,6 @@ class TrainConfig:
         for name in ("use_self_condition", "use_adversarial", "use_maml"):
             if not isinstance(getattr(self, name), bool):
                 raise InvalidConfig(f"train {name} must be true or false")
-        if self.n_semantics not in ("epoch", "iteration"):
-            raise InvalidConfig(f"unknown train n_semantics {self.n_semantics!r}")
 
     def to_dict(self):
         return asdict(self)
@@ -71,10 +69,10 @@ class TrainReport:
     stop_reason: str = ""
     best_epoch: int = 0
 
-    def to_dict(self, include_timing=True):
-        # timing is excluded from on-disk artifacts so reruns with the same
-        # seed produce byte-identical files
-        recs = [{k: v for k, v in asdict(r).items() if include_timing or k != "seconds"}
+    def to_dict(self):
+        # timing is left out so reruns with the same seed write byte-identical
+        # reports
+        recs = [{k: v for k, v in asdict(r).items() if k != "seconds"}
                 for r in self.epochs]
         return {"epochs": recs, "stop_reason": self.stop_reason,
                 "best_epoch": self.best_epoch}
@@ -161,23 +159,6 @@ def partitioned_grads(model, L1, L2):
     return store.views(store.grad.copy())
 
 
-def batch_groups(batch, batch_size):
-    """Chunk a WindowBatch into (windows, contexts) groups whose contexts all
-    share one length, so each group stacks into a dense array."""
-    groups = []
-    i = 0
-    n = len(batch)
-    while i < n:
-        L = batch.contexts[i].shape[0]
-        j = i
-        while j < n and j - i < batch_size and batch.contexts[j].shape[0] == L:
-            j += 1
-        groups.append((batch.windows[i:j], np.stack(batch.contexts[i:j]),
-                       batch.indices[i:j]))
-        i = j
-    return groups
-
-
 def _batch_losses(model, W, C, cfg, n, training, rng):
     out = model.forward_two_phase(W, C, training=training, rng=rng,
                                   self_condition=cfg.use_self_condition)
@@ -190,11 +171,12 @@ def _batch_losses(model, W, C, cfg, n, training, rng):
 # -- epoch / meta steps -------------------------------------------------------
 
 
-def train_epoch(model, groups, cfg, opt, n_start, epoch, rng):
-    """One pass over the batch groups.  Returns (mean L1, mean L2, next n)."""
-    l1_sum, l2_sum, count, n = 0.0, 0.0, 0, n_start
+def train_epoch(model, groups, cfg, opt, epoch, rng):
+    """One pass over the batch groups, with the epoch as the schedule index.
+    Returns (mean L1, mean L2)."""
+    l1_sum, l2_sum, count = 0.0, 0.0, 0
     for b, (W, C, _) in enumerate(groups):
-        L1, L2 = _batch_losses(model, W, C, cfg, n, training=True, rng=rng)
+        L1, L2 = _batch_losses(model, W, C, cfg, epoch, training=True, rng=rng)
         v1, v2 = float(L1.data), float(L2.data)
         if not (np.isfinite(v1) and np.isfinite(v2)):
             raise NonFiniteLoss(
@@ -206,11 +188,7 @@ def train_epoch(model, groups, cfg, opt, n_start, epoch, rng):
         l1_sum += v1 * W.shape[0]
         l2_sum += v2 * W.shape[0]
         count += W.shape[0]
-        if cfg.n_semantics == "iteration":
-            n += 1
-    if cfg.n_semantics == "epoch":
-        n += 1
-    return l1_sum / count, l2_sum / count, n
+    return l1_sum / count, l2_sum / count
 
 
 def meta_update(store, grad_fn, alpha, beta):
@@ -267,14 +245,14 @@ def fit(model, train_batch, val_batch, cfg, progress=True):
     best_score = float("inf")
     best_params = model.params.flat.copy()
     since_improve = 0
-    n = 1
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        mean_l1, mean_l2, n_next = train_epoch(model, groups, cfg, opt, n, epoch, rng)
+        # training and the meta step weight the loss at n = epoch, validation
+        # at n = epoch + 1
+        mean_l1, mean_l2 = train_epoch(model, groups, cfg, opt, epoch, rng)
         if cfg.use_maml:
-            maml_step(model, groups[meta_rng.integers(len(groups))], cfg, n)
-        n = n_next
-        val = validation_score(model, val_batch, cfg, n)
+            maml_step(model, groups[meta_rng.integers(len(groups))], cfg, epoch)
+        val = validation_score(model, val_batch, cfg, epoch + 1)
         secs = time.perf_counter() - t0
         report.epochs.append(EpochRecord(epoch=epoch, mean_l1=mean_l1,
                                          mean_l2=mean_l2, val_score=val,

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tranad import cli
+from tranad.errors import ConfigMismatch
 
 SYNTH_TRAIN = {
     "synth": {"T": 160, "m": 2, "seed": 21, "noise_sigma": 0.2},
@@ -166,6 +167,14 @@ def assert_failed(code, capsys, *names):
         assert name in err
 
 
+def set_cell(r, c, value):
+    """A mutation of CSV rows (lists of cells) that sets cell (r, c)."""
+    def mutate(rows):
+        rows[r][c] = value
+        return rows
+    return mutate
+
+
 class TestBadInputs:
     """Unknown config keys and damaged checkpoints end with exit 1, one
     `error:` line and no partial outputs."""
@@ -262,6 +271,8 @@ class TestBadInputs:
         ({"train": 5}, ["train"]),
         ({"split_ratio": 0}, ["split_ratio"]),
         ({"n_enc_layers": 1}, ["n_enc_layers"]),       # a removed model option
+        ({"score_reduce": "last_row"}, ["score_reduce"]),          # removed settings
+        ({"train": {"n_semantics": "epoch"}}, ["n_semantics"]),
     ])
     def test_bad_train_config(self, pipeline, tmp_path, capsys, cfg, names):
         _, train_dir, _, _, _ = pipeline
@@ -288,10 +299,58 @@ class TestBadInputs:
 
     def test_unknown_score_reduce_fails_before_reading_files(self, pipeline, tmp_path,
                                                              capsys):
-        cfg = write_cfg(tmp_path / "c.json", dict(RUN_CFG, score_reduce="bogus"))
+        # score_reduce is no longer a setting: a config naming it is a mismatch
+        cfg = write_cfg(tmp_path / "c.json", dict(RUN_CFG, score_reduce="last_row"))
+        with pytest.raises(ConfigMismatch, match="score_reduce"):
+            cli._load_config(cfg)
         argv = detect_argv(pipeline, tmp_path, cfg=cfg, checkpoint=tmp_path / "absent.bin")
-        assert_failed(cli.main(argv), capsys, "score_reduce", "bogus")
+        assert_failed(cli.main(argv), capsys, "unknown config keys", "score_reduce")
         assert not (tmp_path / "detection.csv").exists()
+
+    @pytest.mark.parametrize("synth, names", [
+        ({"sinusoids": [[{"amp": 1}]]}, ["sinusoids"]),
+        ({"sinusoids": [[{"amplitude": 1, "period": 50, "phase": 0, "bogus": 1}]]},
+         ["sinusoids"]),
+        ({"sinusoids": 5}, ["sinusoids"]),
+        ({"sinusoids": [5]}, ["sinusoids"]),
+        ({"sinusoids": [[], [], []]}, ["sinusoids", "m=2"]),
+        ({"sinusoids": [[{"amplitude": "a", "period": 50, "phase": 0}]]}, ["amplitude"]),
+        ({"sinusoids": [[{"amplitude": 1, "period": 0, "phase": 0}]]}, ["period"]),
+        ({"sinusoids": [[{"amplitude": 1, "period": 50, "phase": float("inf")}]]},
+         ["phase"]),
+        ({"noise_sigma": -1}, ["noise_sigma"]),
+        ({"noise_sigma": "a"}, ["noise_sigma"]),
+        ({"noise_sigma": float("nan")}, ["noise_sigma"]),
+    ], ids=["unknown-keys", "extra-key", "not-a-list", "not-lists", "more-than-m",
+            "amplitude-string", "period-zero", "phase-inf", "sigma-negative",
+            "sigma-string", "sigma-nan"])
+    def test_bad_synth_spec(self, tmp_path, capsys, synth, names):
+        cfg = write_cfg(tmp_path / "c.json", {"synth": dict({"T": 50, "m": 2}, **synth)})
+        out = tmp_path / "out"
+        assert_failed(cli.main(["synth", "--config", cfg, "--out", str(out)]),
+                      capsys, *names)
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("mutate, names", [
+        (set_cell(0, 0, "0.5"), ["(0,0)", "{0,1}"]),
+        (set_cell(3, 0, "2"), ["(3,0)", "{0,1}"]),
+        (set_cell(3, 1, "300"), ["(3,1)", "{0,1}"]),
+        (set_cell(5, 1, "x"), ["non-numeric"]),
+        (lambda rows: [r + ["0"] for r in rows], ["(160, 3)", "(160, 2)"]),
+        (lambda rows: [r[:1] for r in rows], ["(160, 1)", "(160, 2)"]),
+        (lambda rows: rows[:-1], ["(159, 2)", "(160, 2)"]),
+    ], ids=["half", "two", "three-hundred", "non-numeric", "three-columns", "one-column",
+            "short"])
+    def test_bad_eval_labels(self, pipeline, tmp_path, capsys, mutate, names):
+        _, _, test_dir, run_dir, _ = pipeline
+        rows = [ln.split(",") for ln in (test_dir / "labels.csv").read_text().splitlines()]
+        labels = tmp_path / "labels.csv"
+        labels.write_text("".join(",".join(r) + "\n" for r in mutate(rows)))
+        out = tmp_path / "out"
+        code = cli.main(["eval", "--report", str(run_dir / "detection.csv"),
+                         "--labels", str(labels), "--out", str(out)])
+        assert_failed(code, capsys, *names)
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("command", ["detect", "inspect"])
     @pytest.mark.parametrize("text, names", [
@@ -364,6 +423,14 @@ class TestEval:
         assert raw_row[0] == "raw"
         for key, cell in zip(header, raw_row[1:]):
             assert str(result["raw"][key]) == cell
+
+    def test_labels_header_honoured(self, pipeline, tmp_path):
+        _, _, test_dir, run_dir, _ = pipeline
+        labels = tmp_path / "labels.csv"
+        labels.write_text("y_1,y_2\n" + (test_dir / "labels.csv").read_text())
+        assert cli.main(["eval", "--report", str(run_dir / "detection.csv"), "--header",
+                         "--labels", str(labels), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "eval.json").read_bytes() == (run_dir / "eval.json").read_bytes()
 
     def test_labels_absent_skips_metrics(self, pipeline, tmp_path, capsys):
         _, _, _, run_dir, _ = pipeline

@@ -33,7 +33,8 @@ class TestLoadCsv:
         lab = tmp_path / "l.csv"
         lab.write_text("\n".join("0,0" for _ in range(9)) + "\n")
         with pytest.raises(ShapeMismatch):
-            dataset.load_csv(v, label_path=lab)
+            dataset.RawSeries(values=dataset.load_csv(v).values,
+                              labels=dataset.load_labels(lab))
 
     def test_non_numeric_cell_coordinates(self, tmp_path):
         p = tmp_path / "v.csv"
@@ -54,7 +55,7 @@ class TestLoadCsv:
         lab = tmp_path / "l.csv"
         lab.write_text("0,2\n")
         with pytest.raises(ParseError):
-            dataset.load_csv(v, label_path=lab)
+            dataset.load_labels(lab)
 
 
 class TestNormalize:
@@ -103,12 +104,6 @@ class TestNormalize:
         again = dataset.apply_normalize(raw, stats)
         np.testing.assert_array_equal(ts.values, again.values)
 
-    def test_denormalize_roundtrip(self):
-        rng = np.random.default_rng(6)
-        raw = dataset.RawSeries(values=rng.normal(scale=100.0, size=(40, 2)))
-        ts, stats = dataset.fit_normalize(raw)
-        back = dataset.denormalize(ts.values, stats)
-        np.testing.assert_allclose(back, raw.values, rtol=1e-9, atol=1e-9)
 
 
 class TestMakeWindows:
@@ -163,7 +158,7 @@ class TestMakeWindows:
 class TestSplit:
     def _batch(self, T):
         stats = dataset.NormStats(min=np.zeros(1), max=np.ones(1))
-        ts = dataset.TimeSeries(values=np.zeros((T, 1)), stats=stats)
+        ts = dataset.TimeSeries(values=np.arange(T, dtype=float)[:, None], stats=stats)
         return dataset.make_windows(ts, 2, 3)
 
     def test_eighty_twenty(self):
@@ -180,8 +175,10 @@ class TestSplit:
 
     def test_contiguous(self):
         tr, va = dataset.split_train_val(self._batch(10), 0.8)
-        np.testing.assert_array_equal(tr.indices, np.arange(8))
-        np.testing.assert_array_equal(va.indices, np.arange(8, 10))
+        # the series holds its own timestamps, so a window's last row names it
+        np.testing.assert_array_equal(tr.windows[:, -1, 0], np.arange(8))
+        np.testing.assert_array_equal(va.windows[:, -1, 0], np.arange(8, 10))
+        assert [c[-1, 0] for c in va.contexts] == [8.0, 9.0]
 
 
 class TestSynth:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from tranad import dataset, training
-from tranad.autodiff import AdamW, ParamStore, Tensor
+from tranad.autodiff import ParamStore, Tensor
 from tranad.errors import InvalidConfig, NonFiniteLoss, ShapeMismatch
 from tranad.model import ModelConfig, TranAD
 
@@ -87,7 +87,7 @@ class TestSchedule:
 
 def assert_routing_matches_fresh_graphs(cfg):
     model, train_b, _ = tiny_setup()
-    groups = training.batch_groups(train_b, 16)
+    groups = dataset.batch_groups(train_b, 16)
     W, C, _ = groups[-1]
 
     L1, L2 = training._batch_losses(model, W, C, cfg, n=1, training=False,
@@ -149,9 +149,13 @@ class TestGradientRouting:
 
     def test_batch_groups_share_context_length(self):
         _, train_b, _ = tiny_setup(T=30, cap=8)
-        for W, C, idx in training.batch_groups(train_b, 16):
-            assert C.ndim == 3
-            assert W.shape[0] == C.shape[0] == idx.shape[0]
+        stop = 0
+        for W, C, rows in dataset.batch_groups(train_b, 16):
+            assert C.ndim == 3 and W.shape[0] == C.shape[0]
+            assert rows.start == stop       # the slices tile the batch in order
+            np.testing.assert_array_equal(W, train_b.windows[rows])
+            stop = rows.stop
+        assert stop == len(train_b)
 
 
 class TestMeta:
@@ -167,7 +171,7 @@ class TestMeta:
 
     def test_zero_beta_is_noop(self):
         model, train_b, _ = tiny_setup()
-        group = training.batch_groups(train_b, 8)[0]
+        group = dataset.batch_groups(train_b, 8)[0]
         cfg = training.TrainConfig(seed=0, meta_lr=0.0)
         before = model.params.snapshot()
         training.maml_step(model, group, cfg, n=1)
@@ -177,7 +181,7 @@ class TestMeta:
 
     def test_toggle_off_is_noop(self):
         model, train_b, _ = tiny_setup()
-        group = training.batch_groups(train_b, 8)[0]
+        group = dataset.batch_groups(train_b, 8)[0]
         cfg = training.TrainConfig(seed=0, use_maml=False)
         before = model.params.snapshot()
         training.maml_step(model, group, cfg, n=1)
@@ -186,16 +190,39 @@ class TestMeta:
 
 
 class TestScheduleIndex:
-    @pytest.mark.parametrize("mode", ["epoch", "iteration"])
-    def test_train_epoch_advances_n(self, mode):
-        model, train_b, _ = tiny_setup()
-        groups = training.batch_groups(train_b, 16)
-        cfg = training.TrainConfig(seed=0, n_semantics=mode)
-        opt = AdamW(model.params, lr=cfg.lr)
-        _, _, n = training.train_epoch(model, groups, cfg, opt, 5, 1,
-                                       np.random.default_rng(0))
-        assert len(groups) > 1
-        assert n == 5 + (len(groups) if mode == "iteration" else 1)
+    def test_fit_trains_at_the_epoch_and_validates_at_the_next(self, monkeypatch):
+        # every loss_combined call of a 2-epoch fit, tagged with the step that made it
+        model, train_b, val_b = tiny_setup()
+        calls, steps = [], []
+        loss_combined = training.loss_combined
+
+        def record(phase1, adv, n, eps, use_adversarial=True):
+            calls.append((steps[-1], n))
+            return loss_combined(phase1, adv, n, eps, use_adversarial)
+
+        def tagged(name, fn):
+            def run(*args, **kwargs):
+                steps.append(name)
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    steps.pop()
+            return run
+
+        monkeypatch.setattr(training, "loss_combined", record)
+        for name in ("train_epoch", "maml_step", "validation_score"):
+            monkeypatch.setattr(training, name, tagged(name, getattr(training, name)))
+        cfg = training.TrainConfig(epochs=2, batch_size=16, seed=0)
+        report = training.fit(model, train_b, val_b, cfg, progress=False)
+        assert len(report.epochs) == 2 and cfg.use_maml
+        n_train = len(dataset.batch_groups(train_b, 16))
+        n_val = len(dataset.batch_groups(val_b, 16))
+        expected = []
+        for epoch in (1, 2):
+            # the meta step takes two gradients, one at theta and one at theta'
+            expected += ([("train_epoch", epoch)] * n_train + [("maml_step", epoch)] * 2
+                         + [("validation_score", epoch + 1)] * n_val)
+        assert calls == expected
 
 
 class TestFit:
@@ -262,9 +289,8 @@ class TestFit:
         model, train_b, val_b = tiny_setup()
         cfg = training.TrainConfig(epochs=1, batch_size=16, seed=0)
         report = training.fit(model, train_b, val_b, cfg, progress=False)
-        d = report.to_dict(include_timing=False)
-        assert "seconds" not in d["epochs"][0]
-        assert "seconds" in report.to_dict()["epochs"][0]
+        assert "seconds" not in report.to_dict()["epochs"][0]
+        assert report.epochs[0].seconds > 0
 
 
 # -- AdamW and the meta step one parameter at a time, before the flat buffers --
@@ -333,14 +359,14 @@ class TestFlatBuffers:
     def test_maml_step_writes_into_the_views(self):
         model, train_b, _ = tiny_setup()
         before = model.params.flat.copy()
-        training.maml_step(model, training.batch_groups(train_b, 8)[0],
+        training.maml_step(model, dataset.batch_groups(train_b, 8)[0],
                            training.TrainConfig(seed=0), n=1)
         assert not np.array_equal(before, model.params.flat)
         assert_params_view_flat(model.params)
 
     def test_unreached_parameters_get_zero_gradients(self):
         model, train_b, _ = tiny_setup()
-        W, C, _ = training.batch_groups(train_b, 16)[-1]
+        W, C, _ = dataset.batch_groups(train_b, 16)[-1]
         for d in ("decoder1", "decoder2"):
             model.params[f"{d}.ff.l1.b"].data[:] = -1e3    # every hidden unit off
         model.params.grad[:] = 7.0                           # left by an earlier step
