@@ -209,7 +209,7 @@ def _report_columns(m):
 def read_detection_report(path):
     """Parse a detection.csv back into (threshold_model, scores, dim_labels,
     agg_labels).  Raises ParseError on a missing or undecodable header or a
-    row that is short or not numeric."""
+    row that is short, not numeric, or holds a non-finite score or a non-0/1 label."""
     with open(path) as f:
         lines = [ln.rstrip("\n") for ln in f]
     head = lines[0].split(" ", 2) if lines else []
@@ -240,6 +240,8 @@ def read_detection_report(path):
             agg.append(int(parts[-1]))
         except ValueError as exc:
             raise ParseError(f"{path} row {row}: {exc}", row=row) from None
+        if not (np.isfinite(scores[-1]).all() and set(dim_labels[-1] + agg[-1:]) <= {0, 1}):
+            raise ParseError(f"{path} row {row}: scores must be finite, labels 0 or 1", row=row)
     return thresholds, np.array(scores), np.array(dim_labels, dtype=np.int8), \
         np.array(agg, dtype=np.int8)
 
@@ -287,7 +289,7 @@ def cmd_inspect(args, cfg, out):
     ]
     with ad.no_grad():
         for W, C, rows in dataset.batch_groups(batch, detection.SCORE_CHUNK):
-            res = model.forward_two_phase(W, C, training=False, want_weights=True)
+            res = model.forward_two_phase(W, C, want_weights=True, decode_rows=detection.LAST_ROW)
             weights = res.attention_maps["window_self_phase2"]  # (B, h, K, K)
             focus = res.focus.data
             for b, t in enumerate(range(rows.start, rows.stop)):

@@ -65,9 +65,9 @@ class ModelConfig:
 
 @dataclass
 class TwoPhaseOutput:
-    """Reconstructions of one two-phase pass.  O1/O2/O2_hat are Tensors
-    (shape B x K x m) so training can differentiate through them; `focus`
-    holds the phase-2 focus score."""
+    """Reconstructions of one two-phase pass: O1/O2/O2_hat are (B, K, m)
+    Tensors training differentiates through (O2 is None and O2_hat holds the
+    decoded rows in a `decode_rows` pass); `focus` is the phase-2 focus."""
 
     O1: Tensor
     O2: Tensor
@@ -256,11 +256,16 @@ class TranAD:
     # -- the two-phase pass ---------------------------------------------------
 
     def forward_two_phase(self, W, C, training=False, rng=None,
-                          self_condition=True, want_weights=False):
+                          self_condition=True, want_weights=False, decode_rows=None):
         """Run both phases on a batch.
 
         W: (B, K, m) array or Tensor; C: (B, L, m) with one shared context
         length per call.  Returns a TwoPhaseOutput of (B, K, m) tensors.
+
+        `decode_rows`, a slice of window rows, limits phase 2's cross-attention
+        and decoder 2 to those rows and skips O2.  Phase 1 and the phase-2
+        context encoder run whole: the focus reads all of O1, and every
+        context row is a phase-2 key and value.
         """
         W, C = (x if isinstance(x, Tensor) else Tensor(x) for x in (W, C))
         W, C = (x.reshape(1, *x.shape) if x.ndim == 2 else x for x in (W, C))
@@ -275,7 +280,7 @@ class TranAD:
         I23, cross_w1 = self.window_encoder(win, ctx1, training, rng,
                                             want_weights=want_weights)
         O1 = self.decoder1(I23)
-        O2 = self.decoder2(I23)
+        O2 = self.decoder2(I23) if decode_rows is None else None
 
         diff = O1 - W
         focus = diff * diff
@@ -283,7 +288,8 @@ class TranAD:
 
         ctx2, enc_w2 = self.encode_context(C, phase2_focus, training, rng,
                                            want_weights=want_weights)
-        I23_2, cross_w2 = self.window_encoder(win, ctx2, training, rng,
+        win2 = win if decode_rows is None else win[:, decode_rows]
+        I23_2, cross_w2 = self.window_encoder(win2, ctx2, training, rng,
                                               want_weights=want_weights)
         O2_hat = self.decoder2(I23_2)
 

@@ -58,7 +58,7 @@ class EpochRecord:
     epoch: int
     mean_l1: float
     mean_l2: float
-    val_score: float
+    val_score: float | None    # None when the validation split is empty
     lr: float
     seconds: float
 
@@ -217,9 +217,10 @@ def maml_step(model, batch_group, cfg, n):
 
 
 def validation_score(model, val_batch, cfg, n):
-    """Mean combined loss over the validation windows, dropout off."""
+    """Mean combined loss over the validation windows, dropout off; None
+    when the split is empty, which a report writes as JSON null."""
     if len(val_batch) == 0:
-        return float("nan")
+        return None
     total, count = 0.0, 0
     with ad.no_grad():
         for W, C, _ in batch_groups(val_batch, cfg.batch_size):
@@ -241,7 +242,6 @@ def fit(model, train_batch, val_batch, cfg, progress=True):
     report = TrainReport()
     rng = np.random.default_rng(cfg.seed)
     meta_rng = np.random.default_rng(cfg.seed + 1)
-    have_val = len(val_batch) > 0
     best_score = float("inf")
     best_params = model.params.flat.copy()
     since_improve = 0
@@ -259,9 +259,9 @@ def fit(model, train_batch, val_batch, cfg, progress=True):
                                          lr=opt.lr, seconds=secs))
         if progress:
             print(f"epoch {epoch} | L1 {mean_l1:.6f} | L2 {mean_l2:.6f} | "
-                  f"val {val:.6f} | lr {opt.lr:.6g} | secs {secs:.2f}",
-                  file=sys.stderr)
-        track = val if have_val else mean_l1
+                  f"val {'-' if val is None else f'{val:.6f}'} | lr {opt.lr:.6g} | "
+                  f"secs {secs:.2f}", file=sys.stderr)
+        track = mean_l1 if val is None else val
         if track < best_score:
             best_score = track
             best_params = model.params.flat.copy()

@@ -86,6 +86,30 @@ class TestSoftmax:
         np.testing.assert_allclose(out.sum(axis=-1), np.ones(6), atol=1e-9)
         assert ((out > 0) & (out < 1)).all()
 
+    @pytest.mark.parametrize("masked, nan", [(True, False), (False, True), (True, True)])
+    def test_row_max_matches_axis_max(self, masked, nan):
+        # the segmented row max against max(axis=-1): causally masked rows
+        # hold one to seven live logits, and a NaN query entry fills a whole
+        # row with NaN while a NaN key entry puts one NaN in every row it
+        # reaches unmasked
+        rng = np.random.default_rng(6)
+        q, k, v = (rng.normal(scale=30.0, size=(3, 7, 6)) for _ in range(3))
+        if nan:
+            q[0, 2, 1] = k[1, 4, 0] = np.nan
+        mask = np.triu(np.ones((7, 7), dtype=bool), k=1) if masked else None
+        with ad.no_grad():
+            _, got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, mask=mask,
+                                  want_weights=True)
+        w = ad._heads(q, 3) @ ad._heads(k, 3).swapaxes(-1, -2)
+        w *= 1.0 / np.sqrt(2)
+        if mask is not None:
+            np.copyto(w, ad.MASK_LOGIT, where=mask)
+        w -= w.max(axis=-1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=-1, keepdims=True)
+        assert np.isnan(got).any() == nan
+        np.testing.assert_array_equal(got.view(np.uint64), w.view(np.uint64))
+
 
 class TestLayerNorm:
     def test_constant_row_is_bias(self):

@@ -116,6 +116,26 @@ class TestTrain:
                          "--out", str(out)]) == 0
         assert (out / "checkpoint.bin").exists()
 
+    def test_empty_validation_writes_null(self, tmp_path, capsys):
+        # two rows give two windows, and split_ratio 0.8 trains on both
+        data, out = tmp_path / "values.csv", tmp_path / "out"
+        data.write_text("0.1,0.9\n0.4,0.2\n")
+        cfg = write_cfg(tmp_path / "cfg.json", {"train": {"epochs": 6, "early_stop_patience": 1}})
+        assert cli.main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 0
+        assert "val -" in capsys.readouterr().err
+
+        def reject(token):
+            raise AssertionError(f"non-standard JSON token {token}")
+
+        report = json.loads((out / "train_report.json").read_text(), parse_constant=reject)
+        epochs = report["epochs"]
+        assert [e["val_score"] for e in epochs] == [None] * len(epochs)
+        # without validation, early stopping tracks the mean L1
+        l1 = [e["mean_l1"] for e in epochs]
+        assert report["best_epoch"] == 1 + l1.index(min(l1))
+        if report["stop_reason"].startswith("early stop"):
+            assert len(epochs) == report["best_epoch"] + 1
+
 
 class TestDetect:
     def test_report_rows_and_roundtrip(self, pipeline):
@@ -173,6 +193,12 @@ def set_cell(r, c, value):
         rows[r][c] = value
         return rows
     return mutate
+
+
+def set_report_cell(r, c, value):
+    """The same mutation of report lines, each split at its commas."""
+    return lambda lines: [",".join(row) for row in
+                          set_cell(r, c, value)([ln.split(",") for ln in lines])]
 
 
 class TestBadInputs:
@@ -390,6 +416,10 @@ class TestBadInputs:
         (lambda lines: lines[:5] + [lines[5].rsplit(",", 1)[0]] + lines[6:], ["row 6"]),
         (lambda lines: lines[:5] + [lines[5].replace(",", ",x", 1)] + lines[6:],
          ["row 6"]),
+        (set_report_cell(5, -1, "7"), ["row 6", "labels 0 or 1"]),
+        (set_report_cell(5, 3, "7"), ["row 6", "labels 0 or 1"]),
+        (set_report_cell(5, 1, "nan"), ["row 6", "finite"]),
+        (set_report_cell(5, 2, "inf"), ["row 6", "finite"]),
     ])
     def test_bad_report(self, pipeline, tmp_path, capsys, mutate, names):
         _, _, test_dir, run_dir, _ = pipeline

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from tranad import dataset, detection, model as model_module, pot
+from tranad import autodiff as ad, dataset, detection, model as model_module, pot
 from tranad.autodiff import Tensor
 from tranad.model import ModelConfig, TranAD
 
@@ -16,6 +16,31 @@ def scored_setup():
     model = TranAD(ModelConfig(m=2, window_size=4, context_cap=8,
                                init_seed=1, dropout=0.0))
     return model, norm
+
+
+@pytest.fixture(scope="module")
+def wide_setup():
+    # the wide benchmark's shape: m=38 heads of width 2, K=10, a 30-row cap
+    raw = dataset.synth_generate(dataset.SynthSpec(T=40, m=38, seed=4, noise_sigma=0.1))
+    norm, _ = dataset.fit_normalize(raw)
+    model = TranAD(ModelConfig(m=38, window_size=10, context_cap=30, init_seed=1,
+                               dropout=0.0))
+    return model, norm
+
+
+def assert_chunks_match_per_prefix_scores(model, norm, T):
+    # every row, the first context_cap - 1 short-context ones included,
+    # equals the score of the one window a stream cut at that row ends with
+    values = np.tile(norm.values, (2, 1))[:T]
+    series = dataset.TimeSeries(values=values, stats=norm.stats)
+    full = detection.score_series(model, series)
+    for t in range(T):
+        prefix = dataset.TimeSeries(values=values[:t + 1], stats=norm.stats)
+        batch = dataset.make_windows(prefix, model.config.window_size,
+                                     model.config.context_cap)
+        np.testing.assert_array_equal(
+            full[t], detection.score_batch(model, batch.windows[-1:],
+                                           batch.contexts[-1][None])[0])
 
 
 def make_threshold_model(values, cfg=None):
@@ -34,16 +59,35 @@ class TestScoring:
         assert scores.shape == (norm.T, norm.m)
         assert (scores >= 0).all()
 
-    def test_score_matches_forward_outputs(self, scored_setup):
-        model, norm = scored_setup
-        batch = dataset.make_windows(norm, 4, 8)
-        t = 20
-        W, C = batch.windows[t], batch.contexts[t]
-        out = model.forward_two_phase(W[None], C[None])
-        expected = 0.5 * (out.O1.data[0, -1] - W[-1]) ** 2 \
-            + 0.5 * (out.O2_hat.data[0, -1] - W[-1]) ** 2
-        got = detection.score_batch(model, W[None], C[None])[0]
-        np.testing.assert_allclose(got, expected, rtol=1e-12)
+    @pytest.mark.parametrize("m", [2, 3, 38])
+    @pytest.mark.parametrize("L", [1, 9, 10, 30])   # 1, K - 1, K and the cap
+    def test_score_matches_forward_outputs(self, m, L):
+        # the last-row pass differs from the full one by rounding only
+        model = TranAD(ModelConfig(m=m, window_size=10, context_cap=30, init_seed=m,
+                                   dropout=0.0))
+        rng = np.random.default_rng(L)
+        W, C = rng.uniform(size=(4, 10, m)), rng.uniform(size=(4, L, m))
+        with ad.no_grad():
+            out = model.forward_two_phase(W, C)
+        expected = 0.5 * (out.O1.data[:, -1] - W[:, -1]) ** 2 \
+            + 0.5 * (out.O2_hat.data[:, -1] - W[:, -1]) ** 2
+        np.testing.assert_allclose(detection.score_batch(model, W, C), expected,
+                                   rtol=0, atol=1e-15)
+
+    def test_score_batch_decodes_phase_2_once_on_the_last_row(self, scored_setup,
+                                                               monkeypatch):
+        model, _ = scored_setup
+        calls = []
+        decode = model_module.Decoder.__call__
+
+        def spy(self, x):
+            calls.append(("decoder1" if self is model.decoder1 else "decoder2", x.shape))
+            return decode(self, x)
+
+        monkeypatch.setattr(model_module.Decoder, "__call__", spy)
+        rng = np.random.default_rng(2)
+        detection.score_batch(model, rng.uniform(size=(3, 4, 2)), rng.uniform(size=(3, 8, 2)))
+        assert calls == [("decoder1", (3, 4, 4)), ("decoder2", (3, 1, 4))]
 
     def test_online_causality_truncation(self, scored_setup):
         model, norm = scored_setup
@@ -56,18 +100,11 @@ class TestScoring:
     @pytest.mark.parametrize("T", [detection.SCORE_CHUNK - 1, detection.SCORE_CHUNK,
                                    detection.SCORE_CHUNK + 1, 2 * detection.SCORE_CHUNK + 29])
     def test_chunks_match_per_prefix_scores(self, scored_setup, T):
-        # every row, the first context_cap - 1 short-context ones included,
-        # equals the score of the one window a stream cut at that row ends with
-        model, norm = scored_setup
-        values = np.tile(norm.values, (2, 1))[:T]
-        series = dataset.TimeSeries(values=values, stats=norm.stats)
-        full = detection.score_series(model, series)
-        for t in range(T):
-            prefix = dataset.TimeSeries(values=values[:t + 1], stats=norm.stats)
-            batch = dataset.make_windows(prefix, 4, 8)
-            np.testing.assert_array_equal(
-                full[t], detection.score_batch(model, batch.windows[-1:],
-                                               batch.contexts[-1][None])[0])
+        assert_chunks_match_per_prefix_scores(*scored_setup, T)
+
+    @pytest.mark.parametrize("T", [31, 32, 33])
+    def test_wide_chunks_match_per_prefix_scores(self, wide_setup, T):
+        assert_chunks_match_per_prefix_scores(*wide_setup, T)
 
     def test_deterministic(self, scored_setup):
         model, norm = scored_setup
