@@ -134,11 +134,6 @@ class Tensor:
 
     # -- shape ops ------------------------------------------------------------
 
-    def reshape(self, *shape):
-        old = self.data.shape
-        return Tensor._result(self.data.reshape(*shape), (self,),
-                              lambda g, need: (g.reshape(old),))
-
     def __getitem__(self, key):
         a = self
 
@@ -263,9 +258,8 @@ def reverse_walk(seeds, order, masks=None, bit=0):
 
 
 def concat(tensors, axis):
-    parts = [t if isinstance(t, Tensor) else Tensor(t) for t in tensors]
-    data = np.concatenate([p.data for p in parts], axis=axis)
-    bounds = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+    data = np.concatenate([t.data for t in tensors], axis=axis)
+    bounds = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
 
     def backward_fn(g, need):
         index = [slice(None)] * g.ndim
@@ -275,18 +269,17 @@ def concat(tensors, axis):
             out.append(g[tuple(index)] if wanted else None)
         return out
 
-    return Tensor._result(data, tuple(parts), backward_fn)
+    return Tensor._result(data, tuple(tensors), backward_fn)
 
 
 def dropout(x, p, training, rng):
     """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    a = x if isinstance(x, Tensor) else Tensor(x)
     if not training or p == 0.0:
-        return a
-    mask = (rng.random(a.data.shape) >= p) / (1.0 - p)
-    return Tensor._result(a.data * mask, (a,), lambda g, need: (g * mask,))
+        return x
+    mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
+    return Tensor._result(x.data * mask, (x,), lambda g, need: (g * mask,))
 
 
 def linear(x, W, b):
@@ -339,7 +332,7 @@ def _merge(x):
     return x.reshape(*x.shape[:-2], -1)
 
 
-def attention(q, k, v, n_heads, mask=None, want_weights=False):
+def attention(q, k, v, n_heads, mask=None):
     """Multi-head scaled dot-product attention as one node: split the last
     axis of the (..., L, d) inputs into heads, softmax(q k^T / sqrt(d / h))
     per head, weight the values and merge the heads.
@@ -347,7 +340,8 @@ def attention(q, k, v, n_heads, mask=None, want_weights=False):
     `mask` marks logits to suppress (broadcast over the leading axes); they
     get the constant MASK_LOGIT, so their weight is exactly zero and masked
     inputs cannot influence the output or receive gradient.  Returns (output,
-    weights), the weights (..., h, Lq, Lk) only when `want_weights`."""
+    weights), the weights (..., h, Lq, Lk) being the buffer the backward reads,
+    so callers must not write to it."""
     if q.shape[-1] != k.shape[-1]:
         raise ShapeMismatch(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
@@ -379,8 +373,7 @@ def attention(q, k, v, n_heads, mask=None, want_weights=False):
                 _merge(gs.swapaxes(-1, -2) @ qh) * inv_scale if need[1] else None,
                 _merge(w.swapaxes(-1, -2) @ gh) if need[2] else None)
 
-    out = Tensor._result(data, (q, k, v), backward_fn)
-    return out, (w.copy() if want_weights else None)
+    return Tensor._result(data, (q, k, v), backward_fn), w
 
 
 def frobenius_norm(diff):

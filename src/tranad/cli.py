@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from . import dataset, detection, metrics, pot, training
 from .errors import (ConfigMismatch, ParseError, ShapeMismatch, TranadError, check_fields,
-                     check_real)
+                     check_int, check_real)
 from .model import ModelConfig, TranAD
 
 FLOAT_FMT = "%.17g"
@@ -209,7 +209,8 @@ def _report_columns(m):
 def read_detection_report(path):
     """Parse a detection.csv back into (threshold_model, scores, dim_labels,
     agg_labels).  Raises ParseError on a missing or undecodable header or a
-    row that is short, not numeric, or holds a non-finite score or a non-0/1 label."""
+    row that is short, not numeric, out of time order (`t` must run 0, 1, ...),
+    or holds a non-finite score or a non-0/1 label."""
     with open(path) as f:
         lines = [ln.rstrip("\n") for ln in f]
     head = lines[0].split(" ", 2) if lines else []
@@ -234,6 +235,9 @@ def read_detection_report(path):
         if len(parts) != len(columns):
             raise ParseError(f"{path} row {row}: expected {len(columns)} cells, "
                              f"got {len(parts)}", row=row)
+        if parts[0] != str(len(scores)):
+            raise ParseError(f"{path} row {row}: t must be {len(scores)}, got {parts[0]!r}",
+                             row=row)
         try:
             scores.append([float(x) for x in parts[1:1 + m]])
             dim_labels.append([int(x) for x in parts[1 + m:1 + 2 * m]])
@@ -267,7 +271,8 @@ def cmd_eval(args, cfg, out):
     if "raw" in result:
         keys = sorted(result["raw"])
         csv_lines = ["mode," + ",".join(keys)] + [
-            mode + "," + ",".join(str(result[mode][k]) for k in keys)
+            mode + "," + ",".join("" if result[mode][k] is None else str(result[mode][k])
+                                  for k in keys)
             for mode in ("raw", "point_adjusted")]
         out.write_text(os.path.join(args.out, "eval.csv"), "\n".join(csv_lines) + "\n")
     return 0
@@ -289,8 +294,8 @@ def cmd_inspect(args, cfg, out):
     ]
     with ad.no_grad():
         for W, C, rows in dataset.batch_groups(batch, detection.SCORE_CHUNK):
-            res = model.forward_two_phase(W, C, want_weights=True, decode_rows=detection.LAST_ROW)
-            weights = res.attention_maps["window_self_phase2"]  # (B, h, K, K)
+            res = model.forward_two_phase(W, C, decode_rows=detection.LAST_ROW)
+            weights = res.window_attention  # (B, h, K, K)
             focus = res.focus.data
             for b, t in enumerate(range(rows.start, rows.stop)):
                 for h in range(weights.shape[1]):
@@ -366,6 +371,7 @@ def main(argv=None):
     out = _OutputTracker()
     try:
         cfg = _load_config(args.config)
+        check_int("config", "seed", _setting(cfg, "seed", args.seed), 0)
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](args, cfg, out)
     except TranadError as exc:

@@ -84,7 +84,6 @@ class TimeSeries:
 
     values: np.ndarray
     stats: NormStats
-    labels: np.ndarray | None = None
 
     @property
     def T(self):
@@ -185,7 +184,7 @@ def fit_normalize(train, eps=DEFAULT_EPS):
     hi = train.values.max(axis=0)
     stats = NormStats(min=lo, max=hi, eps=eps)
     normed = (train.values - lo) / (hi - lo + eps)
-    return TimeSeries(values=normed, stats=stats, labels=train.labels), stats
+    return TimeSeries(values=normed, stats=stats), stats
 
 
 def apply_normalize(series, stats):
@@ -199,7 +198,7 @@ def apply_normalize(series, stats):
     if n_over:
         log.info("%d normalized entries fall outside [0, 1) (test range exceeds train range)",
                  n_over)
-    return TimeSeries(values=normed, stats=stats, labels=series.labels)
+    return TimeSeries(values=normed, stats=stats)
 
 
 def make_windows(series, window_size, context_cap):

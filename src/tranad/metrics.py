@@ -36,7 +36,8 @@ class EvalReport:
     ndcg_150: float = None
 
     def to_dict(self):
-        return asdict(self)
+        # an undefined AUC is NaN here and None, JSON null, in a report
+        return dict(asdict(self), auc=None if np.isnan(self.auc) else self.auc)
 
 
 def prf1(pred, truth):

@@ -18,7 +18,7 @@ window alone, so they run once and both phases cross-attend from that result.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -67,13 +67,15 @@ class ModelConfig:
 class TwoPhaseOutput:
     """Reconstructions of one two-phase pass: O1/O2/O2_hat are (B, K, m)
     Tensors training differentiates through (O2 is None and O2_hat holds the
-    decoded rows in a `decode_rows` pass); `focus` is the phase-2 focus."""
+    decoded rows in a `decode_rows` pass); `focus` is the phase-2 focus and
+    `window_attention` the (B, h, K, K) masked self-attention weights of the
+    window, which both phases share."""
 
     O1: Tensor
     O2: Tensor
     O2_hat: Tensor
     focus: Tensor
-    attention_maps: dict = field(default_factory=dict)
+    window_attention: np.ndarray
 
 
 @functools.cache
@@ -119,12 +121,12 @@ class MultiHeadAttention:
         self.wv = Linear(store, f"{prefix}.v", d_model, d_model, rng)
         self.wo = Linear(store, f"{prefix}.out", d_model, d_model, rng)
 
-    def __call__(self, Q, K, V, masked=False, want_weights=False):
+    def __call__(self, Q, K, V, masked=False):
         if masked and Q.shape[-2] != K.shape[-2]:
             raise ShapeMismatch("causal mask requires square attention")
         mask = np.triu(np.ones((Q.shape[-2], K.shape[-2]), dtype=bool), k=1) if masked else None
         out, weights = ad.attention(self.wq(Q), self.wk(K), self.wv(V), self.n_heads,
-                                    mask=mask, want_weights=want_weights)
+                                    mask=mask)
         return self.wo(out), weights
 
 
@@ -159,12 +161,12 @@ class EncoderLayer:
         self.ln2 = LayerNorm(store, f"{prefix}.ln2", d)
         self.dropout = cfg.dropout
 
-    def __call__(self, x, training, rng, want_weights=False):
-        att, weights = self.attn(x, x, x, want_weights=want_weights)
+    def __call__(self, x, training, rng):
+        att = self.attn(x, x, x)[0]
         att = ad.dropout(att, self.dropout, training, rng)
         x = self.ln1(x + att)
         ff = ad.dropout(self.ff(x), self.dropout, training, rng)
-        return self.ln2(x + ff), weights
+        return self.ln2(x + ff)
 
 
 class WindowEncoder:
@@ -181,16 +183,15 @@ class WindowEncoder:
         self.ln2 = LayerNorm(store, "window_encoder.ln2", d)
         self.dropout = cfg.dropout
 
-    def attend_self(self, I2, training, rng, want_weights=False):
-        att, self_w = self.self_attn(I2, I2, I2, masked=True, want_weights=want_weights)
+    def attend_self(self, I2, training, rng):
+        att, self_w = self.self_attn(I2, I2, I2, masked=True)
         att = ad.dropout(att, self.dropout, training, rng)
         return self.ln1(I2 + att), self_w
 
-    def __call__(self, I2_2, ctx_encoding, training, rng, want_weights=False):
-        cross, cross_w = self.cross_attn(I2_2, ctx_encoding, ctx_encoding,
-                                         want_weights=want_weights)
+    def __call__(self, I2_2, ctx_encoding, training, rng):
+        cross = self.cross_attn(I2_2, ctx_encoding, ctx_encoding)[0]
         cross = ad.dropout(cross, self.dropout, training, rng)
-        return self.ln2(I2_2 + cross), cross_w
+        return self.ln2(I2_2 + cross)
 
 
 class Decoder:
@@ -233,7 +234,7 @@ class TranAD:
         zeros = Tensor(np.zeros((B, length - K, m)))
         return ad.concat([zeros, F], axis=1)
 
-    def encode_context(self, C, F, training=False, rng=None, want_weights=False):
+    def encode_context(self, C, F, training=False, rng=None):
         """First encoder: concat the focus score onto the context,
         position-encode, and run the encoder layer."""
         if C.shape[-1] != self.config.m:
@@ -241,44 +242,39 @@ class TranAD:
                                     f"model expects {self.config.m}")
         aligned = self._align_focus(F, C.shape[1])
         x = position_encode(ad.concat([C, aligned], axis=2))
-        return self.context_encoder(x, training, rng, want_weights=want_weights)
+        return self.context_encoder(x, training, rng)
 
-    def encode_window(self, W, training=False, rng=None, want_weights=False):
+    def encode_window(self, W, training=False, rng=None):
         """Embed, position-encode and self-attend the window: the part of the
-        window encoder both phases share."""
+        window encoder both phases share.  Returns (encoding, weights)."""
         if W.shape[-1] != self.config.m:
             raise DimensionMismatch(f"window has {W.shape[-1]} dims, "
                                     f"model expects {self.config.m}")
         I2 = position_encode(self.window_embed(W))
-        return self.window_encoder.attend_self(I2, training, rng,
-                                               want_weights=want_weights)
+        return self.window_encoder.attend_self(I2, training, rng)
 
     # -- the two-phase pass ---------------------------------------------------
 
     def forward_two_phase(self, W, C, training=False, rng=None,
-                          self_condition=True, want_weights=False, decode_rows=None):
+                          self_condition=True, decode_rows=None):
         """Run both phases on a batch.
 
-        W: (B, K, m) array or Tensor; C: (B, L, m) with one shared context
-        length per call.  Returns a TwoPhaseOutput of (B, K, m) tensors.
+        W: (B, K, m) array; C: (B, L, m) array with one shared context length
+        per call.  `rng` draws the dropout masks and is required when
+        training.  Returns a TwoPhaseOutput of (B, K, m) tensors.
 
         `decode_rows`, a slice of window rows, limits phase 2's cross-attention
         and decoder 2 to those rows and skips O2.  Phase 1 and the phase-2
         context encoder run whole: the focus reads all of O1, and every
         context row is a phase-2 key and value.
         """
-        W, C = (x if isinstance(x, Tensor) else Tensor(x) for x in (W, C))
-        W, C = (x.reshape(1, *x.shape) if x.ndim == 2 else x for x in (W, C))
-        if rng is None:
-            rng = np.random.default_rng(0)
+        W, C = Tensor(W), Tensor(C)
         B, K, m = W.shape
 
         zero_focus = Tensor(np.zeros((B, K, m)))
-        ctx1, enc_w1 = self.encode_context(C, zero_focus, training, rng,
-                                           want_weights=want_weights)
-        win, self_w = self.encode_window(W, training, rng, want_weights=want_weights)
-        I23, cross_w1 = self.window_encoder(win, ctx1, training, rng,
-                                            want_weights=want_weights)
+        ctx1 = self.encode_context(C, zero_focus, training, rng)
+        win, self_w = self.encode_window(W, training, rng)
+        I23 = self.window_encoder(win, ctx1, training, rng)
         O1 = self.decoder1(I23)
         O2 = self.decoder2(I23) if decode_rows is None else None
 
@@ -286,18 +282,12 @@ class TranAD:
         focus = diff * diff
         phase2_focus = focus if self_condition else zero_focus
 
-        ctx2, enc_w2 = self.encode_context(C, phase2_focus, training, rng,
-                                           want_weights=want_weights)
+        ctx2 = self.encode_context(C, phase2_focus, training, rng)
         win2 = win if decode_rows is None else win[:, decode_rows]
-        I23_2, cross_w2 = self.window_encoder(win2, ctx2, training, rng,
-                                              want_weights=want_weights)
+        I23_2 = self.window_encoder(win2, ctx2, training, rng)
         O2_hat = self.decoder2(I23_2)
-
-        maps = {"context_phase1": enc_w1, "window_self_phase1": self_w,
-                "window_cross_phase1": cross_w1, "context_phase2": enc_w2,
-                "window_self_phase2": self_w, "window_cross_phase2": cross_w2}
         return TwoPhaseOutput(O1=O1, O2=O2, O2_hat=O2_hat, focus=phase2_focus,
-                              attention_maps=maps if want_weights else {})
+                              window_attention=self_w)
 
     # -- persistence ----------------------------------------------------------
 

@@ -140,8 +140,8 @@ def _partition(path):
 
 def partitioned_grads(model, L1, L2):
     """Gradients with decoder1 driven by L1, decoder2 by L2, and shared
-    parameters by L1 + L2, written into the store's flat gradient (zero
-    where no walk reaches).  Returns {path: array}, a copy.
+    parameters by L1 + L2, written into the store's flat gradient `grad`
+    (zero where no walk reaches).
 
     Three reverse walks over one tape order.  The shared walk starts from L1
     and L2 together: the adversarial terms +-(1-w)*d cancel exactly at d, so
@@ -156,7 +156,6 @@ def partitioned_grads(model, L1, L2):
         for p, g in ad.reverse_walk(seeds, order, masks, bit).items():
             p.grad = g
     store.has_grad[:] = True
-    return store.views(store.grad.copy())
 
 
 def _batch_losses(model, W, C, cfg, n, training, rng):
@@ -195,7 +194,7 @@ def meta_update(store, grad_fn, alpha, beta):
     """First-order meta step: inner update theta' = theta - alpha*g(theta),
     outer update theta <- theta - beta*g(theta'), approximating the gradient
     at theta by the gradient evaluated at theta'.  `grad_fn` returns
-    {path: array}."""
+    {path: array}, possibly views that its next call overwrites."""
     theta = store.flat.copy()
     np.subtract(theta, alpha * store.flatten(grad_fn()), out=store.flat)
     np.subtract(theta, beta * store.flatten(grad_fn()), out=store.flat)
@@ -211,7 +210,8 @@ def maml_step(model, batch_group, cfg, n):
     def grad_fn():
         rng = np.random.default_rng(cfg.seed + 104729)
         L1, L2 = _batch_losses(model, W, C, cfg, n, training=True, rng=rng)
-        return partitioned_grads(model, L1, L2)
+        partitioned_grads(model, L1, L2)
+        return model.params.views(model.params.grad)
 
     meta_update(model.params, grad_fn, cfg.lr, cfg.meta_lr)
 

@@ -84,12 +84,12 @@ def test_criterion_02_causality():
     W = rng.uniform(size=(1, 6, 3))
     C = rng.uniform(size=(1, 12, 3))
     F = Tensor(np.zeros((1, 6, 3)))
-    ctx, _ = model.encode_context(Tensor(C), F)
+    ctx = model.encode_context(Tensor(C), F)
 
     def encode(window):
         # the window's self-attention block, then its cross-attention
         return model.window_encoder(model.encode_window(Tensor(window))[0], ctx,
-                                    False, None)[0]
+                                    False, None)
 
     base = encode(W)
     worst = 0.0

@@ -33,7 +33,7 @@ def softmax_rows(logits):
     one width-1 query of ones per row against the logits as keys."""
     x = np.asarray(logits, dtype=float)
     _, w = ad.attention(Tensor(np.ones(x.shape[:-1] + (1, 1))), Tensor(x[..., None]),
-                        Tensor(np.zeros(x.shape + (1,))), n_heads=1, want_weights=True)
+                        Tensor(np.zeros(x.shape + (1,))), n_heads=1)
     return w[..., 0, 0, :]
 
 
@@ -98,8 +98,7 @@ class TestSoftmax:
             q[0, 2, 1] = k[1, 4, 0] = np.nan
         mask = np.triu(np.ones((7, 7), dtype=bool), k=1) if masked else None
         with ad.no_grad():
-            _, got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, mask=mask,
-                                  want_weights=True)
+            _, got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, mask=mask)
         w = ad._heads(q, 3) @ ad._heads(k, 3).swapaxes(-1, -2)
         w *= 1.0 / np.sqrt(2)
         if mask is not None:

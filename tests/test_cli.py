@@ -31,6 +31,13 @@ def write_cfg(path, cfg):
     return str(path)
 
 
+def strict_json(text):
+    """json.loads that fails on the non-standard NaN and Infinity tokens."""
+    def reject(token):
+        raise AssertionError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth -> train -> detect -> eval -> inspect, all through main()."""
@@ -123,11 +130,7 @@ class TestTrain:
         cfg = write_cfg(tmp_path / "cfg.json", {"train": {"epochs": 6, "early_stop_patience": 1}})
         assert cli.main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 0
         assert "val -" in capsys.readouterr().err
-
-        def reject(token):
-            raise AssertionError(f"non-standard JSON token {token}")
-
-        report = json.loads((out / "train_report.json").read_text(), parse_constant=reject)
+        report = strict_json((out / "train_report.json").read_text())
         epochs = report["epochs"]
         assert [e["val_score"] for e in epochs] == [None] * len(epochs)
         # without validation, early stopping tracks the mean L1
@@ -299,6 +302,11 @@ class TestBadInputs:
         ({"n_enc_layers": 1}, ["n_enc_layers"]),       # a removed model option
         ({"score_reduce": "last_row"}, ["score_reduce"]),          # removed settings
         ({"train": {"n_semantics": "epoch"}}, ["n_semantics"]),
+        ({"seed": "abc"}, ["seed"]),
+        ({"seed": None}, ["seed"]),
+        ({"seed": 1.5}, ["seed"]),
+        ({"seed": True}, ["seed"]),
+        ({"seed": -3}, ["seed"]),
     ])
     def test_bad_train_config(self, pipeline, tmp_path, capsys, cfg, names):
         _, train_dir, _, _, _ = pipeline
@@ -308,6 +316,13 @@ class TestBadInputs:
                          "--data", str(train_dir / "values.csv")])
         assert_failed(code, capsys, *names)
         assert not out.exists() or list(out.iterdir()) == []
+
+    def test_negative_seed_flag_fails_before_reading_files(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = cli.main(["train", "--seed", "-3", "--quiet", "--out", str(out),
+                         "--data", str(tmp_path / "absent.csv")])
+        assert_failed(code, capsys, "seed", "-3")
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", ["{", "[1, 2]"])
     def test_config_not_an_object(self, tmp_path, capsys, text):
@@ -420,6 +435,9 @@ class TestBadInputs:
         (set_report_cell(5, 3, "7"), ["row 6", "labels 0 or 1"]),
         (set_report_cell(5, 1, "nan"), ["row 6", "finite"]),
         (set_report_cell(5, 2, "inf"), ["row 6", "finite"]),
+        (lambda lines: lines[:2] + ["x" + ln[ln.index(","):] for ln in lines[2:]],
+         ["row 3", "t must be 0"]),
+        (lambda lines: lines[:2] + lines[:1:-1], ["row 3", "t must be 0"]),
     ])
     def test_bad_report(self, pipeline, tmp_path, capsys, mutate, names):
         _, _, test_dir, run_dir, _ = pipeline
@@ -461,6 +479,24 @@ class TestEval:
         assert cli.main(["eval", "--report", str(run_dir / "detection.csv"), "--header",
                          "--labels", str(labels), "--out", str(tmp_path)]) == 0
         assert (tmp_path / "eval.json").read_bytes() == (run_dir / "eval.json").read_bytes()
+
+    def test_undefined_auc_is_null(self, pipeline, tmp_path):
+        # all-zero labels leave the AUC and the diagnosis metrics undefined
+        _, _, _, run_dir, _ = pipeline
+        labels = tmp_path / "labels.csv"
+        labels.write_text("0,0\n" * 160)
+        assert cli.main(["eval", "--report", str(run_dir / "detection.csv"),
+                         "--labels", str(labels), "--out", str(tmp_path)]) == 0
+        result = strict_json((tmp_path / "eval.json").read_text())
+        lines = (tmp_path / "eval.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        for mode, line in zip(("raw", "point_adjusted"), lines[1:]):
+            assert result[mode]["auc"] is None and result[mode]["degenerate"] is True
+            cells = dict(zip(header, line.split(",")))
+            assert cells["mode"] == mode
+            for key, value in result[mode].items():
+                assert cells[key] == ("" if value is None else str(value))
+            assert cells["auc"] == cells["hitrate_100"] == ""
 
     def test_labels_absent_skips_metrics(self, pipeline, tmp_path, capsys):
         _, _, _, run_dir, _ = pipeline

@@ -188,7 +188,7 @@ def unfused_layer_norm(self, x):
     return Tensor(centered / np.sqrt(var + 1e-5) * self.gain.data + self.bias.data)
 
 
-def unfused_attention(self, Q, K, V, masked=False, want_weights=False):
+def unfused_attention(self, Q, K, V, masked=False):
     def split(x):
         B, L, d = x.shape
         return x.reshape(B, L, self.n_heads, d // self.n_heads).transpose((0, 2, 1, 3))
@@ -202,7 +202,7 @@ def unfused_attention(self, Q, K, V, masked=False, want_weights=False):
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
     weights = e / e.sum(axis=-1, keepdims=True)
     out = (weights @ vh).transpose((0, 2, 1, 3)).reshape(Q.shape[0], Q.shape[1], -1)
-    return self.wo(Tensor(out)), None
+    return self.wo(Tensor(out)), weights
 
 
 @pytest.mark.parametrize("m, B, L", [(3, 16, 30), (3, 1, 4), (6, 5, 12)])

@@ -72,7 +72,7 @@ class TestAttention:
         Q = Tensor(np.array([[1.0, 2.0]]))
         K = Tensor(np.array([[0.3, -0.1]]))
         V = Tensor(np.array([[5.0, 6.0]]))
-        out, w = ad.attention(Q, K, V, n_heads=1, want_weights=True)
+        out, w = ad.attention(Q, K, V, n_heads=1)
         np.testing.assert_allclose(w[0], [[1.0]])      # the one head
         np.testing.assert_allclose(out.data, [[5.0, 6.0]])
 
@@ -86,8 +86,7 @@ class TestAttention:
     def test_hand_two_by_two(self):
         eye = np.eye(2)
         # one head of width 2: the logits are scaled by sqrt(2)
-        out, w = ad.attention(Tensor(eye), Tensor(eye), Tensor(eye), n_heads=1,
-                              want_weights=True)
+        out, w = ad.attention(Tensor(eye), Tensor(eye), Tensor(eye), n_heads=1)
         logits = eye @ eye.T / math.sqrt(2.0)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected_w = e / e.sum(axis=1, keepdims=True)
@@ -104,8 +103,7 @@ class TestMultiHead:
     def test_masked_first_row_degenerate(self):
         model = small_model()
         x = Tensor(np.random.default_rng(2).normal(size=(1, 4, 4)))
-        _, w = model.window_encoder.self_attn(x, x, x, masked=True,
-                                              want_weights=True)
+        _, w = model.window_encoder.self_attn(x, x, x, masked=True)
         # row 0 can only see position 0
         np.testing.assert_allclose(w[0, :, 0, 0], np.ones(model.config.n_heads))
         np.testing.assert_allclose(w[0, :, 0, 1:], 0.0, atol=1e-300)
@@ -129,7 +127,7 @@ class TestEncoders:
         model = small_model(m=3, K=4, cap=10)
         C = Tensor(np.random.default_rng(0).uniform(size=(2, 7, 3)))
         F = Tensor(np.zeros((2, 4, 3)))
-        out, _ = model.encode_context(C, F)
+        out = model.encode_context(C, F)
         assert out.shape == (2, 7, model.config.d_model)
 
     def test_focus_changes_encoding(self):
@@ -137,8 +135,8 @@ class TestEncoders:
         C = Tensor(np.random.default_rng(1).uniform(size=(1, 6, 2)))
         zero = Tensor(np.zeros((1, 4, 2)))
         hot = Tensor(np.full((1, 4, 2), 0.5))
-        a, _ = model.encode_context(C, zero)
-        b, _ = model.encode_context(C, hot)
+        a = model.encode_context(C, zero)
+        b = model.encode_context(C, hot)
         assert np.abs(a.data - b.data).max() > 1e-8
 
     def test_context_dim_mismatch(self):
@@ -150,9 +148,9 @@ class TestEncoders:
     def test_window_encoding_shape(self):
         model = small_model(m=2, K=4)
         W, C = random_inputs(model)
-        ctx, _ = model.encode_context(Tensor(C), Tensor(np.zeros((1, 4, 2))))
+        ctx = model.encode_context(Tensor(C), Tensor(np.zeros((1, 4, 2))))
         win, _ = model.encode_window(Tensor(W))
-        out, _ = model.window_encoder(win, ctx, False, None)
+        out = model.window_encoder(win, ctx, False, None)
         assert out.shape == (1, 4, model.config.d_model)
 
 
@@ -201,19 +199,21 @@ class TestTwoPhase:
             out = model.forward_two_phase(W, C)
             assert out.O1.shape == out.O2.shape == out.O2_hat.shape == (2, 5, 3)
 
-    def test_attention_maps_row_stochastic(self):
-        model = small_model()
-        W, C = random_inputs(model)
-        out = model.forward_two_phase(W, C, want_weights=True)
-        for name, w in out.attention_maps.items():
-            np.testing.assert_allclose(w.sum(axis=-1), np.ones(w.shape[:-1]),
-                                       atol=1e-9, err_msg=name)
-
-    def test_phases_share_window_self_attention(self):
+    def test_window_attention_row_stochastic(self):
         model = small_model()
         W, C = random_inputs(model, B=2)
-        maps = model.forward_two_phase(W, C, want_weights=True).attention_maps
-        assert maps["window_self_phase2"] is maps["window_self_phase1"]
+        for decode_rows in (None, slice(-1, None)):
+            w = model.forward_two_phase(W, C, decode_rows=decode_rows).window_attention
+            assert w.shape == (2, model.config.n_heads, 4, 4)
+            np.testing.assert_allclose(w.sum(axis=-1), np.ones(w.shape[:-1]), atol=1e-12)
+
+    def test_window_attention_is_encode_window_weights(self):
+        # both phases cross-attend from one window self-attention, whose
+        # weights the pass returns as they are
+        model = small_model()
+        W, C = random_inputs(model, B=2)
+        _, expected = model.encode_window(Tensor(W))
+        np.testing.assert_array_equal(model.forward_two_phase(W, C).window_attention, expected)
 
     def test_gradient_reaches_every_parameter(self):
         model = small_model(seed=3)
