@@ -6,15 +6,14 @@ node's cotangent to one cotangent per parent.  A single reverse walk
 (:func:`reverse_walk`) owns accumulation: it visits the nodes of
 :func:`tape_order` from the last to the first, stores a parent's first
 contribution as is and releases each node's cotangent once the node is
-processed.  ``backward()`` on a scalar runs one walk and accumulates into the
-leaves' ``.grad`` until explicitly zeroed, so calling it twice doubles them.
+processed.  ``backward()`` on a scalar runs one walk and returns the
+gradients as values, {leaf: array}; no tensor stores a gradient.
 
 Network layers are single nodes with hand-derived backward rules:
 :func:`linear`, :func:`layer_norm` and multi-head :func:`attention`.
 
 Also hosts the parameter store, which lays every weight and gradient out in
-flat buffers, the AdamW optimizer with a step-based learning-rate
-scheduler, and the binary checkpoint format.
+flat buffers, the AdamW optimizer, and the binary checkpoint format.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ import math
 
 import numpy as np
 
-from .errors import CorruptCheckpoint, MissingGradient, ShapeMismatch
+from .errors import CorruptCheckpoint, ShapeMismatch
 
 DEFAULT_DTYPE = np.float64
 MASK_LOGIT = -1e9
@@ -62,19 +61,19 @@ class Tensor:
     """An array on the tape.  An op node's `_backward(g, need)` returns one
     cotangent per parent, None where `need` is false."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad=False, dtype=None):
         self.data = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
-        self.grad, self._parents, self._backward = None, (), None
+        self._parents, self._backward = (), None
 
     # -- construction helpers -------------------------------------------------
 
     @staticmethod
     def _result(data, parents, backward_fn):
         out = Tensor.__new__(Tensor)
-        out.data, out.grad = data, None
+        out.data = data
         out.requires_grad = _GRAD_ENABLED and any(p.requires_grad for p in parents)
         out._parents, out._backward = ((tuple(parents), backward_fn) if out.requires_grad
                                        else ((), None))
@@ -83,16 +82,14 @@ class Tensor:
     shape = property(lambda self: self.data.shape)
     ndim = property(lambda self: self.data.ndim)
 
-    def zero_grad(self):
-        self.grad = None
-
     def backward(self):
+        """{leaf: gradient of this scalar} for every leaf it reaches."""
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         seeds = [(self, np.ones_like(self.data))]
-        for leaf, g in reverse_walk(seeds, tape_order([self], {})[0]).items():
-            # a cotangent may be shared between parents; each .grad is its own
-            leaf.grad = g.copy() if leaf.grad is None else leaf.grad + g
+        # a cotangent may be shared between parents; each gradient is its own
+        return {leaf: g.copy() for leaf, g in
+                reverse_walk(seeds, tape_order([self], {})[0]).items()}
 
     # -- elementwise arithmetic ----------------------------------------------
 
@@ -391,38 +388,20 @@ def _cut(shapes):
     return [(k, lo, hi, tuple(shape)) for (k, shape), lo, hi in zip(shapes, bounds, bounds[1:])]
 
 
-class Parameter(Tensor):
-    """A trainable leaf whose data and gradient are views into the flat
-    buffers of its :class:`ParamStore`; `grad` reads None until it is set."""
-
-    __slots__ = ("_store", "_index")
-
-    @property
-    def grad(self):
-        store = self._store
-        return store._grad_views[self._index] if store.has_grad[self._index] else None
-
-    @grad.setter
-    def grad(self, value):
-        store = self._store
-        if value is not None:
-            np.copyto(store._grad_views[self._index], value)
-        store.has_grad[self._index] = value is not None
-
-
 class ParamStore:
-    """Named map from parameter path to trainable Tensor.
+    """Named map from parameter path to trainable leaf Tensor.
 
     The weights lie in one contiguous float64 buffer, `flat`, in path-sorted
-    order, and each parameter's `.data` is a view into it; the gradients lie
-    the same way in `grad`, with `has_grad` flagging the ones that are set.
-    Loading writes into the views and never rebinds them.  The buffers are
-    laid out on first use after the last `add`."""
+    order, and each parameter's `.data` is a view into it.  The gradients lie
+    the same way in `grad`, the only place a gradient is stored, and
+    `grad_slice` maps each parameter to its view into `grad`.  Loading writes
+    into the views and never rebinds them.  The buffers are laid out on first
+    use after the last `add`."""
 
-    _LAID_OUT = ("flat", "grad", "has_grad", "_grad_views", "_layout", "_tags")
+    _LAID_OUT = ("flat", "grad", "grad_slice", "_layout", "_tags")
 
     def __init__(self):
-        self._params: dict[str, Parameter] = {}
+        self._params: dict[str, Tensor] = {}
 
     def __getattr__(self, name):
         if name not in ParamStore._LAID_OUT:
@@ -433,9 +412,10 @@ class ParamStore:
     def add(self, path, data):
         if path in self._params:
             raise ValueError(f"duplicate parameter path {path!r}")
-        p = Parameter.__new__(Parameter)
+        # built directly, so a model built inside no_grad still trains
+        p = Tensor.__new__(Tensor)
         p.data = np.asarray(data, dtype=DEFAULT_DTYPE)
-        p.requires_grad, p._parents, p._backward, p._store = True, (), None, self
+        p.requires_grad, p._parents, p._backward = True, (), None
         self._params[path] = p
         for name in ParamStore._LAID_OUT:
             self.__dict__.pop(name, None)
@@ -443,15 +423,15 @@ class ParamStore:
 
     def _lay_out(self):
         """Copy the weights into new flat buffers in path order and point
-        each parameter at its slice.  Gradients are cleared."""
+        each parameter at its slice.  Gradients are zeroed."""
         items = self.items()
         self._layout = _cut([(k, p.data.shape) for k, p in items])
         self.flat = np.concatenate([p.data.ravel() for _, p in items] + [np.empty(0)])
         self.grad = np.zeros_like(self.flat)
-        self.has_grad = np.zeros(len(items), dtype=bool)
-        self._grad_views = list(self.views(self.grad).values())
-        for i, (view, (_, p)) in enumerate(zip(self.views(self.flat).values(), items)):
-            p.data, p._index = view, i
+        for view, (_, p) in zip(self.views(self.flat).values(), items):
+            p.data = view
+        self.grad_slice = {p: view for (_, p), view in
+                           zip(items, self.views(self.grad).values())}
         self._tags = {}
 
     def __getitem__(self, path):
@@ -460,21 +440,9 @@ class ParamStore:
     def items(self):
         return sorted(self._params.items())
 
-    def paths(self):
-        return sorted(self._params)
-
     def views(self, flat):
         """{path: array}: views into a buffer laid out like `flat`."""
         return {k: flat[lo:hi].reshape(shape) for k, lo, hi, shape in self._layout}
-
-    def flatten(self, arrays):
-        """One buffer holding {path: array} in this store's layout; raises
-        ShapeMismatch unless the paths and shapes are the parameters'."""
-        bad = sorted(set(arrays) ^ set(self._params)) or [
-            k for k, *_, shape in self._layout if np.shape(arrays[k]) != shape]
-        if bad:
-            raise ShapeMismatch(f"arrays differ from the parameters at {', '.join(bad)}")
-        return np.concatenate([np.ravel(arrays[k]) for k, *_ in self._layout] + [np.empty(0)])
 
     def tags(self, group):
         """{id(parameter): group(path)}, built once per `group` function."""
@@ -482,43 +450,35 @@ class ParamStore:
             self._tags[group] = {id(p): group(k) for k, p in self._params.items()}
         return self._tags[group]
 
-    def zero_grads(self):
-        self.has_grad[:] = False
-
     def snapshot(self):
         return self.views(self.flat.copy())
 
     def load(self, arrays):
-        self.flat[:] = self.flatten(arrays)
-
-    def grads(self):
-        return {k: (None if v.grad is None else v.grad.copy())
-                for k, v in self._params.items()}
+        """Write {path: array} into the weights; raises ShapeMismatch unless
+        the paths and shapes are the parameters'."""
+        bad = sorted(set(arrays) ^ set(self._params)) or [
+            k for k, *_, shape in self._layout if np.shape(arrays[k]) != shape]
+        if bad:
+            raise ShapeMismatch(f"arrays differ from the parameters at {', '.join(bad)}")
+        self.flat[:] = np.concatenate([np.ravel(arrays[k]) for k, *_ in self._layout]
+                                      + [np.empty(0)])
 
 
 class AdamW:
-    """Adam with decoupled weight decay and a step-interval halving scheduler.
+    """Adam with decoupled weight decay, stepping on the store's `grad`.
 
     Moments are flat buffers laid out like the store's weights, and a step
     is one in-place pass over them: per element the same operations, in the
     same order, as an update parameter by parameter."""
 
-    def __init__(self, store, lr=0.01, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=1e-5, scheduler_decay=0.5, scheduler_interval=None):
+    def __init__(self, store, lr=0.01, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-5):
         self.store, self.lr, self.eps = store, lr, eps
         self.beta1, self.beta2 = betas
-        self.weight_decay, self.scheduler_decay = weight_decay, scheduler_decay
-        self.scheduler_interval, self.step_count = scheduler_interval, 0
+        self.weight_decay, self.step_count = weight_decay, 0
         self.m, self.v, self._a, self._b = (np.zeros_like(store.flat) for _ in range(4))
-
-    def zero_grad(self):
-        self.store.zero_grads()
 
     def step(self):
         store = self.store
-        if not store.has_grad.all():
-            raise MissingGradient(f"parameter {store.paths()[np.argmin(store.has_grad)]!r} "
-                                  f"has no gradient")
         self.step_count += 1
         t = self.step_count
         w, g, m, v, a, b = store.flat, store.grad, self.m, self.v, self._a, self._b
@@ -531,8 +491,6 @@ class AdamW:
         np.sqrt(np.divide(v, 1 - self.beta2 ** t, out=b), out=b)              # sqrt(v-hat)
         b += self.eps
         w -= np.divide(a, b, out=a)
-        if self.scheduler_interval and self.step_count % self.scheduler_interval == 0:
-            self.lr *= self.scheduler_decay
 
 
 # -- checkpoint io ------------------------------------------------------------

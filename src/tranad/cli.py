@@ -81,8 +81,12 @@ class _OutputTracker:
 
     def write_binary(self, path, writer):
         tmp = str(path) + ".tmp"
-        writer(tmp)
-        os.replace(tmp, path)
+        try:
+            writer(tmp)
+            os.replace(tmp, path)
+        except BaseException:
+            pathlib.Path(tmp).unlink(missing_ok=True)
+            raise
         self.written.append(str(path))
 
     def cleanup(self):
@@ -192,12 +196,13 @@ def cmd_detect(args, cfg, out):
     thresholds = pot.fit_thresholds(train_scores, pot_cfg)
     records = detection.detect_stream(model, test_ts, thresholds)
 
-    lines = ["# threshold_model " + json.dumps(thresholds.to_dict(), sort_keys=True),
-             ",".join(_report_columns(model.config.m))]
-    for rec in records:
-        lines.append(",".join([str(rec.timestamp)] + [FLOAT_FMT % s for s in rec.scores]
-                              + [str(int(v)) for v in rec.labels] + [str(rec.label)]))
-    out.write_text(os.path.join(args.out, "detection.csv"), "\n".join(lines) + "\n")
+    # every cell is a float >= 0, and %.17g prints the integral ones as integers
+    table = np.column_stack([[rec.timestamp for rec in records], [rec.scores for rec in records],
+                             [rec.labels for rec in records], [rec.label for rec in records]])
+    head = ["# threshold_model " + json.dumps(thresholds.to_dict(), sort_keys=True),
+            ",".join(_report_columns(model.config.m))]
+    out.write_text(os.path.join(args.out, "detection.csv"),
+                   "\n".join(head) + "\n" + _matrix_csv(table))
     return 0
 
 
@@ -292,31 +297,34 @@ def cmd_inspect(args, cfg, out):
         f"with m={model.config.m} entries",
         "t," + ",".join(f"f_{d + 1}" for d in range(model.config.m)),
     ]
+    att_rows, focus_rows = [], []
     with ad.no_grad():
         for W, C, rows in dataset.batch_groups(batch, detection.SCORE_CHUNK):
             res = model.forward_two_phase(W, C, decode_rows=detection.LAST_ROW)
-            weights = res.window_attention  # (B, h, K, K)
-            focus = res.focus.data
-            for b, t in enumerate(range(rows.start, rows.stop)):
-                for h in range(weights.shape[1]):
-                    att_lines.append(f"{t},{h}," + ",".join(
-                        FLOAT_FMT % w for w in weights[b, h, -1]))
-                focus_lines.append(f"{t}," + ",".join(
-                    FLOAT_FMT % v for v in focus[b, -1]))
-    out.write_text(os.path.join(args.out, "attention.csv"), "\n".join(att_lines) + "\n")
-    out.write_text(os.path.join(args.out, "focus.csv"), "\n".join(focus_lines) + "\n")
+            t = np.arange(rows.start, rows.stop)
+            B, h = res.window_attention.shape[:2]   # weights (B, h, K, K)
+            att_rows.append(np.column_stack([np.repeat(t, h), np.tile(np.arange(h), B),
+                                             res.window_attention[:, :, -1].reshape(B * h, K)]))
+            focus_rows.append(np.column_stack([t, res.focus.data[:, -1]]))
+    out.write_text(os.path.join(args.out, "attention.csv"),
+                   "\n".join(att_lines) + "\n" + _matrix_csv(np.concatenate(att_rows)))
+    out.write_text(os.path.join(args.out, "focus.csv"),
+                   "\n".join(focus_lines) + "\n" + _matrix_csv(np.concatenate(focus_rows)))
     return 0
 
 
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(p):
+def _add_common(p, seed=False, header=True):
+    """The flags of every command, plus --seed and --header where it reads them."""
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None)
+    if seed:
+        p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--header", action="store_true",
-                   help="input CSVs carry a header row")
+    if header:
+        p.add_argument("--header", action="store_true",
+                       help="input CSVs carry a header row")
     p.add_argument("--quiet", action="store_true")
 
 
@@ -327,10 +335,10 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic series")
-    _add_common(p)
+    _add_common(p, seed=True, header=False)
 
     p = sub.add_parser("train", help="train a model on a values CSV")
-    _add_common(p)
+    _add_common(p, seed=True)
     p.add_argument("--data", required=True, help="training values CSV")
     p.add_argument("--no-self-condition", action="store_true")
     p.add_argument("--no-adversarial", action="store_true")
@@ -371,7 +379,7 @@ def main(argv=None):
     out = _OutputTracker()
     try:
         cfg = _load_config(args.config)
-        check_int("config", "seed", _setting(cfg, "seed", args.seed), 0)
+        check_int("config", "seed", _setting(cfg, "seed", getattr(args, "seed", None)), 0)
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](args, cfg, out)
     except TranadError as exc:

@@ -39,10 +39,6 @@ class OddWidth(TranadError):
     pass
 
 
-class MissingGradient(TranadError):
-    pass
-
-
 class NonFiniteLoss(TranadError):
     def __init__(self, message, epoch=None, batch=None):
         super().__init__(message)

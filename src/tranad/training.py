@@ -154,8 +154,7 @@ def partitioned_grads(model, L1, L2):
     for bit, seeds in ((SHARED, [(L1, one), (L2, one)]), (D1, [(L1, one)]),
                        (D2, [(L2, one)])):
         for p, g in ad.reverse_walk(seeds, order, masks, bit).items():
-            p.grad = g
-    store.has_grad[:] = True
+            np.copyto(store.grad_slice[p], g)
 
 
 def _batch_losses(model, W, C, cfg, n, training, rng):
@@ -183,7 +182,6 @@ def train_epoch(model, groups, cfg, opt, epoch, rng):
                 epoch=epoch, batch=b)
         partitioned_grads(model, L1, L2)
         opt.step()
-        opt.zero_grad()
         l1_sum += v1 * W.shape[0]
         l2_sum += v2 * W.shape[0]
         count += W.shape[0]
@@ -193,11 +191,12 @@ def train_epoch(model, groups, cfg, opt, epoch, rng):
 def meta_update(store, grad_fn, alpha, beta):
     """First-order meta step: inner update theta' = theta - alpha*g(theta),
     outer update theta <- theta - beta*g(theta'), approximating the gradient
-    at theta by the gradient evaluated at theta'.  `grad_fn` returns
-    {path: array}, possibly views that its next call overwrites."""
+    at theta by the gradient evaluated at theta'.  `grad_fn` returns the
+    gradient laid out like `store.flat`, possibly a buffer that its next call
+    overwrites."""
     theta = store.flat.copy()
-    np.subtract(theta, alpha * store.flatten(grad_fn()), out=store.flat)
-    np.subtract(theta, beta * store.flatten(grad_fn()), out=store.flat)
+    np.subtract(theta, alpha * grad_fn(), out=store.flat)
+    np.subtract(theta, beta * grad_fn(), out=store.flat)
 
 
 def maml_step(model, batch_group, cfg, n):
@@ -211,7 +210,7 @@ def maml_step(model, batch_group, cfg, n):
         rng = np.random.default_rng(cfg.seed + 104729)
         L1, L2 = _batch_losses(model, W, C, cfg, n, training=True, rng=rng)
         partitioned_grads(model, L1, L2)
-        return model.params.views(model.params.grad)
+        return model.params.grad
 
     meta_update(model.params, grad_fn, cfg.lr, cfg.meta_lr)
 
@@ -236,9 +235,7 @@ def fit(model, train_batch, val_batch, cfg, progress=True):
     if len(train_batch) == 0:
         raise ValueError("training batch is empty")
     groups = batch_groups(train_batch, cfg.batch_size)
-    opt = AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay,
-                scheduler_decay=cfg.lr_decay,
-                scheduler_interval=len(groups) * cfg.lr_decay_every_epochs)
+    opt = AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     report = TrainReport()
     rng = np.random.default_rng(cfg.seed)
     meta_rng = np.random.default_rng(cfg.seed + 1)
@@ -250,6 +247,8 @@ def fit(model, train_batch, val_batch, cfg, progress=True):
         # training and the meta step weight the loss at n = epoch, validation
         # at n = epoch + 1
         mean_l1, mean_l2 = train_epoch(model, groups, cfg, opt, epoch, rng)
+        if epoch % cfg.lr_decay_every_epochs == 0:
+            opt.lr *= cfg.lr_decay
         if cfg.use_maml:
             maml_step(model, groups[meta_rng.integers(len(groups))], cfg, epoch)
         val = validation_score(model, val_batch, cfg, epoch + 1)

@@ -38,20 +38,15 @@ def test_criterion_01_gradient_suite():
         return training.loss_combined(phase1, adv, n=1, eps=cfg.epsilon)
 
     L1, L2 = losses()
-    model.params.zero_grads()
-    L1.backward()
-    g1 = model.params.grads()
-    model.params.zero_grads()
-    L2.backward()
-    g2 = model.params.grads()
+    g1, g2 = L1.backward(), L2.backward()
 
     h = 1e-5
     worst = 0.0
     n_checked = 0
     for path, p in model.params.items():
         flat = p.data.ravel()
-        a1 = g1[path].ravel()
-        a2 = g2[path].ravel()
+        a1 = g1[p].ravel()
+        a2 = g2[p].ravel()
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + h
@@ -135,7 +130,7 @@ def test_criterion_03_loss_schedule():
 def test_criterion_04_maml_oracle():
     store = ParamStore()
     store.add("theta", np.array([1.0]))
-    training.meta_update(store, lambda: {"theta": store["theta"].data.copy()},
+    training.meta_update(store, lambda: store["theta"].data.copy(),
                          alpha=0.01, beta=0.02)
     theta = float(store["theta"].data[0])
     err = abs(theta - 0.9802)

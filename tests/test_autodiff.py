@@ -8,7 +8,7 @@ import pytest
 
 from tranad import autodiff as ad
 from tranad.autodiff import AdamW, ParamStore, Tensor
-from tranad.errors import CorruptCheckpoint, MissingGradient, ShapeMismatch
+from tranad.errors import CorruptCheckpoint, ShapeMismatch
 
 
 def finite_difference(f, x, h=1e-5):
@@ -59,9 +59,9 @@ class TestMatmul:
     def test_gradients(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
         b = Tensor(np.array([[5.0], [6.0]]), requires_grad=True)
-        ad.linear(a, b, Tensor(np.zeros(1))).sum().backward()
-        np.testing.assert_allclose(a.grad, [[5.0, 6.0], [5.0, 6.0]])
-        np.testing.assert_allclose(b.grad, [[4.0], [6.0]])
+        grads = ad.linear(a, b, Tensor(np.zeros(1))).sum().backward()
+        np.testing.assert_allclose(grads[a], [[5.0, 6.0], [5.0, 6.0]])
+        np.testing.assert_allclose(grads[b], [[4.0], [6.0]])
 
 
 class TestSoftmax:
@@ -155,9 +155,9 @@ class TestElementwise:
                    for i in range(3))
         mask = np.array([[False, True], [False, False]])
         out, _ = ad.attention(q, k, v, n_heads=1, mask=mask)
-        out[0].sum().backward()
-        np.testing.assert_array_equal(k.grad[1], [0.0])
-        np.testing.assert_array_equal(v.grad, [[1.0], [0.0]])
+        grads = out[0].sum().backward()
+        np.testing.assert_array_equal(grads[k][1], [0.0])
+        np.testing.assert_array_equal(grads[v], [[1.0], [0.0]])
 
 
 def check_node_gradients(fn, arrays, seed=0):
@@ -166,13 +166,13 @@ def check_node_gradients(fn, arrays, seed=0):
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = fn(*tensors)
     R = np.random.default_rng(seed).normal(size=out.shape)
-    (out * Tensor(R)).sum().backward()
+    grads = (out * Tensor(R)).sum().backward()
     for i, t in enumerate(tensors):
         def f(x, i=i):
             args = [Tensor(x if j == i else a) for j, a in enumerate(arrays)]
             return float((fn(*args).data * R).sum())
         fd = finite_difference(f, arrays[i].copy())
-        np.testing.assert_allclose(t.grad, fd, rtol=1e-6, atol=1e-9, err_msg=f"input {i}")
+        np.testing.assert_allclose(grads[t], fd, rtol=1e-6, atol=1e-9, err_msg=f"input {i}")
 
 
 class TestFusedNodes:
@@ -233,13 +233,11 @@ def test_attention_backward_matches_explicit_row_term(n_heads, masked):
 class TestBackward:
     def test_sum_gradient(self):
         x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        x.sum().backward()
-        np.testing.assert_array_equal(x.grad, [1.0, 1.0, 1.0])
+        np.testing.assert_array_equal(x.sum().backward()[x], [1.0, 1.0, 1.0])
 
     def test_square_gradient(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        (x * x).sum().backward()
-        np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+        np.testing.assert_array_equal((x * x).sum().backward()[x], [2.0, 4.0])
 
     def test_composed_graph_vs_finite_difference(self):
         rng = np.random.default_rng(7)
@@ -257,18 +255,22 @@ class TestBackward:
             return float(graph(Tensor(arr)).data)
 
         x = Tensor(x0.copy(), requires_grad=True)
-        loss = graph(x)
-        loss.backward()
+        grads = graph(x).backward()
         fd = finite_difference(f, x0.copy())
-        np.testing.assert_allclose(x.grad, fd, rtol=1e-4, atol=1e-8)
+        np.testing.assert_allclose(grads[x], fd, rtol=1e-4, atol=1e-8)
 
-    def test_accumulation_is_exactly_double(self):
+    def test_gradients_are_values_not_tensor_state(self):
         x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-        loss = (x * x).sum()
-        loss.backward()
-        once = x.grad.copy()
-        loss.backward()
-        np.testing.assert_array_equal(x.grad, 2.0 * once)
+        h = x * x
+        loss = h.sum()
+        first, second = loss.backward(), loss.backward()
+        assert list(first) == list(second) == [x]
+        np.testing.assert_array_equal(first[x], second[x])
+        assert not np.shares_memory(first[x], second[x])
+        for t in (x, h, loss):
+            assert not hasattr(t, "grad") and not hasattr(t, "__dict__")
+        with pytest.raises(AttributeError):
+            x.grad = first[x]     # a stale write fails instead of detaching
 
     def test_sequential_backward_on_shared_graph(self):
         # two losses sharing intermediates must not contaminate each other
@@ -276,11 +278,8 @@ class TestBackward:
         h = x * x
         l1 = h.sum()
         l2 = (h * h).sum()
-        l1.backward()
-        g1 = x.grad.copy()
-        x.zero_grad()
-        l2.backward()
-        g2 = x.grad.copy()
+        g1 = l1.backward()[x]
+        g2 = l2.backward()[x]
         np.testing.assert_allclose(g1, [2.0, 4.0])
         np.testing.assert_allclose(g2, [4.0, 32.0])   # d/dx x^4 = 4x^3
 
@@ -288,9 +287,9 @@ class TestBackward:
         # the add node hands one cotangent to both parents
         x = Tensor(np.ones(2), requires_grad=True)
         y = Tensor(np.ones(2), requires_grad=True)
-        (x + y).sum().backward()
-        x.grad *= 3.0
-        np.testing.assert_array_equal(y.grad, [1.0, 1.0])
+        grads = (x + y).sum().backward()
+        grads[x] *= 3.0
+        np.testing.assert_array_equal(grads[y], [1.0, 1.0])
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -324,6 +323,14 @@ class TestParamStore:
         np.testing.assert_array_equal(store.flat, [1, 1, 1, 1, 0, 1, 2])
         assert all(np.shares_memory(p.data, store.flat) for _, p in store.items())
 
+    def test_built_inside_no_grad_still_trains(self):
+        store = ParamStore()
+        with ad.no_grad():
+            p = store.add("a", np.ones(2))
+        assert p.requires_grad
+        # each parameter's gradient slice is its part of the one flat buffer
+        assert np.shares_memory(store.grad_slice[p], store.grad)
+
 
 class TestAdamW:
     def _store(self, value=1.0):
@@ -334,30 +341,16 @@ class TestAdamW:
     def test_zero_grad_zero_decay_is_noop(self):
         store = self._store()
         opt = AdamW(store, lr=0.01, weight_decay=0.0)
-        store["theta"].grad = np.zeros(1)
+        store.grad[:] = 0.0
         opt.step()
         np.testing.assert_array_equal(store["theta"].data, [1.0])
 
     def test_quadratic_descends(self):
         store = self._store()
         opt = AdamW(store, lr=0.01, weight_decay=0.0)
-        store["theta"].grad = store["theta"].data.copy()   # grad of 0.5 theta^2
+        store.grad[:] = store.flat   # grad of 0.5 theta^2
         opt.step()
         assert store["theta"].data[0] < 1.0
-
-    def test_scheduler_halves_lr(self):
-        store = self._store()
-        opt = AdamW(store, lr=0.01, weight_decay=0.0, scheduler_interval=3)
-        for _ in range(3):
-            store["theta"].grad = np.zeros(1)
-            opt.step()
-        assert opt.lr == pytest.approx(0.005)
-
-    def test_missing_gradient(self):
-        store = self._store()
-        opt = AdamW(store)
-        with pytest.raises(MissingGradient):
-            opt.step()
 
 
 def edit_header(edit):

@@ -7,6 +7,7 @@ import pytest
 
 from tranad import cli
 from tranad.errors import ConfigMismatch
+from tranad.model import TranAD
 
 SYNTH_TRAIN = {
     "synth": {"T": 160, "m": 2, "seed": 21, "noise_sigma": 0.2},
@@ -113,6 +114,23 @@ class TestTrain:
         assert cli.main(["train", "--data", str(tmp_path / "absent.csv"),
                          "--out", str(out), "--quiet"]) == 1
         assert not (out / "checkpoint.bin").exists()
+
+    def test_failed_write_leaves_no_partial_output(self, pipeline, tmp_path, capsys,
+                                                   monkeypatch):
+        _, train_dir, _, _, cfg = pipeline
+
+        def disk_full(self, path, extra=None):
+            with open(path, "wb") as f:
+                f.write(b"TRUNC")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(TranAD, "save", disk_full)
+        out = tmp_path / "out"
+        code = cli.main(["train", "--config", cfg, "--quiet",
+                         "--data", str(train_dir / "values.csv"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("io error:") and "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     def test_ablation_flags_accepted(self, pipeline, tmp_path):
         root, train_dir, _, _, cfg = pipeline
@@ -316,6 +334,22 @@ class TestBadInputs:
                          "--data", str(train_dir / "values.csv")])
         assert_failed(code, capsys, *names)
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv", [
+        ["detect", "--seed", "3", "--data", "a.csv", "--test", "b.csv",
+         "--checkpoint", "c.bin", "--stats", "s.json"],
+        ["eval", "--seed", "3", "--report", "r.csv"],
+        ["inspect", "--seed", "3", "--checkpoint", "c.bin", "--stats", "s.json",
+         "--data", "a.csv"],
+        ["synth", "--header"],
+    ])
+    def test_flag_a_command_does_not_read_is_a_usage_error(self, tmp_path, capsys, argv):
+        # --seed only where a seed is drawn from, --header only where a CSV is read
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_negative_seed_flag_fails_before_reading_files(self, tmp_path, capsys):
         out = tmp_path / "out"

@@ -93,26 +93,22 @@ def assert_routing_matches_fresh_graphs(cfg):
     L1, L2 = training._batch_losses(model, W, C, cfg, n=1, training=False,
                                     rng=None)
     training.partitioned_grads(model, L1, L2)
-    routed = model.params.grads()
+    routed = model.params.views(model.params.grad)
 
     # oracle: evaluate each loss on its own fresh graph
     L1f, _ = training._batch_losses(model, W, C, cfg, n=1, training=False,
                                     rng=None)
-    model.params.zero_grads()
-    L1f.backward()
-    g1 = model.params.grads()
+    g1 = L1f.backward()
     _, L2f = training._batch_losses(model, W, C, cfg, n=1, training=False,
                                     rng=None)
-    model.params.zero_grads()
-    L2f.backward()
-    g2 = model.params.grads()
-    for path in model.params.paths():
+    g2 = L2f.backward()
+    for path, p in model.params.items():
         if path.startswith("decoder1."):
-            expected = g1[path]
+            expected = g1[p]
         elif path.startswith("decoder2."):
-            expected = g2[path]
+            expected = g2[p]
         else:
-            expected = g1[path] + g2[path]
+            expected = g1[p] + g2[p]
         np.testing.assert_allclose(routed[path], expected, atol=1e-12,
                                    err_msg=path)
 
@@ -165,7 +161,7 @@ class TestMeta:
         store.add("theta", np.array([1.0]))
 
         def grad_fn():
-            return {"theta": store["theta"].data.copy()}   # grad of 0.5 theta^2
+            return store["theta"].data.copy()   # grad of 0.5 theta^2
 
         training.meta_update(store, grad_fn, alpha=0.01, beta=0.02)
         assert store["theta"].data[0] == pytest.approx(0.9802, abs=1e-12)
@@ -286,6 +282,13 @@ class TestFit:
             training.fit(model, train_b, val_b, cfg, progress=False)
         assert exc.value.epoch == 1
 
+    def test_lr_decays_every_second_epoch(self):
+        model, train_b, val_b = tiny_setup()
+        cfg = training.TrainConfig(epochs=3, batch_size=16, seed=0, lr=0.01,
+                                   lr_decay_every_epochs=2)
+        report = training.fit(model, train_b, val_b, cfg, progress=False)
+        assert [r.lr for r in report.epochs] == [0.01, 0.005, 0.005]
+
     def test_report_serialization_drops_timing(self):
         model, train_b, val_b = tiny_setup()
         cfg = training.TrainConfig(epochs=1, batch_size=16, seed=0)
@@ -300,39 +303,33 @@ class TestFit:
 class DictAdamW:
     """AdamW with {path: array} moments, updating one parameter at a time."""
 
-    def __init__(self, store, lr=0.01, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=1e-5, scheduler_decay=0.5, scheduler_interval=None):
+    def __init__(self, store, lr=0.01, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-5):
         self.store, self.lr, self.eps = store, lr, eps
         self.beta1, self.beta2 = betas
-        self.weight_decay, self.scheduler_decay = weight_decay, scheduler_decay
-        self.scheduler_interval = scheduler_interval
+        self.weight_decay = weight_decay
         self.step_count = 0
         self.m = {k: np.zeros_like(p.data) for k, p in store.items()}
         self.v = {k: np.zeros_like(p.data) for k, p in store.items()}
 
-    def zero_grad(self):
-        self.store.zero_grads()
-
     def step(self):
         self.step_count += 1
         t = self.step_count
+        grads = self.store.views(self.store.grad)
         for k, p in self.store.items():
-            g = p.grad
+            g = grads[k]
             p.data -= self.lr * self.weight_decay * p.data
             self.m[k] = self.beta1 * self.m[k] + (1 - self.beta1) * g
             self.v[k] = self.beta2 * self.v[k] + (1 - self.beta2) * g * g
             mhat = self.m[k] / (1 - self.beta1 ** t)
             vhat = self.v[k] / (1 - self.beta2 ** t)
             p.data -= self.lr * mhat / (np.sqrt(vhat) + self.eps)
-        if self.scheduler_interval and self.step_count % self.scheduler_interval == 0:
-            self.lr *= self.scheduler_decay
 
 
 def dict_meta_update(store, grad_fn, alpha, beta):
     theta = store.snapshot()
-    g = grad_fn()
+    g = store.views(grad_fn())
     store.load({k: theta[k] - alpha * g[k] for k in theta})
-    g_adapted = grad_fn()
+    g_adapted = store.views(grad_fn())
     store.load({k: theta[k] - beta * g_adapted[k] for k in theta})
 
 
@@ -346,7 +343,7 @@ class TestFlatBuffers:
         model, train_b, val_b = tiny_setup(T=120)
         cfg = training.TrainConfig(epochs=2, batch_size=16, seed=0)
         report = training.fit(model, train_b, val_b, cfg, progress=False)
-        assert report.epochs[-1].lr < cfg.lr      # the scheduler has fired
+        assert report.epochs[-1].lr < cfg.lr      # the learning rate has decayed
         assert_params_view_flat(model.params)
         snap = model.params.snapshot()
         return b"".join(snap[k].tobytes() for k in sorted(snap))
@@ -373,7 +370,7 @@ class TestFlatBuffers:
         model.params.grad[:] = 7.0                           # left by an earlier step
         training.partitioned_grads(model, *training._batch_losses(
             model, W, C, training.TrainConfig(seed=0), 1, False, None))
-        grads = model.params.grads()
+        grads = model.params.views(model.params.grad)
         # the decoders' cotangents into the window encoding sum to exactly
         # zero, so the shared walk stops there
         shared = [k for k in grads if not k.startswith("decoder")]
