@@ -269,11 +269,12 @@ def concat(tensors, axis):
     return Tensor._result(data, tuple(tensors), backward_fn)
 
 
-def dropout(x, p, training, rng):
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p)."""
+def dropout(x, p, rng):
+    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
+    With rng None (validation and scoring) x passes through unchanged."""
     if not 0.0 <= p < 1.0:
         raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not training or p == 0.0:
+    if rng is None or p == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
     return Tensor._result(x.data * mask, (x,), lambda g, need: (g * mask,))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import pathlib
@@ -37,6 +38,8 @@ def derive_seed(seed, tag):
 # init_seed, which come from the data and the run seed.
 SETTINGS = {"seed": 0, "eps": dataset.DEFAULT_EPS, "split_ratio": 0.8,
             "synth": {}, "train": {}, "pot": {}}
+# the sections whose keys are checked on load, whichever command reads them
+SECTIONS = {"train": training.TrainConfig, "pot": pot.PotConfig}
 MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig)
                    if f.name not in ("m", "init_seed"))
 
@@ -57,6 +60,8 @@ def _load_config(path):
     for key, default in SETTINGS.items():
         if isinstance(default, dict) and not isinstance(cfg.get(key, default), dict):
             raise ConfigMismatch(f"config section {key!r} must be a JSON object")
+    for key, cls in SECTIONS.items():
+        check_fields(cls, _setting(cfg, key), key)
     check_real("config", "eps", _setting(cfg, "eps"), lambda v: v > 0, "> 0")
     check_real("config", "split_ratio", _setting(cfg, "split_ratio"),
                lambda v: 0 < v <= 1, "in (0, 1]")
@@ -124,20 +129,10 @@ def _model_config_from(cfg, m, seed):
     return ModelConfig(m=m, init_seed=derive_seed(seed, "model-init"), **fields)
 
 
-def _train_config_from(cfg, args, seed):
-    fields = check_fields(training.TrainConfig, dict(_setting(cfg, "train")), "train")
-    fields["seed"] = derive_seed(seed, "training")
-    for flag, key in (("no_self_condition", "use_self_condition"),
-                      ("no_adversarial", "use_adversarial"),
-                      ("no_maml", "use_maml")):
-        if getattr(args, flag, False):
-            fields[key] = False
-    return training.TrainConfig(**fields)
-
-
 def cmd_train(args, cfg, out):
     seed = _setting(cfg, "seed", args.seed)
-    train_cfg = _train_config_from(cfg, args, seed)
+    train_cfg = training.TrainConfig(**dict(_setting(cfg, "train"),
+                                            seed=derive_seed(seed, "training")))
     raw = dataset.load_csv(args.data, has_header=args.header)
     normalized, stats = dataset.fit_normalize(raw, eps=_setting(cfg, "eps"))
     model_cfg = _model_config_from(cfg, raw.m, seed)
@@ -191,7 +186,7 @@ def _load_for_scoring(args, *paths):
 
 def cmd_detect(args, cfg, out):
     model, train_ts, test_ts = _load_for_scoring(args, args.data, args.test)
-    pot_cfg = pot.PotConfig(**check_fields(pot.PotConfig, dict(_setting(cfg, "pot")), "pot"))
+    pot_cfg = pot.PotConfig(**_setting(cfg, "pot"))
     train_scores = detection.score_series(model, train_ts)
     thresholds = pot.fit_thresholds(train_scores, pot_cfg)
     records = detection.detect_stream(model, test_ts, thresholds)
@@ -213,11 +208,10 @@ def _report_columns(m):
 
 def read_detection_report(path):
     """Parse a detection.csv back into (threshold_model, scores, dim_labels,
-    agg_labels).  Raises ParseError on a missing or undecodable header or a
-    row that is short, not numeric, out of time order (`t` must run 0, 1, ...),
-    or holds a non-finite score or a non-0/1 label."""
-    with open(path) as f:
-        lines = [ln.rstrip("\n") for ln in f]
+    agg_labels).  Raises ParseError on a byte that is not UTF-8, a missing or
+    undecodable header, or a row that is short, not numeric, out of time order
+    (`t` must run 0, 1, ...), or holds a non-finite score or a non-0/1 label."""
+    lines = [ln.rstrip("\n") for ln in io.StringIO(dataset.read_text(path), newline=None)]
     head = lines[0].split(" ", 2) if lines else []
     if head[:2] != ["#", "threshold_model"] or len(head) < 3:
         raise ParseError(f"{path}: the first line is not a '# threshold_model' header",
@@ -340,9 +334,6 @@ def build_parser():
     p = sub.add_parser("train", help="train a model on a values CSV")
     _add_common(p, seed=True)
     p.add_argument("--data", required=True, help="training values CSV")
-    p.add_argument("--no-self-condition", action="store_true")
-    p.add_argument("--no-adversarial", action="store_true")
-    p.add_argument("--no-maml", action="store_true")
 
     p = sub.add_parser("detect", help="score a test series against a checkpoint")
     _add_common(p)

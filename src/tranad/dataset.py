@@ -7,6 +7,7 @@ mutable state, so concurrent calls on distinct inputs are safe.
 from __future__ import annotations
 
 import csv
+import io
 import logging
 import math
 from dataclasses import asdict, dataclass, field
@@ -145,11 +146,23 @@ def load_labels(path, has_header=False):
     return labels.astype(np.int8)
 
 
+def read_text(path):
+    """A file's text, decoded as UTF-8; a ParseError naming the file and the
+    line (from 1, also its `row`) of the first byte that is not UTF-8."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path} line {line} is not UTF-8 text", row=line) from None
+
+
 def _read_numeric_csv(path, has_header):
     rows = []
     width = None
-    with open(path, newline="") as f:
-        reader = csv.reader(f)
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
         for i, row in enumerate(reader):
             if i == 0 and has_header:
                 continue
@@ -168,6 +181,8 @@ def _read_numeric_csv(path, has_header):
                     except ValueError:
                         raise ParseError(f"non-numeric cell {cell!r} at row {i}, col {j}",
                                          row=i, col=j) from None
+    except csv.Error as exc:   # a field over csv.field_size_limit()
+        raise ParseError(f"{path} line {reader.line_num}: {exc}", row=reader.line_num) from None
     if not rows:
         raise ParseError(f"no data rows in {path}")
     return np.asarray(rows, dtype=np.float64)

@@ -35,10 +35,6 @@ class OverlapError(TranadError):
     pass
 
 
-class OddWidth(TranadError):
-    pass
-
-
 class NonFiniteLoss(TranadError):
     def __init__(self, message, epoch=None, batch=None):
         super().__init__(message)
@@ -47,10 +43,6 @@ class NonFiniteLoss(TranadError):
 
 
 class EmptyInput(TranadError):
-    pass
-
-
-class TooFewExcesses(TranadError):
     pass
 
 

@@ -24,30 +24,25 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ParamStore
-from .errors import (CorruptCheckpoint, DimensionMismatch, InvalidConfig, OddWidth,
-                     ShapeMismatch, check_fields, check_int, check_real)
+from .errors import CorruptCheckpoint, DimensionMismatch, check_fields, check_int, check_real
+
+FF_HIDDEN = 64    # hidden width of the encoder's and decoders' feed-forward blocks
 
 
 @dataclass
 class ModelConfig:
+    """Each attention block has m heads, one per data dimension, of width 2."""
+
     m: int
     window_size: int = 10
     context_cap: int = 100
-    n_heads: int = None        # defaults to m
-    ff_hidden: int = 64
     dropout: float = 0.1
     init_seed: int = 0
 
     def __post_init__(self):
-        if self.n_heads is None:
-            self.n_heads = self.m
-        for name, low in (("m", 1), ("window_size", 1), ("n_heads", 1), ("ff_hidden", 1),
-                          ("init_seed", 0)):
+        for name, low in (("m", 1), ("window_size", 1), ("init_seed", 0)):
             check_int("model", name, getattr(self, name), low)
         check_int("model", "context_cap", self.context_cap, self.window_size)
-        if self.d_model % self.n_heads != 0:
-            raise InvalidConfig(
-                f"model n_heads={self.n_heads} does not divide d_model={self.d_model} (2m)")
         check_real("model", "dropout", self.dropout, lambda p: 0 <= p < 1, "in [0, 1)")
 
     @property
@@ -83,8 +78,6 @@ def position_encoding(length, width):
     """Sinusoidal position table: PE[p, 2i] = sin(p / 10000^(2i/d)),
     PE[p, 2i+1] = cos of the same argument.  Built once per shape and
     returned read-only, since every caller shares it."""
-    if width % 2 != 0:
-        raise OddWidth(f"position encoding needs an even width, got {width}")
     pos = np.arange(length)[:, None].astype(np.float64)
     i = np.arange(0, width, 2).astype(np.float64)
     angle = pos / np.power(10000.0, i / width)
@@ -122,8 +115,6 @@ class MultiHeadAttention:
         self.wo = Linear(store, f"{prefix}.out", d_model, d_model, rng)
 
     def __call__(self, Q, K, V, masked=False):
-        if masked and Q.shape[-2] != K.shape[-2]:
-            raise ShapeMismatch("causal mask requires square attention")
         mask = np.triu(np.ones((Q.shape[-2], K.shape[-2]), dtype=bool), k=1) if masked else None
         out, weights = ad.attention(self.wq(Q), self.wk(K), self.wv(V), self.n_heads,
                                     mask=mask)
@@ -155,17 +146,17 @@ class EncoderLayer:
 
     def __init__(self, store, prefix, cfg, rng):
         d = cfg.d_model
-        self.attn = MultiHeadAttention(store, f"{prefix}.attn", d, cfg.n_heads, rng)
+        self.attn = MultiHeadAttention(store, f"{prefix}.attn", d, cfg.m, rng)
         self.ln1 = LayerNorm(store, f"{prefix}.ln1", d)
-        self.ff = FeedForward(store, f"{prefix}.ff", d, cfg.ff_hidden, d, rng)
+        self.ff = FeedForward(store, f"{prefix}.ff", d, FF_HIDDEN, d, rng)
         self.ln2 = LayerNorm(store, f"{prefix}.ln2", d)
         self.dropout = cfg.dropout
 
-    def __call__(self, x, training, rng):
+    def __call__(self, x, rng):
         att = self.attn(x, x, x)[0]
-        att = ad.dropout(att, self.dropout, training, rng)
+        att = ad.dropout(att, self.dropout, rng)
         x = self.ln1(x + att)
-        ff = ad.dropout(self.ff(x), self.dropout, training, rng)
+        ff = ad.dropout(self.ff(x), self.dropout, rng)
         return self.ln2(x + ff)
 
 
@@ -175,22 +166,20 @@ class WindowEncoder:
 
     def __init__(self, store, cfg, rng):
         d = cfg.d_model
-        self.self_attn = MultiHeadAttention(store, "window_encoder.self_attn",
-                                            d, cfg.n_heads, rng)
+        self.self_attn = MultiHeadAttention(store, "window_encoder.self_attn", d, cfg.m, rng)
         self.ln1 = LayerNorm(store, "window_encoder.ln1", d)
-        self.cross_attn = MultiHeadAttention(store, "window_encoder.cross_attn",
-                                             d, cfg.n_heads, rng)
+        self.cross_attn = MultiHeadAttention(store, "window_encoder.cross_attn", d, cfg.m, rng)
         self.ln2 = LayerNorm(store, "window_encoder.ln2", d)
         self.dropout = cfg.dropout
 
-    def attend_self(self, I2, training, rng):
+    def attend_self(self, I2, rng):
         att, self_w = self.self_attn(I2, I2, I2, masked=True)
-        att = ad.dropout(att, self.dropout, training, rng)
+        att = ad.dropout(att, self.dropout, rng)
         return self.ln1(I2 + att), self_w
 
-    def __call__(self, I2_2, ctx_encoding, training, rng):
+    def __call__(self, I2_2, ctx_encoding, rng):
         cross = self.cross_attn(I2_2, ctx_encoding, ctx_encoding)[0]
-        cross = ad.dropout(cross, self.dropout, training, rng)
+        cross = ad.dropout(cross, self.dropout, rng)
         return self.ln2(I2_2 + cross)
 
 
@@ -198,8 +187,7 @@ class Decoder:
     """Position-wise feed-forward d_model -> hidden -> m, then sigmoid."""
 
     def __init__(self, store, prefix, cfg, rng):
-        self.ff = FeedForward(store, f"{prefix}.ff", cfg.d_model, cfg.ff_hidden,
-                              cfg.m, rng)
+        self.ff = FeedForward(store, f"{prefix}.ff", cfg.d_model, FF_HIDDEN, cfg.m, rng)
 
     def __call__(self, x):
         return self.ff(x).sigmoid()
@@ -234,7 +222,7 @@ class TranAD:
         zeros = Tensor(np.zeros((B, length - K, m)))
         return ad.concat([zeros, F], axis=1)
 
-    def encode_context(self, C, F, training=False, rng=None):
+    def encode_context(self, C, F, rng=None):
         """First encoder: concat the focus score onto the context,
         position-encode, and run the encoder layer."""
         if C.shape[-1] != self.config.m:
@@ -242,26 +230,26 @@ class TranAD:
                                     f"model expects {self.config.m}")
         aligned = self._align_focus(F, C.shape[1])
         x = position_encode(ad.concat([C, aligned], axis=2))
-        return self.context_encoder(x, training, rng)
+        return self.context_encoder(x, rng)
 
-    def encode_window(self, W, training=False, rng=None):
+    def encode_window(self, W, rng=None):
         """Embed, position-encode and self-attend the window: the part of the
         window encoder both phases share.  Returns (encoding, weights)."""
         if W.shape[-1] != self.config.m:
             raise DimensionMismatch(f"window has {W.shape[-1]} dims, "
                                     f"model expects {self.config.m}")
         I2 = position_encode(self.window_embed(W))
-        return self.window_encoder.attend_self(I2, training, rng)
+        return self.window_encoder.attend_self(I2, rng)
 
     # -- the two-phase pass ---------------------------------------------------
 
-    def forward_two_phase(self, W, C, training=False, rng=None,
-                          self_condition=True, decode_rows=None):
+    def forward_two_phase(self, W, C, rng=None, self_condition=True, decode_rows=None):
         """Run both phases on a batch.
 
         W: (B, K, m) array; C: (B, L, m) array with one shared context length
-        per call.  `rng` draws the dropout masks and is required when
-        training.  Returns a TwoPhaseOutput of (B, K, m) tensors.
+        per call.  `rng` draws the dropout masks; with rng None no dropout
+        runs, as in validation and scoring.  Returns a TwoPhaseOutput of
+        (B, K, m) tensors.
 
         `decode_rows`, a slice of window rows, limits phase 2's cross-attention
         and decoder 2 to those rows and skips O2.  Phase 1 and the phase-2
@@ -272,9 +260,9 @@ class TranAD:
         B, K, m = W.shape
 
         zero_focus = Tensor(np.zeros((B, K, m)))
-        ctx1 = self.encode_context(C, zero_focus, training, rng)
-        win, self_w = self.encode_window(W, training, rng)
-        I23 = self.window_encoder(win, ctx1, training, rng)
+        ctx1 = self.encode_context(C, zero_focus, rng)
+        win, self_w = self.encode_window(W, rng)
+        I23 = self.window_encoder(win, ctx1, rng)
         O1 = self.decoder1(I23)
         O2 = self.decoder2(I23) if decode_rows is None else None
 
@@ -282,9 +270,9 @@ class TranAD:
         focus = diff * diff
         phase2_focus = focus if self_condition else zero_focus
 
-        ctx2 = self.encode_context(C, phase2_focus, training, rng)
+        ctx2 = self.encode_context(C, phase2_focus, rng)
         win2 = win if decode_rows is None else win[:, decode_rows]
-        I23_2 = self.window_encoder(win2, ctx2, training, rng)
+        I23_2 = self.window_encoder(win2, ctx2, rng)
         O2_hat = self.decoder2(I23_2)
         return TwoPhaseOutput(O1=O1, O2=O2, O2_hat=O2_hat, focus=phase2_focus,
                               window_attention=self_w)

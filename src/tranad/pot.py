@@ -1,8 +1,8 @@
 """Peaks-over-threshold threshold selection via Generalized Pareto fitting.
 
-The initial threshold is an empirical high quantile of the anomaly scores;
-excesses over it are fitted with a GPD by maximum likelihood (Grimshaw's
-one-dimensional reduction, with a method-of-moments fallback), and the final
+The initial threshold is an empirical high quantile of the anomaly scores; at
+least MIN_EXCESSES excesses over it are fitted with a GPD by maximum likelihood
+(Grimshaw's reduction, with a method-of-moments fallback), and the final
 threshold is the value-at-risk extrapolation at risk level q.
 """
 
@@ -14,17 +14,17 @@ from dataclasses import dataclass, asdict
 import numpy as np
 from scipy import optimize
 
-from .errors import EmptyInput, InvalidConfig, TooFewExcesses, check_int, check_real
+from .errors import EmptyInput, InvalidConfig, check_real
+
+MIN_EXCESSES = 10    # the fewest excesses a GPD is fitted to
 
 
 @dataclass
 class PotConfig:
     risk: float = 1e-4            # q: target probability of exceeding z_q
     low_quantile: float = 1e-3    # fraction of scores above the initial threshold
-    min_excesses: int = 10
 
     def __post_init__(self):
-        check_int("pot", "min_excesses", self.min_excesses, 1)
         for name in ("risk", "low_quantile"):
             check_real("pot", name, getattr(self, name), lambda v: 0 < v < 1, "in (0, 1)")
         if not self.risk < self.low_quantile:
@@ -151,13 +151,10 @@ def _grimshaw_candidates(y, n_points=10, eps=1e-8):
     return cands
 
 
-def fit_gpd(excesses, min_excesses=10):
+def fit_gpd(excesses):
     """Maximum-likelihood GPD fit of positive excesses.  Returns
     (gamma, sigma, method)."""
     y = np.asarray(excesses, dtype=np.float64)
-    if y.size < min_excesses:
-        raise TooFewExcesses(
-            f"{y.size} excesses, need at least {min_excesses}")
     if np.any(y <= 0):
         raise ValueError("excesses must be strictly positive")
     try:
@@ -190,7 +187,8 @@ def final_threshold(u, gamma, sigma, n, n_excesses, q):
 
 
 def pot_threshold(scores, cfg):
-    """Full POT pipeline for one dimension's training scores."""
+    """Full POT pipeline for one dimension's training scores.  A tail of fewer
+    than MIN_EXCESSES excesses is not fitted: its threshold tops the largest score."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise EmptyInput("empty score vector")
@@ -204,12 +202,12 @@ def pot_threshold(scores, cfg):
                             threshold=z, method="constant")
     u = initial_threshold(scores, cfg.low_quantile)
     excesses = scores[scores > u] - u
-    if excesses.size < cfg.min_excesses:
+    if excesses.size < MIN_EXCESSES:
         z = smax * (1 + 1e-6) if smax > 0 else smax + 1e-6
         return DimThreshold(initial_threshold=u, gamma=0.0, sigma=0.0,
                             n_excesses=int(excesses.size), n_samples=n,
                             threshold=max(z, u), method="max_fallback")
-    gamma, sigma, method = fit_gpd(excesses, cfg.min_excesses)
+    gamma, sigma, method = fit_gpd(excesses)
     z = final_threshold(u, gamma, sigma, n, excesses.size, cfg.risk)
     return DimThreshold(initial_threshold=u, gamma=gamma, sigma=sigma,
                         n_excesses=int(excesses.size), n_samples=n,

@@ -19,6 +19,8 @@ from .autodiff import AdamW, Tensor
 from .dataset import batch_groups
 from .errors import InvalidConfig, NonFiniteLoss, ShapeMismatch, check_int, check_real
 
+LR_DECAY = 0.5    # `fit` halves the learning rate every lr_decay_every_epochs epochs
+
 
 @dataclass
 class TrainConfig:
@@ -33,7 +35,6 @@ class TrainConfig:
     use_maml: bool = True
     early_stop_patience: int = 3
     weight_decay: float = 1e-5
-    lr_decay: float = 0.5
     lr_decay_every_epochs: int = 1
 
     def __post_init__(self):
@@ -44,7 +45,6 @@ class TrainConfig:
             check_real("train", name, getattr(self, name), lambda v: v >= 0, ">= 0")
         check_real("train", "epsilon", self.epsilon, lambda v: v > 1,
                    "> 1 so the schedule decays")
-        check_real("train", "lr_decay", self.lr_decay, lambda v: v > 0, "> 0")
         for name in ("use_self_condition", "use_adversarial", "use_maml"):
             if not isinstance(getattr(self, name), bool):
                 raise InvalidConfig(f"train {name} must be true or false")
@@ -99,10 +99,7 @@ def loss_adversarial(O2_hat, W):
 
 
 def _mean_norm(diff):
-    norms = ad.frobenius_norm(diff)
-    if norms.ndim == 0:
-        return norms
-    return norms.mean()
+    return ad.frobenius_norm(diff).mean()
 
 
 def schedule_weight(n, eps):
@@ -157,9 +154,8 @@ def partitioned_grads(model, L1, L2):
             np.copyto(store.grad_slice[p], g)
 
 
-def _batch_losses(model, W, C, cfg, n, training, rng):
-    out = model.forward_two_phase(W, C, training=training, rng=rng,
-                                  self_condition=cfg.use_self_condition)
+def _batch_losses(model, W, C, cfg, n, rng):
+    out = model.forward_two_phase(W, C, rng=rng, self_condition=cfg.use_self_condition)
     Wt = Tensor(W)
     phase1 = loss_phase1(out.O1, out.O2, Wt)
     adv = loss_adversarial(out.O2_hat, Wt)
@@ -174,7 +170,7 @@ def train_epoch(model, groups, cfg, opt, epoch, rng):
     Returns (mean L1, mean L2)."""
     l1_sum, l2_sum, count = 0.0, 0.0, 0
     for b, (W, C, _) in enumerate(groups):
-        L1, L2 = _batch_losses(model, W, C, cfg, epoch, training=True, rng=rng)
+        L1, L2 = _batch_losses(model, W, C, cfg, epoch, rng)
         v1, v2 = float(L1.data), float(L2.data)
         if not (np.isfinite(v1) and np.isfinite(v2)):
             raise NonFiniteLoss(
@@ -208,7 +204,7 @@ def maml_step(model, batch_group, cfg, n):
 
     def grad_fn():
         rng = np.random.default_rng(cfg.seed + 104729)
-        L1, L2 = _batch_losses(model, W, C, cfg, n, training=True, rng=rng)
+        L1, L2 = _batch_losses(model, W, C, cfg, n, rng)
         partitioned_grads(model, L1, L2)
         return model.params.grad
 
@@ -223,7 +219,7 @@ def validation_score(model, val_batch, cfg, n):
     total, count = 0.0, 0
     with ad.no_grad():
         for W, C, _ in batch_groups(val_batch, cfg.batch_size):
-            L1, L2 = _batch_losses(model, W, C, cfg, n, training=False, rng=None)
+            L1, L2 = _batch_losses(model, W, C, cfg, n, rng=None)
             total += 0.5 * (float(L1.data) + float(L2.data)) * W.shape[0]
             count += W.shape[0]
     return total / count
@@ -248,9 +244,8 @@ def fit(model, train_batch, val_batch, cfg, progress=True):
         # at n = epoch + 1
         mean_l1, mean_l2 = train_epoch(model, groups, cfg, opt, epoch, rng)
         if epoch % cfg.lr_decay_every_epochs == 0:
-            opt.lr *= cfg.lr_decay
-        if cfg.use_maml:
-            maml_step(model, groups[meta_rng.integers(len(groups))], cfg, epoch)
+            opt.lr *= LR_DECAY
+        maml_step(model, groups[meta_rng.integers(len(groups))], cfg, epoch)
         val = validation_score(model, val_batch, cfg, epoch + 1)
         secs = time.perf_counter() - t0
         report.epochs.append(EpochRecord(epoch=epoch, mean_l1=mean_l1,

@@ -31,7 +31,7 @@ def test_criterion_01_gradient_suite():
     cfg = training.TrainConfig(seed=0)
 
     def losses():
-        out = model.forward_two_phase(W, C, training=False)
+        out = model.forward_two_phase(W, C)
         Wt = Tensor(W)
         phase1 = training.loss_phase1(out.O1, out.O2, Wt)
         adv = training.loss_adversarial(out.O2_hat, Wt)
@@ -83,8 +83,7 @@ def test_criterion_02_causality():
 
     def encode(window):
         # the window's self-attention block, then its cross-attention
-        return model.window_encoder(model.encode_window(Tensor(window))[0], ctx,
-                                    False, None)
+        return model.window_encoder(model.encode_window(Tensor(window))[0], ctx, None)
 
     base = encode(W)
     worst = 0.0

@@ -134,19 +134,19 @@ class TestElementwise:
 
     def test_dropout_inference_identity(self):
         x = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
-        out = ad.dropout(x, 0.5, training=False, rng=None)
+        out = ad.dropout(x, 0.5, rng=None)
         assert out is x
 
     def test_dropout_training_mask(self):
         x = Tensor(np.ones((100, 100)))
-        out = ad.dropout(x, 0.25, training=True, rng=np.random.default_rng(1))
+        out = ad.dropout(x, 0.25, rng=np.random.default_rng(1))
         vals = np.unique(out.data)
         np.testing.assert_allclose(sorted(vals), [0.0, 1 / 0.75])
 
     def test_dropout_deterministic_masks(self):
         x = Tensor(np.ones((8, 8)))
-        a = ad.dropout(x, 0.3, True, np.random.default_rng(42)).data
-        b = ad.dropout(x, 0.3, True, np.random.default_rng(42)).data
+        a = ad.dropout(x, 0.3, np.random.default_rng(42)).data
+        b = ad.dropout(x, 0.3, np.random.default_rng(42)).data
         np.testing.assert_array_equal(a, b)
 
     def test_masked_fill_blocks_gradient(self):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tranad import cli
-from tranad.errors import ConfigMismatch
+from tranad.errors import ConfigMismatch, ParseError
 from tranad.model import TranAD
 
 SYNTH_TRAIN = {
@@ -132,14 +132,24 @@ class TestTrain:
         assert code == 1 and err.startswith("io error:") and "Traceback" not in err
         assert list(out.iterdir()) == []
 
-    def test_ablation_flags_accepted(self, pipeline, tmp_path):
-        root, train_dir, _, _, cfg = pipeline
-        out = tmp_path / "ablate"
-        assert cli.main(["train", "--config", cfg, "--seed", "5", "--quiet",
-                         "--no-maml", "--no-adversarial", "--no-self-condition",
-                         "--data", str(train_dir / "values.csv"),
-                         "--out", str(out)]) == 0
-        assert (out / "checkpoint.bin").exists()
+    def test_ablation_settings_take_effect(self, pipeline, tmp_path, capsys):
+        # an ablation is a `train` setting, recorded in the checkpoint; the
+        # flags that once restated the settings are usage errors
+        _, train_dir, _, run_dir, _ = pipeline
+        full = (run_dir / "checkpoint.bin").read_bytes().split(b"\n", 1)[1]
+        for key, flag in (("use_self_condition", "--no-self-condition"),
+                          ("use_adversarial", "--no-adversarial"), ("use_maml", "--no-maml")):
+            out = tmp_path / key
+            argv = ["train", "--seed", "5", "--quiet", "--data", str(train_dir / "values.csv"),
+                    "--out", str(out)]
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv + [flag])
+            assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+            cfg = dict(RUN_CFG, train=dict(RUN_CFG["train"], **{key: False}))
+            assert cli.main(argv + ["--config", write_cfg(tmp_path / f"{key}.json", cfg)]) == 0
+            header, payload = (out / "checkpoint.bin").read_bytes().split(b"\n", 1)
+            assert json.loads(header)["extra"]["train_config"][key] is False
+            assert payload != full, key
 
     def test_empty_validation_writes_null(self, tmp_path, capsys):
         # two rows give two windows, and split_ratio 0.8 trains on both
@@ -233,7 +243,7 @@ class TestBadInputs:
         code = cli.main(["train", "--config", cfg, "--quiet", "--out", str(out),
                          "--data", str(train_dir / "values.csv")])
         assert_failed(code, capsys, "bogus")
-        assert list(out.iterdir()) == []
+        assert not out.exists()    # the config is checked before anything is made
 
     def test_unknown_pot_key(self, pipeline, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.json", dict(RUN_CFG, pot={"bogus": 1}))
@@ -263,6 +273,20 @@ class TestBadInputs:
         old.write_bytes(json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
         code = cli.main(detect_argv(pipeline, tmp_path, checkpoint=old))
         assert_failed(code, capsys, "d_model", "focus_target", "scale_mode")
+        assert not (tmp_path / "detection.csv").exists()
+
+    def test_checkpoint_with_fixed_settings(self, pipeline, tmp_path, capsys):
+        # a checkpoint written while the head count, hidden width and lr decay
+        # were settings: retrain
+        _, _, _, run_dir, _ = pipeline
+        header, payload = (run_dir / "checkpoint.bin").read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        meta["extra"]["model_config"].update(n_heads=2, ff_hidden=64)
+        meta["extra"]["train_config"]["lr_decay"] = 0.5
+        old = tmp_path / "old.bin"
+        old.write_bytes(json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
+        code = cli.main(detect_argv(pipeline, tmp_path, checkpoint=old))
+        assert_failed(code, capsys, "model_config", "ff_hidden", "n_heads")
         assert not (tmp_path / "detection.csv").exists()
 
     def test_truncated_checkpoint(self, pipeline, tmp_path, capsys):
@@ -308,7 +332,12 @@ class TestBadInputs:
 
 
     @pytest.mark.parametrize("cfg, names", [
-        ({"n_heads": 3}, ["n_heads"]),                 # 3 does not divide 2m = 4
+        # removed settings, unknown keys now: the heads number m, the hidden
+        # width is 64, the lr halves, and a GPD needs 10 excesses
+        ({"n_heads": 3}, ["unknown config keys", "n_heads"]),
+        ({"ff_hidden": 32}, ["unknown config keys", "ff_hidden"]),
+        ({"train": {"lr_decay": 0.1}}, ["unknown train keys", "lr_decay"]),
+        ({"pot": {"min_excesses": 5}}, ["unknown pot keys", "min_excesses"]),
         ({"dropout": 1.5}, ["dropout"]),
         ({"window_size": 4, "context_cap": 2}, ["context_cap"]),
         ({"train": {"epsilon": 1.0}}, ["epsilon"]),
@@ -334,6 +363,17 @@ class TestBadInputs:
                          "--data", str(train_dir / "values.csv")])
         assert_failed(code, capsys, *names)
         assert not out.exists() or list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("data, names", [
+        (b"0.1,0.2\n\xff\xfe,0.3\n", ["bad.csv line 2", "not UTF-8"]),
+        (b"0.1,0.2\n" + b"1" * 200_000 + b",0.3\n", ["bad.csv line 2", "field larger"]),
+    ], ids=["not-utf8", "oversized-field"])
+    def test_unreadable_csv(self, tmp_path, capsys, data, names):
+        bad, out = tmp_path / "bad.csv", tmp_path / "out"
+        bad.write_bytes(data)
+        code = cli.main(["train", "--quiet", "--data", str(bad), "--out", str(out)])
+        assert_failed(code, capsys, *names)
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
         ["detect", "--seed", "3", "--data", "a.csv", "--test", "b.csv",
@@ -482,6 +522,33 @@ class TestBadInputs:
         code = cli.main(["eval", "--report", str(report), "--out", str(out),
                          "--labels", str(test_dir / "labels.csv")])
         assert_failed(code, capsys, *names)
+        assert list(out.iterdir()) == []
+
+    def test_report_not_utf8(self, pipeline, tmp_path, capsys):
+        _, _, _, run_dir, _ = pipeline
+        lines = (run_dir / "detection.csv").read_bytes().split(b"\n")
+        report, out = tmp_path / "detection.csv", tmp_path / "out"
+        report.write_bytes(b"\n".join(lines[:2] + [b"\xff" + lines[2]] + lines[3:]))
+        with pytest.raises(ParseError) as exc:
+            cli.read_detection_report(report)
+        assert exc.value.row == 3
+        code = cli.main(["eval", "--report", str(report), "--out", str(out)])
+        assert_failed(code, capsys, "detection.csv line 3", "not UTF-8")
+        assert list(out.iterdir()) == []
+
+    def test_report_with_fixed_setting(self, pipeline, tmp_path, capsys):
+        # a report written while POT's fewest excesses was a setting: rerun detect
+        _, _, _, run_dir, _ = pipeline
+        lines = (run_dir / "detection.csv").read_text().splitlines(keepends=True)
+        head = json.loads(lines[0].split(" ", 2)[2])
+        head["config"]["min_excesses"] = 10
+        report, out = tmp_path / "detection.csv", tmp_path / "out"
+        report.write_text("# threshold_model " + json.dumps(head) + "\n" + "".join(lines[1:]))
+        with pytest.raises(ParseError, match="min_excesses") as exc:
+            cli.read_detection_report(report)
+        assert exc.value.row == 1
+        code = cli.main(["eval", "--report", str(report), "--out", str(out)])
+        assert_failed(code, capsys, "undecodable", "min_excesses")
         assert list(out.iterdir()) == []
 
 

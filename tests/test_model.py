@@ -9,7 +9,7 @@ import pytest
 from tranad import autodiff as ad
 from tranad import training
 from tranad.autodiff import Tensor
-from tranad.errors import DimensionMismatch, OddWidth, ShapeMismatch, TranadError
+from tranad.errors import DimensionMismatch, ShapeMismatch, TranadError
 from tranad.model import (
     ModelConfig,
     TranAD,
@@ -44,10 +44,6 @@ class TestPositionEncoding:
     def test_closed_form(self):
         pe = position_encoding(2, 128)
         assert pe[1, 0] == pytest.approx(math.sin(1.0), rel=1e-12)
-
-    def test_odd_width_rejected(self):
-        with pytest.raises(OddWidth):
-            position_encoding(4, 5)
 
     def test_cached_table_read_only_and_closed_form(self):
         pe = position_encoding(7, 6)
@@ -105,7 +101,7 @@ class TestMultiHead:
         x = Tensor(np.random.default_rng(2).normal(size=(1, 4, 4)))
         _, w = model.window_encoder.self_attn(x, x, x, masked=True)
         # row 0 can only see position 0
-        np.testing.assert_allclose(w[0, :, 0, 0], np.ones(model.config.n_heads))
+        np.testing.assert_allclose(w[0, :, 0, 0], np.ones(model.config.m))
         np.testing.assert_allclose(w[0, :, 0, 1:], 0.0, atol=1e-300)
 
     def test_causality_under_perturbation(self):
@@ -150,7 +146,7 @@ class TestEncoders:
         W, C = random_inputs(model)
         ctx = model.encode_context(Tensor(C), Tensor(np.zeros((1, 4, 2))))
         win, _ = model.encode_window(Tensor(W))
-        out = model.window_encoder(win, ctx, False, None)
+        out = model.window_encoder(win, ctx, None)
         assert out.shape == (1, 4, model.config.d_model)
 
 
@@ -186,10 +182,8 @@ class TestTwoPhase:
     def test_deterministic(self):
         model = small_model(dropout=0.1)
         W, C = random_inputs(model)
-        a = model.forward_two_phase(W, C, training=True,
-                                    rng=np.random.default_rng(5))
-        b = model.forward_two_phase(W, C, training=True,
-                                    rng=np.random.default_rng(5))
+        a = model.forward_two_phase(W, C, rng=np.random.default_rng(5))
+        b = model.forward_two_phase(W, C, rng=np.random.default_rng(5))
         np.testing.assert_array_equal(a.O2_hat.data, b.O2_hat.data)
 
     def test_shape_stability(self):
@@ -204,7 +198,7 @@ class TestTwoPhase:
         W, C = random_inputs(model, B=2)
         for decode_rows in (None, slice(-1, None)):
             w = model.forward_two_phase(W, C, decode_rows=decode_rows).window_attention
-            assert w.shape == (2, model.config.n_heads, 4, 4)
+            assert w.shape == (2, model.config.m, 4, 4)
             np.testing.assert_allclose(w.sum(axis=-1), np.ones(w.shape[:-1]), atol=1e-12)
 
     def test_window_attention_is_encode_window_weights(self):

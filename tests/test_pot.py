@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from tranad import pot
-from tranad.errors import EmptyInput, InvalidConfig, TooFewExcesses
+from tranad.errors import EmptyInput, InvalidConfig
 
 
 def gpd_sample(gamma, sigma, n, seed):
@@ -51,8 +51,13 @@ class TestFitGpd:
         assert sigma == pytest.approx(2.0, rel=0.1)
 
     def test_too_few_excesses(self):
-        with pytest.raises(TooFewExcesses):
-            pot.fit_gpd(np.ones(5), min_excesses=10)
+        # a tail of fewer than MIN_EXCESSES excesses is not fitted: 0..99 leaves
+        # 9 excesses over the 0.915 quantile (90.585) and 10 over the 0.905 one
+        scores = np.arange(100.0)
+        for q_low, n, fitted in ((0.085, 9, False), (0.095, 10, True)):
+            dim = pot.pot_threshold(scores, pot.PotConfig(low_quantile=q_low))
+            assert dim.n_excesses == n == pot.MIN_EXCESSES - 1 + fitted
+            assert (dim.method != "max_fallback") == fitted
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):

@@ -90,17 +90,14 @@ def assert_routing_matches_fresh_graphs(cfg):
     groups = dataset.batch_groups(train_b, 16)
     W, C, _ = groups[-1]
 
-    L1, L2 = training._batch_losses(model, W, C, cfg, n=1, training=False,
-                                    rng=None)
+    L1, L2 = training._batch_losses(model, W, C, cfg, n=1, rng=None)
     training.partitioned_grads(model, L1, L2)
     routed = model.params.views(model.params.grad)
 
     # oracle: evaluate each loss on its own fresh graph
-    L1f, _ = training._batch_losses(model, W, C, cfg, n=1, training=False,
-                                    rng=None)
+    L1f, _ = training._batch_losses(model, W, C, cfg, n=1, rng=None)
     g1 = L1f.backward()
-    _, L2f = training._batch_losses(model, W, C, cfg, n=1, training=False,
-                                    rng=None)
+    _, L2f = training._batch_losses(model, W, C, cfg, n=1, rng=None)
     g2 = L2f.backward()
     for path, p in model.params.items():
         if path.startswith("decoder1."):
@@ -140,8 +137,7 @@ class TestGradientRouting:
         model = TranAD(ModelConfig(m=3, window_size=10, context_cap=30, dropout=0.0))
         rng = np.random.default_rng(0)
         W, C = rng.uniform(size=(16, 10, 3)), rng.uniform(size=(16, 30, 3))
-        L1, L2 = training._batch_losses(model, W, C, training.TrainConfig(), n=1,
-                                        training=True, rng=rng)
+        L1, L2 = training._batch_losses(model, W, C, training.TrainConfig(), n=1, rng=rng)
         assert count_op_nodes(L1, L2) <= 90
 
     def test_batch_groups_share_context_length(self):
@@ -369,7 +365,7 @@ class TestFlatBuffers:
             model.params[f"{d}.ff.l1.b"].data[:] = -1e3    # every hidden unit off
         model.params.grad[:] = 7.0                           # left by an earlier step
         training.partitioned_grads(model, *training._batch_losses(
-            model, W, C, training.TrainConfig(seed=0), 1, False, None))
+            model, W, C, training.TrainConfig(seed=0), 1, None))
         grads = model.params.views(model.params.grad)
         # the decoders' cotangents into the window encoding sum to exactly
         # zero, so the shared walk stops there
