@@ -35,7 +35,8 @@ _GRAD_ENABLED = True
 
 @contextlib.contextmanager
 def no_grad():
-    """Disable tape recording inside the block (inference fast path)."""
+    """Disable tape recording inside the block.  The flag is process-wide, so
+    `detection.map_chunks` holds it off on the caller while its pool runs."""
     global _GRAD_ENABLED
     prev, _GRAD_ENABLED = _GRAD_ENABLED, False
     try:

@@ -18,7 +18,6 @@ import sys
 
 import numpy as np
 
-from . import autodiff as ad
 from . import dataset, detection, metrics, pot, training
 from .errors import (ConfigMismatch, ParseError, ShapeMismatch, TranadError, check_fields,
                      check_int, check_real)
@@ -62,6 +61,8 @@ def _load_config(path):
             raise ConfigMismatch(f"config section {key!r} must be a JSON object")
     for key, cls in SECTIONS.items():
         check_fields(cls, _setting(cfg, key), key)
+    if "seed" in _setting(cfg, "train"):
+        raise ConfigMismatch("train.seed is not a setting: the top-level seed derives it")
     check_real("config", "eps", _setting(cfg, "eps"), lambda v: v > 0, "> 0")
     check_real("config", "split_ratio", _setting(cfg, "split_ratio"),
                lambda v: 0 < v <= 1, "in (0, 1]")
@@ -291,15 +292,16 @@ def cmd_inspect(args, cfg, out):
         f"with m={model.config.m} entries",
         "t," + ",".join(f"f_{d + 1}" for d in range(model.config.m)),
     ]
-    att_rows, focus_rows = [], []
-    with ad.no_grad():
-        for W, C, rows in dataset.batch_groups(batch, detection.SCORE_CHUNK):
-            res = model.forward_two_phase(W, C, decode_rows=detection.LAST_ROW)
-            t = np.arange(rows.start, rows.stop)
-            B, h = res.window_attention.shape[:2]   # weights (B, h, K, K)
-            att_rows.append(np.column_stack([np.repeat(t, h), np.tile(np.arange(h), B),
-                                             res.window_attention[:, :, -1].reshape(B * h, K)]))
-            focus_rows.append(np.column_stack([t, res.focus.data[:, -1]]))
+
+    def inspect(W, C, rows):
+        res = model.forward_two_phase(W, C, decode_rows=detection.LAST_ROW)
+        t = np.arange(rows.start, rows.stop)
+        B, h = res.window_attention.shape[:2]   # weights (B, h, K, K)
+        return (np.column_stack([np.repeat(t, h), np.tile(np.arange(h), B),
+                                 res.window_attention[:, :, -1].reshape(B * h, K)]),
+                np.column_stack([t, res.focus.data[:, -1]]))
+
+    att_rows, focus_rows = zip(*detection.map_chunks(model, batch, inspect))
     out.write_text(os.path.join(args.out, "attention.csv"),
                    "\n".join(att_lines) + "\n" + _matrix_csv(np.concatenate(att_rows)))
     out.write_text(os.path.join(args.out, "focus.csv"),

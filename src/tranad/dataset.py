@@ -193,8 +193,6 @@ def fit_normalize(train, eps=DEFAULT_EPS):
 
     Returns the normalized series and the stats to reuse on test data.
     """
-    if not np.isfinite(train.values).all():
-        raise NonFiniteInput("training series contains non-finite values")
     lo = train.values.min(axis=0)
     hi = train.values.max(axis=0)
     stats = NormStats(min=lo, max=hi, eps=eps)

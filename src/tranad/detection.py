@@ -8,13 +8,14 @@ rounding only (at most 1e-15): the last-row matrix products have fewer rows.
 
 Each timestamp's score depends only on its own window and context (both end
 at that timestamp), so records are bit-identical whether the stream is
-truncated at t or not, and whether a window is scored alone or in a chunk;
-batching below is purely a speed device.  SCORE_CHUNK windows per forward
-keep its attention buffers small enough to stay in the cache.
+truncated at t or not, and whether a window is scored alone or in a chunk,
+on any thread; chunks and threads below are purely speed devices.
 """
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .dataset import batch_groups, make_windows
 
-SCORE_CHUNK = 32
+SCORE_CHUNK = 32    # windows per forward, so its attention buffers stay near the cache
 LAST_ROW = slice(-1, None)
 
 
@@ -36,22 +37,40 @@ class ScoreRecord:
 
 def score_batch(model, W, C):
     """Per-dimension anomaly scores for a (B, K, m) window stack sharing one
-    context length: the average of the squared phase-1 and conditioned
-    phase-2 deviations at the last window row, the timestamp each window
-    ends at."""
+    context length: the mean of the squared phase-1 and conditioned phase-2
+    deviations at the last window row, the timestamp each window ends at."""
     with ad.no_grad():
         out = model.forward_two_phase(W, C, decode_rows=LAST_ROW)
     last = W[:, -1]
     return 0.5 * (out.O1.data[:, -1] - last) ** 2 + 0.5 * (out.O2_hat.data[:, -1] - last) ** 2
 
 
+def map_chunks(model, batch, fn):
+    """[fn(W, C, rows) for each chunk of `batch`] with gradient recording off,
+    split statically over this process's allowed cores: part 0 on the calling
+    thread, the rest on a pool (one core starts no thread).  The flag is cleared
+    once, around the pool, so a no_grad nested in a worker restores False."""
+    # at most 512 // m windows: each pool thread's malloc arena keeps its largest chunk
+    groups = batch_groups(batch, min(SCORE_CHUNK, max(1, 512 // model.config.m)))
+    n = min(len(os.sched_getaffinity(0)), len(groups))
+    results = [None] * len(groups)
+
+    def run(part):
+        for i in range(part, len(groups), n):
+            results[i] = fn(*groups[i])
+
+    with ad.no_grad(), ThreadPoolExecutor(max(1, n - 1)) as pool:
+        futures = [pool.submit(run, part) for part in range(1, n)]
+        run(0)
+        for future in futures:
+            future.result()
+    return results
+
+
 def score_series(model, series):
     """Per-timestamp, per-dimension scores over a normalized series."""
     batch = make_windows(series, model.config.window_size, model.config.context_cap)
-    scores = np.empty((len(batch), series.m))
-    for W, C, rows in batch_groups(batch, SCORE_CHUNK):
-        scores[rows] = score_batch(model, W, C)
-    return scores
+    return np.concatenate(map_chunks(model, batch, lambda W, C, rows: score_batch(model, W, C)))
 
 
 def detect_stream(model, test_series, threshold_model):

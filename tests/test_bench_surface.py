@@ -3,6 +3,8 @@
 import importlib
 import os
 
+from tranad import autodiff
+
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
 
 
@@ -12,3 +14,8 @@ def test_every_traced_layer_exists(monkeypatch):
     missing = [f"{getattr(owner, '__name__', owner)}.{attr}"
                for owner, attr, *_ in pipeline.LAYERS if not callable(getattr(owner, attr, None))]
     assert missing == []
+
+
+def test_grad_flag_is_a_module_bool():
+    # the traced rounds' forward spans read the flag itself, not an accessor
+    assert isinstance(autodiff._GRAD_ENABLED, bool)

@@ -354,6 +354,7 @@ class TestBadInputs:
         ({"seed": 1.5}, ["seed"]),
         ({"seed": True}, ["seed"]),
         ({"seed": -3}, ["seed"]),
+        ({"train": {"seed": 3}}, ["train.seed", "top-level seed"]),   # the only seed is top-level
     ])
     def test_bad_train_config(self, pipeline, tmp_path, capsys, cfg, names):
         _, train_dir, _, _, _ = pipeline

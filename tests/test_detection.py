@@ -1,9 +1,13 @@
 """Online scoring, threshold labeling and root-cause ranking."""
 
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from tranad import autodiff as ad, dataset, detection, model as model_module, pot
+from tranad import autodiff as ad, dataset, detection, model as model_module, pot, training
 from tranad.autodiff import Tensor
 from tranad.model import ModelConfig, TranAD
 
@@ -111,6 +115,87 @@ class TestScoring:
         a = detection.score_series(model, norm)
         b = detection.score_series(model, norm)
         np.testing.assert_array_equal(a, b)
+
+
+def pool_series(m, T, seed=4):
+    # the wide benchmark's K=10 and 30-row cap: 29 short-context windows, then
+    # chunks of SCORE_CHUNK windows, at most 512 // m
+    raw = dataset.synth_generate(dataset.SynthSpec(T=T, m=m, seed=seed, noise_sigma=0.1))
+    norm, _ = dataset.fit_normalize(raw)
+    model = TranAD(ModelConfig(m=m, window_size=10, context_cap=30, init_seed=1,
+                               dropout=0.0))
+    return model, norm
+
+
+def allow_cores(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+class TestPool:
+    # lengths whose last chunk is partial: 32 and 13 windows a chunk at m=3 and 38
+    @pytest.mark.parametrize("m, T", [(3, 29 + 32 + 5), (3, 29 + 2 * 32 - 1),
+                                      (38, 29 + 13 + 4), (38, 29 + 3 * 13 + 12)])
+    def test_one_core_bit_equal_to_pool_and_starts_no_thread(self, monkeypatch, m, T):
+        model, norm = pool_series(m, T)
+        allow_cores(monkeypatch, 3)    # more workers than this machine may have cores
+        pooled = detection.score_series(model, norm)
+        allow_cores(monkeypatch, 1)
+        started = []
+        start = threading.Thread.start
+
+        def spy(thread):
+            started.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        np.testing.assert_array_equal(detection.score_series(model, norm), pooled)
+        assert started == []
+
+    @pytest.mark.parametrize("m, chunk", [(3, 32), (38, 13)])
+    def test_results_in_chunk_order_at_most_512_over_m_windows_a_chunk(self, monkeypatch,
+                                                                        m, chunk):
+        model, norm = pool_series(m, 29 + 2 * chunk + 5)
+        allow_cores(monkeypatch, 2)
+        batch = dataset.make_windows(norm, 10, 30)
+        rows = detection.map_chunks(model, batch, lambda W, C, rows: (rows.start, rows.stop))
+        assert rows == [(i, i + 1) for i in range(29)] + [
+            (29, 29 + chunk), (29 + chunk, 29 + 2 * chunk), (29 + 2 * chunk, len(batch))]
+
+    @pytest.mark.parametrize("m", [3, 38])
+    def test_pooled_passes_leave_gradients_on(self, monkeypatch, m):
+        model, norm = pool_series(m, 60)
+        allow_cores(monkeypatch, 3)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)    # switch threads often, so a race would show
+        try:
+            for _ in range(20):
+                detection.score_series(model, norm)
+        finally:
+            sys.setswitchinterval(interval)
+        assert ad._GRAD_ENABLED is True
+        # with no weight decay and no meta step, only a gradient moves a weight
+        train_b, val_b = dataset.split_train_val(dataset.make_windows(norm, 10, 30))
+        before = model.params.flat.copy()
+        training.fit(model, train_b, val_b, training.TrainConfig(
+            epochs=1, batch_size=16, weight_decay=0.0, use_maml=False), progress=False)
+        assert not np.array_equal(model.params.flat, before)
+
+    def test_worker_exception_propagates_and_the_pool_stops(self, monkeypatch):
+        model, norm = pool_series(3, 80)
+        allow_cores(monkeypatch, 2)
+        score_batch = detection.score_batch
+
+        def fail_off_the_caller(model, W, C):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("chunk failed")
+            return score_batch(model, W, C)
+
+        monkeypatch.setattr(detection, "score_batch", fail_off_the_caller)
+        baseline = threading.active_count()
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            detection.score_series(model, norm)
+        assert threading.active_count() == baseline
+        assert ad._GRAD_ENABLED is True
 
 
 class TestDetectStream:
