@@ -9,8 +9,12 @@ contribution as is and releases each node's cotangent once the node is
 processed.  ``backward()`` on a scalar runs one walk and returns the
 gradients as values, {leaf: array}; no tensor stores a gradient.
 
-Network layers are single nodes with hand-derived backward rules:
-:func:`linear`, :func:`layer_norm` and multi-head :func:`attention`.
+Each network block is a single node with a hand-derived backward rule:
+:func:`linear`, :func:`concat_aligned`, :func:`add_norm` (residual sum and
+LayerNorm), :func:`feed_forward` (with its ReLU, and the decoder's sigmoid),
+multi-head :func:`attention` (with its four projections) and the loss term
+:func:`mean_frobenius`.  A rule adds its cotangents in the order the walk
+would add them over the block's op-by-op graph, so gradients are bit-equal.
 
 Also hosts the parameter store, which lays every weight and gradient out in
 flat buffers, the AdamW optimizer, and the binary checkpoint format.
@@ -19,6 +23,7 @@ flat buffers, the AdamW optimizer, and the binary checkpoint format.
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import math
@@ -29,6 +34,7 @@ from .errors import CorruptCheckpoint, ShapeMismatch
 
 DEFAULT_DTYPE = np.float64
 MASK_LOGIT = -1e9
+NORM_EPS = 1e-5    # added to the variance in `add_norm`
 
 _GRAD_ENABLED = True
 
@@ -64,8 +70,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad=False, dtype=None):
-        self.data = np.asarray(data, dtype=dtype or DEFAULT_DTYPE)
+    def __init__(self, data, requires_grad=False):
+        self.data = np.asarray(data, dtype=DEFAULT_DTYPE)
         self.requires_grad = bool(requires_grad) and _GRAD_ENABLED
         self._parents, self._backward = (), None
 
@@ -81,7 +87,6 @@ class Tensor:
         return out
 
     shape = property(lambda self: self.data.shape)
-    ndim = property(lambda self: self.data.ndim)
 
     def backward(self):
         """{leaf: gradient of this scalar} for every leaf it reaches."""
@@ -94,11 +99,8 @@ class Tensor:
 
     # -- elementwise arithmetic ----------------------------------------------
 
-    def _coerce(self, other):
-        return other if isinstance(other, Tensor) else Tensor(other)
-
     def __add__(self, other):
-        a, b = self, self._coerce(other)
+        a, b = self, other if isinstance(other, Tensor) else Tensor(other)
         data = a.data + b.data
 
         def backward_fn(g, need):
@@ -107,19 +109,11 @@ class Tensor:
 
         return Tensor._result(data, (a, b), backward_fn)
 
-    __radd__ = __add__
-
     def __neg__(self):
         return Tensor._result(-self.data, (self,), lambda g, need: (-g,))
 
-    def __sub__(self, other):
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other):
-        return self._coerce(other) + (-self)
-
     def __mul__(self, other):
-        a, b = self, self._coerce(other)
+        a, b = self, other if isinstance(other, Tensor) else Tensor(other)
         data = a.data * b.data
 
         def backward_fn(g, need):
@@ -127,8 +121,6 @@ class Tensor:
                     _unbroadcast(g * a.data, b.data.shape) if need[1] else None)
 
         return Tensor._result(data, (a, b), backward_fn)
-
-    __rmul__ = __mul__
 
     # -- shape ops ------------------------------------------------------------
 
@@ -141,46 +133,6 @@ class Tensor:
             return (full,)
 
         return Tensor._result(a.data[key], (a,), backward_fn)
-
-    # -- reductions -----------------------------------------------------------
-
-    def sum(self, axis=None, keepdims=False):
-        a = self
-        data = a.data.sum(axis=axis, keepdims=keepdims)
-
-        def backward_fn(g, need):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-
-        return Tensor._result(data, (a,), backward_fn)
-
-    def mean(self, axis=None, keepdims=False):
-        n = self.data.size if axis is None else math.prod(
-            self.data.shape[ax] for ax in np.atleast_1d(axis))
-        return self.sum(axis=axis, keepdims=keepdims) * (1.0 / float(n))
-
-    # -- nonlinearities -------------------------------------------------------
-
-    def relu(self):
-        a = self
-        return Tensor._result(np.maximum(a.data, 0.0), (a,),
-                              lambda g, need: (g * (a.data > 0),))
-
-    def sigmoid(self):
-        data = 1.0 / (1.0 + np.exp(-self.data))
-        return Tensor._result(data, (self,),
-                              lambda g, need: (g * data * (1.0 - data),))
-
-    def sqrt(self):
-        data = np.sqrt(self.data)
-
-        def backward_fn(g, need):
-            # subgradient guard at exactly zero
-            denom = np.where(data > 0, data, np.inf)
-            return (g * 0.5 / denom,)
-
-        return Tensor._result(data, (self,), backward_fn)
 
 
 # -- the reverse walk ---------------------------------------------------------
@@ -252,72 +204,99 @@ def reverse_walk(seeds, order, masks=None, bit=0):
     return leaves
 
 
-# -- composite / functional ops ----------------------------------------------
+# -- network blocks as single nodes ---------------------------------------------
 
 
-def concat(tensors, axis):
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    bounds = np.cumsum([0] + [t.data.shape[axis] for t in tensors])
+def concat_aligned(a, b):
+    """a and b side by side along the last axis, as one node, with the rows
+    of b aligned to the last rows of a: a surplus of leading rows of b is
+    dropped, and a shortfall is filled with zeros."""
+    (L, da), (Lb, db) = a.shape[-2:], b.shape[-2:]
+    n = min(L, Lb)
+    data = np.zeros(a.shape[:-1] + (da + db,))
+    data[..., :da] = a.data
+    data[..., L - n:, da:] = b.data[..., Lb - n:, :]
 
     def backward_fn(g, need):
-        index = [slice(None)] * g.ndim
-        out = []
-        for wanted, lo, hi in zip(need, bounds[:-1], bounds[1:]):
-            index[axis] = slice(lo, hi)
-            out.append(g[tuple(index)] if wanted else None)
-        return out
+        gb = None
+        if need[1]:
+            gb = np.zeros_like(b.data)
+            gb[..., Lb - n:, :] = g[..., L - n:, da:]
+        return g[..., :da] if need[0] else None, gb
 
-    return Tensor._result(data, tuple(tensors), backward_fn)
+    return Tensor._result(data, (a, b), backward_fn)
 
 
 def dropout(x, p, rng):
-    """Inverted dropout: zero with probability p, scale survivors by 1/(1-p).
-    With rng None (validation and scoring) x passes through unchanged."""
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    """Inverted dropout: zero with probability p (in [0, 1), as ModelConfig
+    checks), scale survivors by 1/(1-p).  With rng None (validation and
+    scoring) x passes through unchanged."""
     if rng is None or p == 0.0:
         return x
     mask = (rng.random(x.data.shape) >= p) / (1.0 - p)
     return Tensor._result(x.data * mask, (x,), lambda g, need: (g * mask,))
 
 
+def _linear_grads(g, x, W, need):
+    """Cotangents of x @ W + b for (x, W, b) given the output's `g`, None
+    where `need` is false.  The weight cotangent is one 2-D product over the
+    flattened rows."""
+    rows = g.reshape(-1, g.shape[-1])
+    return (g @ W.T if need[0] else None,
+            x.reshape(-1, W.shape[0]).T @ rows if need[1] else None,
+            rows.sum(axis=0) if need[2] else None)
+
+
 def linear(x, W, b):
-    """x @ W + b over the last axis of x, as one node.  The weight cotangent
-    is one 2-D product over the flattened rows."""
+    """x @ W + b over the last axis of x, as one node."""
     if x.shape[-1] != W.shape[0]:
         raise ShapeMismatch(f"linear input width {x.shape[-1]} != weight rows {W.shape[0]}")
-    data = x.data @ W.data + b.data
-
-    def backward_fn(g, need):
-        rows = g.reshape(-1, g.shape[-1])
-        return (g @ W.data.T if need[0] else None,
-                x.data.reshape(-1, W.shape[0]).T @ rows if need[1] else None,
-                rows.sum(axis=0) if need[2] else None)
-
-    return Tensor._result(data, (x, W, b), backward_fn)
+    return Tensor._result(x.data @ W.data + b.data, (x, W, b),
+                          lambda g, need: _linear_grads(g, x.data, W.data, need))
 
 
-def layer_norm(x, gain, bias, eps=1e-5):
-    """Per-row (last axis) zero-mean unit-variance normalization, then
-    affine, as one node."""
-    inv_n = 1.0 / float(x.shape[-1])
-    centered = x.data - x.data.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + eps)
+def add_norm(x, r, weights):
+    """LayerNorm(x + r) as one node: the residual sum normalized per row
+    (last axis) to zero mean and unit variance, then scaled and shifted by
+    `weights`, (gain, bias)."""
+    gain, bias = weights
+    s = x.data + r.data
+    inv_n = 1.0 / float(s.shape[-1])
+    centered = s - s.sum(axis=-1, keepdims=True) * inv_n
+    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + NORM_EPS)
     xhat = centered / std
-    data = xhat * gain.data + bias.data
 
     def backward_fn(g, need):
         rows = tuple(range(g.ndim - 1))
-        gx = None
-        if need[0]:
+        gs = None
+        if need[0] or need[1]:
             gh = g * gain.data
-            gx = (gh - gh.mean(axis=-1, keepdims=True)
+            gs = (gh - gh.mean(axis=-1, keepdims=True)
                   - xhat * (gh * xhat).mean(axis=-1, keepdims=True)) / std
-        return (gx,
-                (g * xhat).sum(axis=rows) if need[1] else None,
-                g.sum(axis=rows) if need[2] else None)
+        return (gs, gs, (g * xhat).sum(axis=rows) if need[2] else None,
+                g.sum(axis=rows) if need[3] else None)
 
-    return Tensor._result(data, (x, gain, bias), backward_fn)
+    return Tensor._result(xhat * gain.data + bias.data, (x, r, gain, bias), backward_fn)
+
+
+def feed_forward(x, weights, sigmoid=False):
+    """relu(x @ W1 + b1) @ W2 + b2 as one node, through a sigmoid if
+    `sigmoid`; `weights` is (W1, b1, W2, b2)."""
+    W1, b1, W2, b2 = (t.data for t in weights)
+    h = np.maximum(x.data @ W1 + b1, 0.0)
+    data = h @ W2 + b2
+    if sigmoid:
+        data = 1.0 / (1.0 + np.exp(-data))
+
+    def backward_fn(g, need):
+        if sigmoid:
+            g = g * data * (1.0 - data)
+        gh, gW2, gb2 = _linear_grads(g, h, W2, (any(need[:3]),) + need[3:])
+        if gh is None:
+            return None, None, None, gW2, gb2
+        return (*_linear_grads(gh * (h > 0), x.data, W1, need[:3]), gW2, gb2)
+
+    return Tensor._result(data, (x, *weights), backward_fn)
 
 
 def _heads(x, n_heads):
@@ -331,22 +310,35 @@ def _merge(x):
     return x.reshape(*x.shape[:-2], -1)
 
 
-def attention(q, k, v, n_heads, mask=None):
-    """Multi-head scaled dot-product attention as one node: split the last
-    axis of the (..., L, d) inputs into heads, softmax(q k^T / sqrt(d / h))
-    per head, weight the values and merge the heads.
+@functools.cache
+def _row_starts(size, width):
+    """The flat index of each `width` row of `size` values; read-only."""
+    starts = np.arange(0, size, width)
+    starts.flags.writeable = False
+    return starts
+
+
+def attention(Q, K, V, weights, n_heads, mask=None):
+    """Multi-head scaled dot-product attention with its projections as one
+    node: the (..., L, d) inputs are projected by `weights`, (Wq, bq, Wk, bk,
+    Wv, bv, Wo, bo), to q, k and v, whose last axis splits into heads; each
+    head weights the values by softmax(q k^T / sqrt(d / h)), and the merged
+    heads go through the output projection.
 
     `mask` marks logits to suppress (broadcast over the leading axes); they
     get the constant MASK_LOGIT, so their weight is exactly zero and masked
     inputs cannot influence the output or receive gradient.  Returns (output,
     weights), the weights (..., h, Lq, Lk) being the buffer the backward reads,
     so callers must not write to it."""
+    Wq, bq, Wk, bk, Wv, bv, Wo, bo = (t.data for t in weights)
+    ins = (Q.data, K.data, V.data)
+    q, k, v = (x @ W + b for x, W, b in zip(ins, (Wq, Wk, Wv), (bq, bk, bv)))
     if q.shape[-1] != k.shape[-1]:
         raise ShapeMismatch(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeMismatch(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
-    qh, kh, vh = (_heads(t.data, n_heads) for t in (q, k, v))
-    inv_scale = 1.0 / np.sqrt(q.shape[-1] // n_heads)
+    qh, kh, vh = (_heads(t, n_heads) for t in (q, k, v))
+    inv_scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
     # the weights are built in one buffer, in place
     w = qh @ kh.swapaxes(-1, -2)
     w *= inv_scale
@@ -354,30 +346,57 @@ def attention(q, k, v, n_heads, mask=None):
         np.copyto(w, MASK_LOGIT, where=mask)
     # the row max in one segmented pass: exact in any order, and without the
     # fixed cost `max(axis=-1)` pays per short row
-    rows = np.arange(0, w.size, w.shape[-1])
+    rows = _row_starts(w.size, w.shape[-1])
     w -= np.maximum.reduceat(w.reshape(-1), rows).reshape(*w.shape[:-1], 1)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
     oh = w @ vh
-    data = _merge(oh)
+    merged = _merge(oh)
 
     def backward_fn(g, need):
+        # the parents come in threes, each input with its projection's W and b
+        branch = [any(need[i:i + 3]) for i in (0, 3, 6)]
+        go, gWo, gbo = _linear_grads(g, merged, Wo, (any(branch),) + need[9:])
+        out = [None] * 9 + [gWo, gbo]
+        if go is None:
+            return out
         # softmax backward: the row term sum_j w_ij (g_i . v_j) equals
         # g_i . o_i, a reduction over the head width instead of the keys
-        gh = _heads(g, n_heads)
-        gs = gh @ vh.swapaxes(-1, -2)
-        gs -= (gh * oh).sum(axis=-1, keepdims=True)
-        gs *= w
-        return (_merge(gs @ kh) * inv_scale if need[0] else None,
-                _merge(gs.swapaxes(-1, -2) @ qh) * inv_scale if need[1] else None,
-                _merge(w.swapaxes(-1, -2) @ gh) if need[2] else None)
+        gh = _heads(go, n_heads)
+        if branch[0] or branch[1]:
+            gs = gh @ vh.swapaxes(-1, -2)
+            gs -= (gh * oh).sum(axis=-1, keepdims=True)
+            gs *= w
+        cots = (_merge(gs @ kh) * inv_scale if branch[0] else None,
+                _merge(gs.swapaxes(-1, -2) @ qh) * inv_scale if branch[1] else None,
+                _merge(w.swapaxes(-1, -2) @ gh) if branch[2] else None)
+        for i, gp, x, W in zip((0, 3, 6), cots, ins, (Wq, Wk, Wv)):
+            if gp is not None:
+                out[i:i + 3] = _linear_grads(gp, x, W, need[i:i + 3])
+        return out
 
-    return Tensor._result(data, (q, k, v), backward_fn), w
+    parents = (Q, *weights[:2], K, *weights[2:4], V, *weights[4:])
+    return Tensor._result(merged @ Wo + bo, parents, backward_fn), w
 
 
-def frobenius_norm(diff):
-    """Norm over the trailing (row, column) axes; batched over leading axes."""
-    return (diff * diff).sum(axis=(-2, -1)).sqrt()
+def mean_frobenius(x, target):
+    """The Frobenius norm of x - target over the trailing (row, column)
+    axes, averaged over the leading axes, as one node; `target` is an
+    array of x's shape."""
+    if x.shape != target.shape:
+        raise ShapeMismatch(f"reconstruction shape {x.shape} != window shape {target.shape}")
+    diff = x.data - target
+    norm = np.sqrt((diff * diff).sum(axis=(-2, -1)))
+    inv_n = 1.0 / float(norm.size)
+
+    def backward_fn(g, need):
+        # the mean, the square root (zero where the norm is), then diff * diff,
+        # whose two factors get the same term, added
+        t = np.broadcast_to(g * inv_n, norm.shape) * 0.5 / np.where(norm > 0, norm, np.inf)
+        gd = t[..., None, None] * diff
+        return (gd + gd,)
+
+    return Tensor._result(norm.sum() * inv_n, (x,), backward_fn)
 
 
 # -- parameters ---------------------------------------------------------------

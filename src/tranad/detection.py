@@ -22,6 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .dataset import batch_groups, make_windows
+from .errors import NonFiniteInput
 
 SCORE_CHUNK = 32    # windows per forward, so its attention buffers stay near the cache
 LAST_ROW = slice(-1, None)
@@ -56,8 +57,10 @@ def map_chunks(model, batch, fn):
     results = [None] * len(groups)
 
     def run(part):
-        for i in range(part, len(groups), n):
-            results[i] = fn(*groups[i])
+        # overflow shows up as non-finite results, which the callers reject
+        with np.errstate(all="ignore"):
+            for i in range(part, len(groups), n):
+                results[i] = fn(*groups[i])
 
     with ad.no_grad(), ThreadPoolExecutor(max(1, n - 1)) as pool:
         futures = [pool.submit(run, part) for part in range(1, n)]
@@ -67,10 +70,20 @@ def map_chunks(model, batch, fn):
     return results
 
 
+def check_finite(rows, what):
+    """`rows` (one per timestamp), or NonFiniteInput naming the first that is not finite."""
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise NonFiniteInput(f"non-finite {what} at timestamp {bad.argmax()}")
+    return rows
+
+
 def score_series(model, series):
-    """Per-timestamp, per-dimension scores over a normalized series."""
+    """Per-timestamp, per-dimension scores over a normalized series;
+    NonFiniteInput if one is not finite."""
     batch = make_windows(series, model.config.window_size, model.config.context_cap)
-    return np.concatenate(map_chunks(model, batch, lambda W, C, rows: score_batch(model, W, C)))
+    scores = map_chunks(model, batch, lambda W, C, rows: score_batch(model, W, C))
+    return check_finite(np.concatenate(scores), "score")
 
 
 def detect_stream(model, test_series, threshold_model):

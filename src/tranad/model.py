@@ -94,51 +94,47 @@ def position_encode(x):
     return x + Tensor(position_encoding(L, d))
 
 
-class Linear:
-    def __init__(self, store, prefix, d_in, d_out, rng):
-        bound = 1.0 / np.sqrt(d_in)
-        self.W = store.add(f"{prefix}.W", rng.uniform(-bound, bound, size=(d_in, d_out)))
-        self.b = store.add(f"{prefix}.b", np.zeros(d_out))
+@functools.cache
+def causal_mask(n_queries, n_keys):
+    """(n_queries, n_keys) booleans, True where a key lies after its query
+    row.  Built once per shape and returned read-only, like the position
+    table."""
+    mask = np.triu(np.ones((n_queries, n_keys), dtype=bool), k=1)
+    mask.flags.writeable = False
+    return mask
 
-    def __call__(self, x):
-        return ad.linear(x, self.W, self.b)
+
+def linear_weights(store, prefix, d_in, d_out, rng):
+    """(W, b) of a layer x @ W + b, W uniform in +-1/sqrt(d_in), b zero."""
+    bound = 1.0 / np.sqrt(d_in)
+    return (store.add(f"{prefix}.W", rng.uniform(-bound, bound, size=(d_in, d_out))),
+            store.add(f"{prefix}.b", np.zeros(d_out)))
 
 
 class MultiHeadAttention:
-    """Per-head linear projections, scaled attention, concat, output map."""
+    """Per-head linear projections, scaled attention, concat, output map:
+    one node of `autodiff.attention`."""
 
     def __init__(self, store, prefix, d_model, n_heads, rng):
         self.n_heads = n_heads
-        self.wq = Linear(store, f"{prefix}.q", d_model, d_model, rng)
-        self.wk = Linear(store, f"{prefix}.k", d_model, d_model, rng)
-        self.wv = Linear(store, f"{prefix}.v", d_model, d_model, rng)
-        self.wo = Linear(store, f"{prefix}.out", d_model, d_model, rng)
+        self.weights = sum((linear_weights(store, f"{prefix}.{name}", d_model, d_model, rng)
+                            for name in ("q", "k", "v", "out")), ())
 
     def __call__(self, Q, K, V, masked=False):
-        mask = np.triu(np.ones((Q.shape[-2], K.shape[-2]), dtype=bool), k=1) if masked else None
-        out, weights = ad.attention(self.wq(Q), self.wk(K), self.wv(V), self.n_heads,
-                                    mask=mask)
-        return self.wo(out), weights
+        mask = causal_mask(Q.shape[-2], K.shape[-2]) if masked else None
+        return ad.attention(Q, K, V, self.weights, self.n_heads, mask=mask)
 
 
-class FeedForward:
-    """Two-layer position-wise network with ReLU."""
-
-    def __init__(self, store, prefix, d_in, hidden, d_out, rng):
-        self.l1 = Linear(store, f"{prefix}.l1", d_in, hidden, rng)
-        self.l2 = Linear(store, f"{prefix}.l2", hidden, d_out, rng)
-
-    def __call__(self, x):
-        return self.l2(self.l1(x).relu())
+def feed_forward_weights(store, prefix, d_in, hidden, d_out, rng):
+    """(W1, b1, W2, b2) of a two-layer position-wise network with ReLU."""
+    return (linear_weights(store, f"{prefix}.l1", d_in, hidden, rng)
+            + linear_weights(store, f"{prefix}.l2", hidden, d_out, rng))
 
 
-class LayerNorm:
-    def __init__(self, store, prefix, width):
-        self.gain = store.add(f"{prefix}.gain", np.ones(width))
-        self.bias = store.add(f"{prefix}.bias", np.zeros(width))
-
-    def __call__(self, x):
-        return ad.layer_norm(x, self.gain, self.bias)
+def norm_weights(store, prefix, width):
+    """(gain, bias) of a LayerNorm."""
+    return (store.add(f"{prefix}.gain", np.ones(width)),
+            store.add(f"{prefix}.bias", np.zeros(width)))
 
 
 class EncoderLayer:
@@ -147,17 +143,16 @@ class EncoderLayer:
     def __init__(self, store, prefix, cfg, rng):
         d = cfg.d_model
         self.attn = MultiHeadAttention(store, f"{prefix}.attn", d, cfg.m, rng)
-        self.ln1 = LayerNorm(store, f"{prefix}.ln1", d)
-        self.ff = FeedForward(store, f"{prefix}.ff", d, FF_HIDDEN, d, rng)
-        self.ln2 = LayerNorm(store, f"{prefix}.ln2", d)
+        self.ln1 = norm_weights(store, f"{prefix}.ln1", d)
+        self.ff = feed_forward_weights(store, f"{prefix}.ff", d, FF_HIDDEN, d, rng)
+        self.ln2 = norm_weights(store, f"{prefix}.ln2", d)
         self.dropout = cfg.dropout
 
     def __call__(self, x, rng):
         att = self.attn(x, x, x)[0]
-        att = ad.dropout(att, self.dropout, rng)
-        x = self.ln1(x + att)
-        ff = ad.dropout(self.ff(x), self.dropout, rng)
-        return self.ln2(x + ff)
+        x = ad.add_norm(x, ad.dropout(att, self.dropout, rng), self.ln1)
+        ff = ad.dropout(ad.feed_forward(x, self.ff), self.dropout, rng)
+        return ad.add_norm(x, ff, self.ln2)
 
 
 class WindowEncoder:
@@ -167,30 +162,18 @@ class WindowEncoder:
     def __init__(self, store, cfg, rng):
         d = cfg.d_model
         self.self_attn = MultiHeadAttention(store, "window_encoder.self_attn", d, cfg.m, rng)
-        self.ln1 = LayerNorm(store, "window_encoder.ln1", d)
+        self.ln1 = norm_weights(store, "window_encoder.ln1", d)
         self.cross_attn = MultiHeadAttention(store, "window_encoder.cross_attn", d, cfg.m, rng)
-        self.ln2 = LayerNorm(store, "window_encoder.ln2", d)
+        self.ln2 = norm_weights(store, "window_encoder.ln2", d)
         self.dropout = cfg.dropout
 
     def attend_self(self, I2, rng):
         att, self_w = self.self_attn(I2, I2, I2, masked=True)
-        att = ad.dropout(att, self.dropout, rng)
-        return self.ln1(I2 + att), self_w
+        return ad.add_norm(I2, ad.dropout(att, self.dropout, rng), self.ln1), self_w
 
     def __call__(self, I2_2, ctx_encoding, rng):
         cross = self.cross_attn(I2_2, ctx_encoding, ctx_encoding)[0]
-        cross = ad.dropout(cross, self.dropout, rng)
-        return self.ln2(I2_2 + cross)
-
-
-class Decoder:
-    """Position-wise feed-forward d_model -> hidden -> m, then sigmoid."""
-
-    def __init__(self, store, prefix, cfg, rng):
-        self.ff = FeedForward(store, f"{prefix}.ff", cfg.d_model, FF_HIDDEN, cfg.m, rng)
-
-    def __call__(self, x):
-        return self.ff(x).sigmoid()
+        return ad.add_norm(I2_2, ad.dropout(cross, self.dropout, rng), self.ln2)
 
 
 class TranAD:
@@ -202,35 +185,25 @@ class TranAD:
         rng = np.random.default_rng(config.init_seed)
         # the context reaches width 2m by the focus concatenation; the window
         # gets there through a learned projection
-        self.window_embed = Linear(self.params, "embed.window", config.m,
-                                   config.d_model, rng)
+        self.window_embed = linear_weights(self.params, "embed.window", config.m,
+                                           config.d_model, rng)
         self.context_encoder = EncoderLayer(self.params, "encoder1.l0", config, rng)
         self.window_encoder = WindowEncoder(self.params, config, rng)
-        self.decoder1 = Decoder(self.params, "decoder1", config, rng)
-        self.decoder2 = Decoder(self.params, "decoder2", config, rng)
+        # each decoder: feed-forward d_model -> FF_HIDDEN -> m, then a sigmoid
+        self.decoder1, self.decoder2 = (
+            feed_forward_weights(self.params, f"{name}.ff", config.d_model, FF_HIDDEN,
+                                 config.m, rng) for name in ("decoder1", "decoder2"))
 
     # -- encoding -------------------------------------------------------------
 
-    def _align_focus(self, F, length):
-        """Zero-pad the K x m focus score at the front (or keep its tail) so
-        it lines up with the last rows of a length-`length` sequence."""
-        B, K, m = F.shape
-        if length == K:
-            return F
-        if length < K:
-            return F[:, K - length:, :]
-        zeros = Tensor(np.zeros((B, length - K, m)))
-        return ad.concat([zeros, F], axis=1)
-
     def encode_context(self, C, F, rng=None):
-        """First encoder: concat the focus score onto the context,
-        position-encode, and run the encoder layer."""
+        """First encoder: put the K x m focus score beside the last rows of
+        the context (zeros above them), position-encode, and run the encoder
+        layer."""
         if C.shape[-1] != self.config.m:
             raise DimensionMismatch(f"context has {C.shape[-1]} dims, "
                                     f"model expects {self.config.m}")
-        aligned = self._align_focus(F, C.shape[1])
-        x = position_encode(ad.concat([C, aligned], axis=2))
-        return self.context_encoder(x, rng)
+        return self.context_encoder(position_encode(ad.concat_aligned(C, F)), rng)
 
     def encode_window(self, W, rng=None):
         """Embed, position-encode and self-attend the window: the part of the
@@ -238,7 +211,7 @@ class TranAD:
         if W.shape[-1] != self.config.m:
             raise DimensionMismatch(f"window has {W.shape[-1]} dims, "
                                     f"model expects {self.config.m}")
-        I2 = position_encode(self.window_embed(W))
+        I2 = position_encode(ad.linear(W, *self.window_embed))
         return self.window_encoder.attend_self(I2, rng)
 
     # -- the two-phase pass ---------------------------------------------------
@@ -263,17 +236,17 @@ class TranAD:
         ctx1 = self.encode_context(C, zero_focus, rng)
         win, self_w = self.encode_window(W, rng)
         I23 = self.window_encoder(win, ctx1, rng)
-        O1 = self.decoder1(I23)
-        O2 = self.decoder2(I23) if decode_rows is None else None
+        O1 = ad.feed_forward(I23, self.decoder1, sigmoid=True)
+        O2 = ad.feed_forward(I23, self.decoder2, sigmoid=True) if decode_rows is None else None
 
-        diff = O1 - W
+        diff = O1 + (-W)
         focus = diff * diff
         phase2_focus = focus if self_condition else zero_focus
 
         ctx2 = self.encode_context(C, phase2_focus, rng)
         win2 = win if decode_rows is None else win[:, decode_rows]
         I23_2 = self.window_encoder(win2, ctx2, rng)
-        O2_hat = self.decoder2(I23_2)
+        O2_hat = ad.feed_forward(I23_2, self.decoder2, sigmoid=True)
         return TwoPhaseOutput(O1=O1, O2=O2, O2_hat=O2_hat, focus=phase2_focus,
                               window_attention=self_w)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
 from .dataset import batch_groups
-from .errors import InvalidConfig, NonFiniteLoss, ShapeMismatch, check_int, check_real
+from .errors import InvalidConfig, NonFiniteLoss, check_int, check_real
 
 LR_DECAY = 0.5    # `fit` halves the learning rate every lr_decay_every_epochs epochs
 
@@ -84,22 +84,14 @@ class TrainReport:
 def loss_phase1(O1, O2, W):
     """Per-decoder reconstruction loss: Frobenius norm of the deviation over
     the window, averaged over the batch."""
-    if O1.shape != W.shape or O2.shape != W.shape:
-        raise ShapeMismatch("reconstruction/window shapes differ")
-    return _mean_norm(O1 - W), _mean_norm(O2 - W)
+    return ad.mean_frobenius(O1, W.data), ad.mean_frobenius(O2, W.data)
 
 
 def loss_adversarial(O2_hat, W):
     """The conditioned-reconstruction deviation, signed for the two sides of
     the min-max game: (+d for decoder 1, -d for decoder 2)."""
-    if O2_hat.shape != W.shape:
-        raise ShapeMismatch("reconstruction/window shapes differ")
-    d = _mean_norm(O2_hat - W)
+    d = ad.mean_frobenius(O2_hat, W.data)
     return d, -d
-
-
-def _mean_norm(diff):
-    return ad.frobenius_norm(diff).mean()
 
 
 def schedule_weight(n, eps):

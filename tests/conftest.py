@@ -7,7 +7,8 @@ import time
 import numpy as np
 import pytest
 
-from tranad import dataset, detection, metrics, pot, training
+from tranad import autodiff as ad, dataset, detection, metrics, pot, training
+from tranad.autodiff import Tensor
 from tranad.model import ModelConfig, TranAD
 
 # One line per acceptance criterion, printed in the terminal summary so the
@@ -25,6 +26,15 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
+
+
+def plain_attention(Q, K, V, n_heads, mask=None):
+    """`autodiff.attention` with identity projections: attention over the
+    inputs themselves.  A product with an identity matrix and a zero bias is
+    exact, so the inputs reach the heads unchanged."""
+    widths = (Q.shape[-1], K.shape[-1], V.shape[-1], V.shape[-1])
+    weights = [Tensor(a) for d in widths for a in (np.eye(d), np.zeros(d))]
+    return ad.attention(Q, K, V, weights, n_heads, mask=mask)
 
 
 # -- the synthetic end-to-end benchmark ---------------------------------------

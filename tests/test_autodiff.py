@@ -10,6 +10,8 @@ from tranad import autodiff as ad
 from tranad.autodiff import AdamW, ParamStore, Tensor
 from tranad.errors import CorruptCheckpoint, ShapeMismatch
 
+from conftest import plain_attention
+
 
 def finite_difference(f, x, h=1e-5):
     """Central-difference gradient of scalar f at array x."""
@@ -32,9 +34,19 @@ def softmax_rows(logits):
     """Softmax over the last axis of `logits`, read off attention weights:
     one width-1 query of ones per row against the logits as keys."""
     x = np.asarray(logits, dtype=float)
-    _, w = ad.attention(Tensor(np.ones(x.shape[:-1] + (1, 1))), Tensor(x[..., None]),
-                        Tensor(np.zeros(x.shape + (1,))), n_heads=1)
+    _, w = plain_attention(Tensor(np.ones(x.shape[:-1] + (1, 1))), Tensor(x[..., None]),
+                           Tensor(np.zeros(x.shape + (1,))), n_heads=1)
     return w[..., 0, 0, :]
+
+
+def vjp(out, R):
+    """{leaf: gradient of sum(R * out)}: one reverse walk seeded with R."""
+    return ad.reverse_walk([(out, np.asarray(R, dtype=float))], ad.tape_order([out], {})[0])
+
+
+def total(x):
+    """The sum of a 1-D tensor as a one-element tensor, through `linear`."""
+    return ad.linear(x, Tensor(np.ones((x.shape[0], 1))), Tensor(np.zeros(1)))
 
 
 class TestMatmul:
@@ -59,7 +71,7 @@ class TestMatmul:
     def test_gradients(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
         b = Tensor(np.array([[5.0], [6.0]]), requires_grad=True)
-        grads = ad.linear(a, b, Tensor(np.zeros(1))).sum().backward()
+        grads = vjp(ad.linear(a, b, Tensor(np.zeros(1))), np.ones((2, 1)))
         np.testing.assert_allclose(grads[a], [[5.0, 6.0], [5.0, 6.0]])
         np.testing.assert_allclose(grads[b], [[4.0], [6.0]])
 
@@ -98,7 +110,9 @@ class TestSoftmax:
             q[0, 2, 1] = k[1, 4, 0] = np.nan
         mask = np.triu(np.ones((7, 7), dtype=bool), k=1) if masked else None
         with ad.no_grad():
-            _, got = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, mask=mask)
+            _, got = plain_attention(Tensor(q), Tensor(k), Tensor(v), 3, mask=mask)
+        # the identity projection spreads a NaN over its row
+        q, k = q @ np.eye(6), k @ np.eye(6)
         w = ad._heads(q, 3) @ ad._heads(k, 3).swapaxes(-1, -2)
         w *= 1.0 / np.sqrt(2)
         if mask is not None:
@@ -111,26 +125,33 @@ class TestSoftmax:
 
 
 class TestLayerNorm:
+    """The normalization inside `add_norm`, with a zero residual."""
+
     def test_constant_row_is_bias(self):
         x = Tensor(np.full((2, 4), 3.7))
         gain = Tensor(np.ones(4))
         bias = Tensor(np.full(4, 2.5))
-        out = ad.layer_norm(x, gain, bias)
+        out = ad.add_norm(x, Tensor(np.zeros((2, 4))), (gain, bias))
         np.testing.assert_allclose(out.data, np.full((2, 4), 2.5), atol=1e-9)
 
     def test_closed_form(self):
-        out = ad.layer_norm(Tensor([[1.0, -1.0]]), Tensor(np.ones(2)),
-                            Tensor(np.zeros(2)), eps=1e-5)
-        expected = np.array([[1.0, -1.0]]) / math.sqrt(1 + 1e-5)
+        out = ad.add_norm(Tensor([[0.5, -1.5]]), Tensor([[0.5, 0.5]]),
+                          (Tensor(np.ones(2)), Tensor(np.zeros(2))))
+        expected = np.array([[1.0, -1.0]]) / math.sqrt(1 + ad.NORM_EPS)
         np.testing.assert_allclose(out.data, expected, rtol=1e-12)
 
 
 class TestElementwise:
     def test_sigmoid_zero(self):
-        assert Tensor(0.0).sigmoid().data == 0.5
+        # the decoder's output sigmoid inside `feed_forward`
+        zeros = [Tensor(np.zeros(shape)) for shape in ((1, 2), 2, (2, 1), 1)]
+        assert ad.feed_forward(Tensor(np.ones((1, 1))), zeros, sigmoid=True).data == 0.5
 
     def test_relu(self):
-        np.testing.assert_array_equal(Tensor([-1.0, 2.0]).relu().data, [0.0, 2.0])
+        # the hidden ReLU inside `feed_forward`, between identity layers
+        eye = [Tensor(np.eye(2)), Tensor(np.zeros(2))] * 2
+        np.testing.assert_array_equal(ad.feed_forward(Tensor([-1.0, 2.0]), eye).data,
+                                      [0.0, 2.0])
 
     def test_dropout_inference_identity(self):
         x = Tensor(np.random.default_rng(0).normal(size=(4, 5)))
@@ -154,8 +175,8 @@ class TestElementwise:
         q, k, v = (Tensor(np.arange(2.0).reshape(2, 1) + i, requires_grad=True)
                    for i in range(3))
         mask = np.array([[False, True], [False, False]])
-        out, _ = ad.attention(q, k, v, n_heads=1, mask=mask)
-        grads = out[0].sum().backward()
+        out, _ = plain_attention(q, k, v, n_heads=1, mask=mask)
+        grads = vjp(out, [[1.0], [0.0]])      # the first output row
         np.testing.assert_array_equal(grads[k][1], [0.0])
         np.testing.assert_array_equal(grads[v], [[1.0], [0.0]])
 
@@ -166,7 +187,7 @@ def check_node_gradients(fn, arrays, seed=0):
     tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
     out = fn(*tensors)
     R = np.random.default_rng(seed).normal(size=out.shape)
-    grads = (out * Tensor(R)).sum().backward()
+    grads = vjp(out, R)
     for i, t in enumerate(tensors):
         def f(x, i=i):
             args = [Tensor(x if j == i else a) for j, a in enumerate(arrays)]
@@ -184,22 +205,57 @@ class TestFusedNodes:
                                          rng.normal(size=(4, 5)), rng.normal(size=5)])
 
     def test_layer_norm(self):
+        # the residual norm, through both inputs of its sum
         rng = np.random.default_rng(12)
-        check_node_gradients(ad.layer_norm, [rng.normal(size=(2, 3, 6)),
-                                             rng.normal(size=6), rng.normal(size=6)])
+        check_node_gradients(lambda x, r, gain, bias: ad.add_norm(x, r, (gain, bias)),
+                             [rng.normal(size=(2, 3, 6)), rng.normal(size=(2, 3, 6)),
+                              rng.normal(size=6), rng.normal(size=6)])
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_self_attention_three_heads(self, masked):
+        # one input as query, key and value, as in the encoders
         rng = np.random.default_rng(13)
         mask = np.triu(np.ones((4, 4), dtype=bool), k=1) if masked else None
-        check_node_gradients(lambda q, k, v: ad.attention(q, k, v, 3, mask=mask)[0],
-                             [rng.normal(size=(2, 4, 6)) for _ in range(3)])
+        check_node_gradients(lambda x, *w: ad.attention(x, x, x, w, 3, mask=mask)[0],
+                             [rng.normal(size=(2, 4, 6))]
+                             + [rng.normal(size=s) for _ in range(4) for s in ((6, 6), 6)])
 
     def test_cross_attention_two_heads(self):
+        # queries from one input, keys and values from another; the value
+        # and output projections change the width
         rng = np.random.default_rng(14)
-        check_node_gradients(lambda q, k, v: ad.attention(q, k, v, 2)[0],
-                             [rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 5, 4)),
-                              rng.normal(size=(2, 5, 6))])
+        shapes = [(2, 3, 4), (2, 5, 4), (4, 4), 4, (4, 4), 4, (4, 6), 6, (6, 5), 5]
+        check_node_gradients(lambda q, kv, *w: ad.attention(q, kv, kv, w, 2)[0],
+                             [rng.normal(size=s) for s in shapes])
+
+    @pytest.mark.parametrize("sigmoid", [False, True])
+    def test_feed_forward(self, sigmoid):
+        rng = np.random.default_rng(15)
+        check_node_gradients(lambda x, *w: ad.feed_forward(x, w, sigmoid=sigmoid),
+                             [rng.normal(size=s) for s in ((2, 3, 4), (4, 5), 5, (5, 3), 3)])
+
+    @pytest.mark.parametrize("rows", [3, 7])
+    def test_concat_aligned(self, rows):
+        # the focus (5 rows) beside a shorter context, which keeps its last
+        # rows, and beside a longer one, which pads it with zeros above
+        rng = np.random.default_rng(17)
+        a, b = rng.normal(size=(2, rows, 3)), rng.normal(size=(2, 5, 2))
+        out, n = ad.concat_aligned(Tensor(a), Tensor(b)).data, min(rows, 5)
+        np.testing.assert_array_equal(out[..., :3], a)
+        np.testing.assert_array_equal(out[:, rows - n:, 3:], b[:, 5 - n:])
+        np.testing.assert_array_equal(out[:, :rows - n, 3:], 0.0)
+        check_node_gradients(ad.concat_aligned, [a, b])
+
+    def test_mean_frobenius_with_a_zero_norm(self):
+        # the second window is reconstructed exactly: the square root's
+        # guard gives it a zero gradient, as the symmetric difference does
+        rng = np.random.default_rng(16)
+        target = rng.normal(size=(3, 4, 2))
+        x = rng.normal(size=(3, 4, 2))
+        x[1] = target[1]
+        check_node_gradients(lambda t: ad.mean_frobenius(t, target), [x])
+        leaf = Tensor(x, requires_grad=True)
+        np.testing.assert_array_equal(ad.mean_frobenius(leaf, target).backward()[leaf][1], 0.0)
 
 
 def attention_cotangents_explicit(q, k, v, g, n_heads, mask):
@@ -223,33 +279,40 @@ def test_attention_backward_matches_explicit_row_term(n_heads, masked):
     rng = np.random.default_rng(n_heads + masked)
     q, k, v, g = (rng.normal(size=(2, 5, 6)) for _ in range(4))
     mask = np.triu(np.ones((5, 5), dtype=bool), k=1) if masked else None
-    out, _ = ad.attention(*(Tensor(x, requires_grad=True) for x in (q, k, v)),
-                          n_heads, mask=mask)
-    got = out._backward(g, (True, True, True))
+    out, _ = plain_attention(*(Tensor(x, requires_grad=True) for x in (q, k, v)),
+                             n_heads, mask=mask)
+    # the cotangents of the three inputs, through the identity projections
+    got = out._backward(g, (True, False, False) * 3 + (False, False))[0:9:3]
     for name, a, b in zip("qkv", got, attention_cotangents_explicit(q, k, v, g, n_heads, mask)):
         np.testing.assert_allclose(a, b, rtol=0, atol=1e-12, err_msg=name)
 
 
 class TestBackward:
-    def test_sum_gradient(self):
-        x = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        np.testing.assert_array_equal(x.sum().backward()[x], [1.0, 1.0, 1.0])
-
     def test_square_gradient(self):
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        np.testing.assert_array_equal((x * x).sum().backward()[x], [2.0, 4.0])
+        np.testing.assert_array_equal(total(x * x).backward()[x], [2.0, 4.0])
 
     def test_composed_graph_vs_finite_difference(self):
+        # an encoder layer and a decoder built from the fused nodes, as the
+        # model builds them, under two loss terms
         rng = np.random.default_rng(7)
-        w = rng.normal(size=(4, 3))
-        x0 = rng.normal(size=(2, 4))
+        x0 = rng.normal(size=(2, 3, 2))
 
-        b = rng.normal(size=3)
+        def params(*shapes):
+            return [Tensor(rng.normal(size=s)) for s in shapes]
+
+        embed = params((2, 4), 4)
+        attn = params(*[(4, 4), 4] * 4)
+        norm1, norm2 = params(4, 4), params(4, 4)
+        ff, dec = params((4, 5), 5, (5, 4), 4), params((4, 5), 5, (5, 2), 2)
+        target, mask = rng.uniform(size=(2, 3, 2)), np.triu(np.ones((3, 3), dtype=bool), k=1)
 
         def graph(x):
-            h = ad.linear(x, Tensor(w), Tensor(b)).relu().sigmoid()
-            att, _ = ad.attention(h, h, h, n_heads=1)
-            return att.sum() * 0.5 + (h * h).mean()
+            e = ad.linear(x, *embed)
+            h = ad.add_norm(e, ad.attention(e, e, e, attn, 2, mask=mask)[0], norm1)
+            h = ad.add_norm(h, ad.feed_forward(h, ff), norm2)
+            out = ad.feed_forward(h, dec, sigmoid=True)
+            return ad.mean_frobenius(out, target) * 0.5 + ad.mean_frobenius(x, target) * 0.25
 
         def f(arr):
             return float(graph(Tensor(arr)).data)
@@ -262,7 +325,7 @@ class TestBackward:
     def test_gradients_are_values_not_tensor_state(self):
         x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
         h = x * x
-        loss = h.sum()
+        loss = total(h)
         first, second = loss.backward(), loss.backward()
         assert list(first) == list(second) == [x]
         np.testing.assert_array_equal(first[x], second[x])
@@ -276,8 +339,8 @@ class TestBackward:
         # two losses sharing intermediates must not contaminate each other
         x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
         h = x * x
-        l1 = h.sum()
-        l2 = (h * h).sum()
+        l1 = total(h)
+        l2 = total(h * h)
         g1 = l1.backward()[x]
         g2 = l2.backward()[x]
         np.testing.assert_allclose(g1, [2.0, 4.0])
@@ -287,7 +350,7 @@ class TestBackward:
         # the add node hands one cotangent to both parents
         x = Tensor(np.ones(2), requires_grad=True)
         y = Tensor(np.ones(2), requires_grad=True)
-        grads = (x + y).sum().backward()
+        grads = total(x + y).backward()
         grads[x] *= 3.0
         np.testing.assert_array_equal(grads[y], [1.0, 1.0])
 
@@ -299,7 +362,7 @@ class TestBackward:
     def test_no_grad_blocks_recording(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with ad.no_grad():
-            out = (x * 2.0).sum()
+            out = x * 2.0
         assert not out.requires_grad
 
 

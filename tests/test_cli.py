@@ -1,6 +1,7 @@
 """End-to-end command-line surface on a tiny synthetic series."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +200,26 @@ class TestDetect:
                          "--stats", str(run_dir / "stats.json"),
                          "--out", str(tmp_path)]) == 1
         assert "m=" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--test", "--data"])
+    def test_non_finite_score_names_its_timestamp(self, pipeline, tmp_path, capsys, flag):
+        # a value far outside the training range gives non-finite scores from
+        # the timestamp it enters a window; in --data they would fit NaN thresholds
+        argv = detect_argv(pipeline, tmp_path / "out")
+        at = argv.index(flag) + 1
+        argv[at] = with_outlier_row(Path(argv[at]), tmp_path / "outlier.csv", 70)
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite score at timestamp 70" in err
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+def with_outlier_row(src, dst, t):
+    """A copy of the values CSV `src` whose row t is 1e200,1."""
+    rows = src.read_text().splitlines()
+    rows[t] = "1e200,1"
+    dst.write_text("\n".join(rows) + "\n")
+    return str(dst)
 
 
 def detect_argv(pipeline, out, cfg=None, checkpoint=None):
@@ -617,6 +638,16 @@ class TestInspect:
         for ln in lines[2:]:
             weights = [float(x) for x in ln.split(",")[2:]]
             assert sum(weights) == pytest.approx(1.0, abs=1e-6)
+
+    def test_non_finite_focus_names_its_timestamp(self, pipeline, tmp_path, capsys):
+        _, _, test_dir, run_dir, _ = pipeline
+        data = with_outlier_row(test_dir / "values.csv", tmp_path / "outlier.csv", 70)
+        assert cli.main(["inspect", "--checkpoint", str(run_dir / "checkpoint.bin"),
+                         "--stats", str(run_dir / "stats.json"), "--data", data,
+                         "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "non-finite focus at timestamp 70" in err
+        assert list((tmp_path / "out").iterdir()) == []
 
     def test_focus_nonnegative(self, pipeline):
         _, _, _, run_dir, _ = pipeline

@@ -7,7 +7,7 @@ import threading
 import numpy as np
 import pytest
 
-from tranad import autodiff as ad, dataset, detection, model as model_module, pot, training
+from tranad import autodiff as ad, dataset, detection, pot, training
 from tranad.autodiff import Tensor
 from tranad.model import ModelConfig, TranAD
 
@@ -82,13 +82,15 @@ class TestScoring:
                                                                monkeypatch):
         model, _ = scored_setup
         calls = []
-        decode = model_module.Decoder.__call__
+        feed_forward = ad.feed_forward
 
-        def spy(self, x):
-            calls.append(("decoder1" if self is model.decoder1 else "decoder2", x.shape))
-            return decode(self, x)
+        def spy(x, weights, sigmoid=False):
+            if sigmoid:     # a decoder
+                calls.append(("decoder1" if weights is model.decoder1 else "decoder2",
+                              x.shape))
+            return feed_forward(x, weights, sigmoid=sigmoid)
 
-        monkeypatch.setattr(model_module.Decoder, "__call__", spy)
+        monkeypatch.setattr(ad, "feed_forward", spy)
         rng = np.random.default_rng(2)
         detection.score_batch(model, rng.uniform(size=(3, 4, 2)), rng.uniform(size=(3, 8, 2)))
         assert calls == [("decoder1", (3, 4, 4)), ("decoder2", (3, 1, 4))]
@@ -261,33 +263,48 @@ class TestDiagnose:
 # -- the layers as separate tape ops, before they became one node each -------
 
 
-def unfused_linear(self, x):
-    return Tensor(x.data @ self.W.data + self.b.data)
+def unfused_linear(x, W, b):
+    return Tensor(x.data @ W.data + b.data)
 
 
-def unfused_layer_norm(self, x):
-    d = x.data
+def unfused_add_norm(x, r, weights):
+    gain, bias = weights
+    d = x.data + r.data
     inv_n = 1.0 / float(d.shape[-1])
     centered = d + (-(d.sum(axis=-1, keepdims=True) * inv_n))
     var = (centered * centered).sum(axis=-1, keepdims=True) * inv_n
-    return Tensor(centered / np.sqrt(var + 1e-5) * self.gain.data + self.bias.data)
+    return Tensor(centered / np.sqrt(var + 1e-5) * gain.data + bias.data)
 
 
-def unfused_attention(self, Q, K, V, masked=False):
+def unfused_feed_forward(x, weights, sigmoid=False):
+    W1, b1, W2, b2 = weights
+    hidden = Tensor(np.maximum(unfused_linear(x, W1, b1).data, 0.0))
+    out = unfused_linear(hidden, W2, b2).data
+    return Tensor(1.0 / (1.0 + np.exp(-out)) if sigmoid else out)
+
+
+def unfused_attention(Q, K, V, weights, n_heads, mask=None):
     def split(x):
         B, L, d = x.shape
-        return x.reshape(B, L, self.n_heads, d // self.n_heads).transpose((0, 2, 1, 3))
+        return x.reshape(B, L, n_heads, d // n_heads).transpose((0, 2, 1, 3))
 
-    qh, kh, vh = (split(lin(x).data) for lin, x in
-                  ((self.wq, Q), (self.wk, K), (self.wv, V)))
+    Wq, bq, Wk, bk, Wv, bv, Wo, bo = weights
+    qh, kh, vh = (split(unfused_linear(x, W, b).data) for x, W, b in
+                  ((Q, Wq, bq), (K, Wk, bk), (V, Wv, bv)))
     logits = (qh @ np.transpose(kh, (0, 1, 3, 2))) * (1.0 / np.sqrt(qh.shape[-1]))
-    if masked:
-        mask = np.triu(np.ones(logits.shape[-2:], dtype=bool), k=1)
-        logits = np.where(mask, -1e9, logits)
+    if mask is not None:
+        # a causal mask built here, not the model's cached one
+        logits = np.where(np.triu(np.ones(logits.shape[-2:], dtype=bool), k=1), -1e9, logits)
     e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    weights = e / e.sum(axis=-1, keepdims=True)
-    out = (weights @ vh).transpose((0, 2, 1, 3)).reshape(Q.shape[0], Q.shape[1], -1)
-    return self.wo(Tensor(out)), weights
+    w = e / e.sum(axis=-1, keepdims=True)
+    out = (w @ vh).transpose((0, 2, 1, 3)).reshape(Q.shape[0], Q.shape[1], -1)
+    return unfused_linear(Tensor(out), Wo, bo), w
+
+
+# each fused entry point of the forward, its op-by-op stand-in, and the
+# number of times a scoring pass calls it
+UNFUSED = {"linear": (unfused_linear, 1), "attention": (unfused_attention, 5),
+           "add_norm": (unfused_add_norm, 7), "feed_forward": (unfused_feed_forward, 4)}
 
 
 @pytest.mark.parametrize("m, B, L", [(3, 16, 30), (3, 1, 4), (6, 5, 12)])
@@ -297,7 +314,26 @@ def test_score_batch_bit_identical_to_unfused_layers(monkeypatch, m, B, L):
     rng = np.random.default_rng(B)
     W, C = rng.uniform(size=(B, 10, m)), rng.uniform(size=(B, L, m))
     fused = detection.score_batch(model, W, C)
-    monkeypatch.setattr(model_module.Linear, "__call__", unfused_linear)
-    monkeypatch.setattr(model_module.LayerNorm, "__call__", unfused_layer_norm)
-    monkeypatch.setattr(model_module.MultiHeadAttention, "__call__", unfused_attention)
+    calls = dict.fromkeys(UNFUSED, 0)
+    for name, (stand_in, _) in UNFUSED.items():
+        def counted(*args, name=name, stand_in=stand_in, **kwargs):
+            calls[name] += 1
+            return stand_in(*args, **kwargs)
+        monkeypatch.setattr(ad, name, counted)
     np.testing.assert_array_equal(fused, detection.score_batch(model, W, C))
+    assert calls == {name: n for name, (_, n) in UNFUSED.items()}
+
+
+def test_one_window_score_builds_at_most_26_result_tensors(monkeypatch):
+    # the fixed cost of a streamed row: each op's result is a new Tensor
+    model = TranAD(ModelConfig(m=3, window_size=10, context_cap=30, dropout=0.0))
+    rng = np.random.default_rng(0)
+    built, result = [], Tensor._result
+
+    def counted(data, parents, backward_fn):
+        built.append(np.shape(data))
+        return result(data, parents, backward_fn)
+
+    monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
+    detection.score_batch(model, rng.uniform(size=(1, 10, 3)), rng.uniform(size=(1, 30, 3)))
+    assert len(built) <= 26

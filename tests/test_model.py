@@ -13,9 +13,12 @@ from tranad.errors import DimensionMismatch, ShapeMismatch, TranadError
 from tranad.model import (
     ModelConfig,
     TranAD,
+    causal_mask,
     position_encode,
     position_encoding,
 )
+
+from conftest import plain_attention
 
 
 def small_model(m=2, K=4, cap=8, seed=0, dropout=0.0, **kw):
@@ -68,7 +71,7 @@ class TestAttention:
         Q = Tensor(np.array([[1.0, 2.0]]))
         K = Tensor(np.array([[0.3, -0.1]]))
         V = Tensor(np.array([[5.0, 6.0]]))
-        out, w = ad.attention(Q, K, V, n_heads=1)
+        out, w = plain_attention(Q, K, V, n_heads=1)
         np.testing.assert_allclose(w[0], [[1.0]])      # the one head
         np.testing.assert_allclose(out.data, [[5.0, 6.0]])
 
@@ -76,13 +79,13 @@ class TestAttention:
         Q = Tensor(np.zeros((2, 3)))
         K = Tensor(np.random.default_rng(0).normal(size=(4, 3)))
         V = Tensor(np.arange(8.0).reshape(4, 2))
-        out, _ = ad.attention(Q, K, V, n_heads=1)
+        out, _ = plain_attention(Q, K, V, n_heads=1)
         np.testing.assert_allclose(out.data, np.tile(V.data.mean(axis=0), (2, 1)))
 
     def test_hand_two_by_two(self):
         eye = np.eye(2)
         # one head of width 2: the logits are scaled by sqrt(2)
-        out, w = ad.attention(Tensor(eye), Tensor(eye), Tensor(eye), n_heads=1)
+        out, w = plain_attention(Tensor(eye), Tensor(eye), Tensor(eye), n_heads=1)
         logits = eye @ eye.T / math.sqrt(2.0)
         e = np.exp(logits - logits.max(axis=1, keepdims=True))
         expected_w = e / e.sum(axis=1, keepdims=True)
@@ -91,11 +94,16 @@ class TestAttention:
 
     def test_width_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            ad.attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
-                         Tensor(np.zeros((2, 4))), n_heads=1)
+            plain_attention(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 4))),
+                            Tensor(np.zeros((2, 4))), n_heads=1)
 
 
 class TestMultiHead:
+    def test_causal_mask_cached_read_only(self):
+        mask = causal_mask(4, 4)
+        assert mask is causal_mask(4, 4) and not mask.flags.writeable
+        np.testing.assert_array_equal(mask, np.triu(np.ones((4, 4), dtype=bool), k=1))
+
     def test_masked_first_row_degenerate(self):
         model = small_model()
         x = Tensor(np.random.default_rng(2).normal(size=(1, 4, 4)))
