@@ -1,6 +1,6 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-A dynamically recorded tape: every operation on a :class:`Tensor` that has
+A dynamically recorded tape of network blocks: each block that has
 gradient tracking enabled records its parents and a closure that maps the
 node's cotangent to one cotangent per parent.  A single reverse walk
 (:func:`reverse_walk`) owns accumulation: it visits the nodes of
@@ -9,12 +9,16 @@ contribution as is and releases each node's cotangent once the node is
 processed.  ``backward()`` on a scalar runs one walk and returns the
 gradients as values, {leaf: array}; no tensor stores a gradient.
 
-Each network block is a single node with a hand-derived backward rule:
-:func:`linear`, :func:`concat_aligned`, :func:`add_norm` (residual sum and
-LayerNorm), :func:`feed_forward` (with its ReLU, and the decoder's sigmoid),
-multi-head :func:`attention` (with its four projections) and the loss term
-:func:`mean_frobenius`.  A rule adds its cotangents in the order the walk
-would add them over the block's op-by-op graph, so gradients are bit-equal.
+Every op on the tape is a block with a hand-derived backward rule; a
+:class:`Tensor` has no arithmetic of its own.  The blocks are the encoder
+inputs with their position table, :func:`concat_aligned` (context beside
+focus) and :func:`embed` (the window); :func:`add_norm` (residual sum and
+LayerNorm); :func:`feed_forward` (with its ReLU, and the decoder's
+sigmoid); multi-head :func:`attention` (with its four projections);
+:func:`dropout`; the focus :func:`squared_deviation`; the loss term
+:func:`mean_frobenius`; and :func:`mix`, which weights the loss terms into
+L1 or L2.  A rule adds its cotangents in the order the walk would add them
+over the block's op-by-op graph, so gradients are bit-equal to it.
 
 Also hosts the parameter store, which lays every weight and gradient out in
 flat buffers, the AdamW optimizer, and the binary checkpoint format.
@@ -51,19 +55,6 @@ def no_grad():
         _GRAD_ENABLED = prev
 
 
-def _unbroadcast(grad, shape):
-    """Sum `grad` down to `shape`, undoing numpy broadcasting."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad
-
-
 class Tensor:
     """An array on the tape.  An op node's `_backward(g, need)` returns one
     cotangent per parent, None where `need` is false."""
@@ -96,43 +87,6 @@ class Tensor:
         # a cotangent may be shared between parents; each gradient is its own
         return {leaf: g.copy() for leaf, g in
                 reverse_walk(seeds, tape_order([self], {})[0]).items()}
-
-    # -- elementwise arithmetic ----------------------------------------------
-
-    def __add__(self, other):
-        a, b = self, other if isinstance(other, Tensor) else Tensor(other)
-        data = a.data + b.data
-
-        def backward_fn(g, need):
-            return (_unbroadcast(g, a.data.shape) if need[0] else None,
-                    _unbroadcast(g, b.data.shape) if need[1] else None)
-
-        return Tensor._result(data, (a, b), backward_fn)
-
-    def __neg__(self):
-        return Tensor._result(-self.data, (self,), lambda g, need: (-g,))
-
-    def __mul__(self, other):
-        a, b = self, other if isinstance(other, Tensor) else Tensor(other)
-        data = a.data * b.data
-
-        def backward_fn(g, need):
-            return (_unbroadcast(g * b.data, a.data.shape) if need[0] else None,
-                    _unbroadcast(g * a.data, b.data.shape) if need[1] else None)
-
-        return Tensor._result(data, (a, b), backward_fn)
-
-    # -- shape ops ------------------------------------------------------------
-
-    def __getitem__(self, key):
-        a = self
-
-        def backward_fn(g, need):
-            full = np.zeros_like(a.data)
-            np.add.at(full, key, g)
-            return (full,)
-
-        return Tensor._result(a.data[key], (a,), backward_fn)
 
 
 # -- the reverse walk ---------------------------------------------------------
@@ -207,15 +161,32 @@ def reverse_walk(seeds, order, masks=None, bit=0):
 # -- network blocks as single nodes ---------------------------------------------
 
 
+@functools.cache
+def position_encoding(length, width):
+    """Sinusoidal position table: PE[p, 2i] = sin(p / 10000^(2i/d)),
+    PE[p, 2i+1] = cos of the same argument.  Built once per shape and
+    returned read-only, since every caller shares it."""
+    pos = np.arange(length)[:, None].astype(np.float64)
+    i = np.arange(0, width, 2).astype(np.float64)
+    angle = pos / np.power(10000.0, i / width)
+    pe = np.empty((length, width))
+    pe[:, 0::2] = np.sin(angle)
+    pe[:, 1::2] = np.cos(angle)
+    pe.flags.writeable = False
+    return pe
+
+
 def concat_aligned(a, b):
-    """a and b side by side along the last axis, as one node, with the rows
-    of b aligned to the last rows of a: a surplus of leading rows of b is
-    dropped, and a shortfall is filled with zeros."""
+    """a and b side by side along the last axis plus the position table, as
+    one node: the context encoder's input.  The rows of b are aligned to the
+    last rows of a: a surplus of leading rows of b is dropped, and a
+    shortfall is filled with zeros."""
     (L, da), (Lb, db) = a.shape[-2:], b.shape[-2:]
     n = min(L, Lb)
     data = np.zeros(a.shape[:-1] + (da + db,))
     data[..., :da] = a.data
     data[..., L - n:, da:] = b.data[..., Lb - n:, :]
+    data += position_encoding(L, da + db)
 
     def backward_fn(g, need):
         gb = None
@@ -247,11 +218,14 @@ def _linear_grads(g, x, W, need):
             rows.sum(axis=0) if need[2] else None)
 
 
-def linear(x, W, b):
-    """x @ W + b over the last axis of x, as one node."""
+def embed(x, W, b):
+    """(x @ W + b) + PE over the last axis of a (..., L, d) x, as one node:
+    the window encoder's input, with the position table of its shape."""
     if x.shape[-1] != W.shape[0]:
-        raise ShapeMismatch(f"linear input width {x.shape[-1]} != weight rows {W.shape[0]}")
-    return Tensor._result(x.data @ W.data + b.data, (x, W, b),
+        raise ShapeMismatch(f"embedding input width {x.shape[-1]} != weight rows {W.shape[0]}")
+    data = x.data @ W.data + b.data
+    data += position_encoding(*data.shape[-2:])
+    return Tensor._result(data, (x, W, b),
                           lambda g, need: _linear_grads(g, x.data, W.data, need))
 
 
@@ -397,6 +371,24 @@ def mean_frobenius(x, target):
         return (gd + gd,)
 
     return Tensor._result(norm.sum() * inv_n, (x,), backward_fn)
+
+
+def squared_deviation(x, target):
+    """(x - target)^2 elementwise, as one node: the focus score; `target` is
+    an array.  The rule adds the two factors' equal cotangents, g * diff
+    twice, in the order of the walk over diff * diff, so it is bit-equal."""
+    diff = x.data - target
+    return Tensor._result(diff * diff, (x,), lambda g, need: (g * diff + g * diff,))
+
+
+def mix(p, d, w, sign):
+    """p * w + (sign * d) * (1 - w) as one node, for a weight w and a sign
+    of +-1: L1 (+) or L2 (-) of the schedule.  In the shared walk d receives
+    x from L1 and -x from L2, which cancel exactly."""
+    def backward_fn(g, need):
+        return g * w, sign * (g * (1.0 - w))
+
+    return Tensor._result(p.data * w + (sign * d.data) * (1.0 - w), (p, d), backward_fn)
 
 
 # -- parameters ---------------------------------------------------------------

@@ -77,6 +77,10 @@ class NormStats:
         check_real("stats", "eps", self.eps, lambda v: 0 < v < math.inf, "finite and > 0")
         if np.any(self.min > self.max):
             raise InvalidConfig("stats min exceeds max in some dimension")
+        with np.errstate(over="ignore"):
+            bad = ~np.isfinite(self.max - self.min + self.eps)
+        if bad.any():
+            raise NonFiniteInput(f"stats range max - min + eps overflows in column {bad.argmax()}")
 
 
 @dataclass

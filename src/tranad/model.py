@@ -13,6 +13,9 @@ window becomes the focus score for phase 2, which produces the conditioned
 reconstruction O2_hat.  Gradients flow through both phases, including through
 the focus score.  The window's embedding and masked self-attention see the
 window alone, so they run once and both phases cross-attend from that result.
+
+`TranAD` holds each block's weights as a tuple and calls the `autodiff`
+blocks itself, so every op a pass records is one block node.
 """
 
 from __future__ import annotations
@@ -74,27 +77,6 @@ class TwoPhaseOutput:
 
 
 @functools.cache
-def position_encoding(length, width):
-    """Sinusoidal position table: PE[p, 2i] = sin(p / 10000^(2i/d)),
-    PE[p, 2i+1] = cos of the same argument.  Built once per shape and
-    returned read-only, since every caller shares it."""
-    pos = np.arange(length)[:, None].astype(np.float64)
-    i = np.arange(0, width, 2).astype(np.float64)
-    angle = pos / np.power(10000.0, i / width)
-    pe = np.empty((length, width))
-    pe[:, 0::2] = np.sin(angle)
-    pe[:, 1::2] = np.cos(angle)
-    pe.flags.writeable = False
-    return pe
-
-
-def position_encode(x):
-    """Add the sinusoidal table to a (..., L, d) tensor."""
-    L, d = x.shape[-2], x.shape[-1]
-    return x + Tensor(position_encoding(L, d))
-
-
-@functools.cache
 def causal_mask(n_queries, n_keys):
     """(n_queries, n_keys) booleans, True where a key lies after its query
     row.  Built once per shape and returned read-only, like the position
@@ -111,18 +93,10 @@ def linear_weights(store, prefix, d_in, d_out, rng):
             store.add(f"{prefix}.b", np.zeros(d_out)))
 
 
-class MultiHeadAttention:
-    """Per-head linear projections, scaled attention, concat, output map:
-    one node of `autodiff.attention`."""
-
-    def __init__(self, store, prefix, d_model, n_heads, rng):
-        self.n_heads = n_heads
-        self.weights = sum((linear_weights(store, f"{prefix}.{name}", d_model, d_model, rng)
-                            for name in ("q", "k", "v", "out")), ())
-
-    def __call__(self, Q, K, V, masked=False):
-        mask = causal_mask(Q.shape[-2], K.shape[-2]) if masked else None
-        return ad.attention(Q, K, V, self.weights, self.n_heads, mask=mask)
+def attention_weights(store, prefix, d_model, rng):
+    """(Wq, bq, Wk, bk, Wv, bv, Wo, bo) of a multi-head attention block."""
+    return sum((linear_weights(store, f"{prefix}.{name}", d_model, d_model, rng)
+                for name in ("q", "k", "v", "out")), ())
 
 
 def feed_forward_weights(store, prefix, d_in, hidden, d_out, rng):
@@ -137,82 +111,70 @@ def norm_weights(store, prefix, width):
             store.add(f"{prefix}.bias", np.zeros(width)))
 
 
-class EncoderLayer:
-    """Self-attention + feed-forward sublayers, each with residual + norm."""
-
-    def __init__(self, store, prefix, cfg, rng):
-        d = cfg.d_model
-        self.attn = MultiHeadAttention(store, f"{prefix}.attn", d, cfg.m, rng)
-        self.ln1 = norm_weights(store, f"{prefix}.ln1", d)
-        self.ff = feed_forward_weights(store, f"{prefix}.ff", d, FF_HIDDEN, d, rng)
-        self.ln2 = norm_weights(store, f"{prefix}.ln2", d)
-        self.dropout = cfg.dropout
-
-    def __call__(self, x, rng):
-        att = self.attn(x, x, x)[0]
-        x = ad.add_norm(x, ad.dropout(att, self.dropout, rng), self.ln1)
-        ff = ad.dropout(ad.feed_forward(x, self.ff), self.dropout, rng)
-        return ad.add_norm(x, ff, self.ln2)
-
-
-class WindowEncoder:
-    """Masked self-attention over the window (`attend_self`), then (call)
-    cross-attention from it into the context encoding as keys/values."""
-
-    def __init__(self, store, cfg, rng):
-        d = cfg.d_model
-        self.self_attn = MultiHeadAttention(store, "window_encoder.self_attn", d, cfg.m, rng)
-        self.ln1 = norm_weights(store, "window_encoder.ln1", d)
-        self.cross_attn = MultiHeadAttention(store, "window_encoder.cross_attn", d, cfg.m, rng)
-        self.ln2 = norm_weights(store, "window_encoder.ln2", d)
-        self.dropout = cfg.dropout
-
-    def attend_self(self, I2, rng):
-        att, self_w = self.self_attn(I2, I2, I2, masked=True)
-        return ad.add_norm(I2, ad.dropout(att, self.dropout, rng), self.ln1), self_w
-
-    def __call__(self, I2_2, ctx_encoding, rng):
-        cross = self.cross_attn(I2_2, ctx_encoding, ctx_encoding)[0]
-        return ad.add_norm(I2_2, ad.dropout(cross, self.dropout, rng), self.ln2)
-
-
 class TranAD:
     """The full network plus its parameter store."""
 
     def __init__(self, config):
         self.config = config
-        self.params = ParamStore()
+        self.params = store = ParamStore()
         rng = np.random.default_rng(config.init_seed)
+        d, m = config.d_model, config.m
         # the context reaches width 2m by the focus concatenation; the window
         # gets there through a learned projection
-        self.window_embed = linear_weights(self.params, "embed.window", config.m,
-                                           config.d_model, rng)
-        self.context_encoder = EncoderLayer(self.params, "encoder1.l0", config, rng)
-        self.window_encoder = WindowEncoder(self.params, config, rng)
+        self.window_embed = linear_weights(store, "embed.window", m, d, rng)
+        # the context encoder: self-attention and feed-forward sublayers, each
+        # with a residual norm
+        self.context_attn = attention_weights(store, "encoder1.l0.attn", d, rng)
+        self.context_ln1 = norm_weights(store, "encoder1.l0.ln1", d)
+        self.context_ff = feed_forward_weights(store, "encoder1.l0.ff", d, FF_HIDDEN, d, rng)
+        self.context_ln2 = norm_weights(store, "encoder1.l0.ln2", d)
+        # the window encoder: masked self-attention over the window, then
+        # cross-attention into the context encoding, each with a residual norm
+        self.self_attn = attention_weights(store, "window_encoder.self_attn", d, rng)
+        self.window_ln1 = norm_weights(store, "window_encoder.ln1", d)
+        self.cross_attn = attention_weights(store, "window_encoder.cross_attn", d, rng)
+        self.window_ln2 = norm_weights(store, "window_encoder.ln2", d)
         # each decoder: feed-forward d_model -> FF_HIDDEN -> m, then a sigmoid
         self.decoder1, self.decoder2 = (
-            feed_forward_weights(self.params, f"{name}.ff", config.d_model, FF_HIDDEN,
-                                 config.m, rng) for name in ("decoder1", "decoder2"))
+            feed_forward_weights(store, f"{name}.ff", d, FF_HIDDEN, m, rng)
+            for name in ("decoder1", "decoder2"))
+
+    def _residual(self, x, sublayer, norm, rng):
+        """LayerNorm(x + dropout(sublayer))."""
+        return ad.add_norm(x, ad.dropout(sublayer, self.config.dropout, rng), norm)
 
     # -- encoding -------------------------------------------------------------
 
     def encode_context(self, C, F, rng=None):
         """First encoder: put the K x m focus score beside the last rows of
-        the context (zeros above them), position-encode, and run the encoder
-        layer."""
+        the context (zeros above them) with the position table, then run
+        self-attention and feed-forward sublayers."""
         if C.shape[-1] != self.config.m:
             raise DimensionMismatch(f"context has {C.shape[-1]} dims, "
                                     f"model expects {self.config.m}")
-        return self.context_encoder(position_encode(ad.concat_aligned(C, F)), rng)
+        x = ad.concat_aligned(C, F)
+        x = self._residual(x, ad.attention(x, x, x, self.context_attn, self.config.m)[0],
+                           self.context_ln1, rng)
+        return self._residual(x, ad.feed_forward(x, self.context_ff), self.context_ln2, rng)
 
     def encode_window(self, W, rng=None):
-        """Embed, position-encode and self-attend the window: the part of the
-        window encoder both phases share.  Returns (encoding, weights)."""
+        """Embed the window with the position table and run its masked
+        self-attention: the part of the window encoder both phases share.
+        Returns (encoding, weights)."""
         if W.shape[-1] != self.config.m:
             raise DimensionMismatch(f"window has {W.shape[-1]} dims, "
                                     f"model expects {self.config.m}")
-        I2 = position_encode(ad.linear(W, *self.window_embed))
-        return self.window_encoder.attend_self(I2, rng)
+        x = ad.embed(W, *self.window_embed)
+        K = x.shape[-2]
+        att, weights = ad.attention(x, x, x, self.self_attn, self.config.m,
+                                    mask=causal_mask(K, K))
+        return self._residual(x, att, self.window_ln1, rng), weights
+
+    def attend_context(self, win, ctx, rng=None):
+        """The window encoder's second half: cross-attention from the window
+        encoding into a context encoding as keys and values."""
+        cross = ad.attention(win, ctx, ctx, self.cross_attn, self.config.m)[0]
+        return self._residual(win, cross, self.window_ln2, rng)
 
     # -- the two-phase pass ---------------------------------------------------
 
@@ -227,25 +189,25 @@ class TranAD:
         `decode_rows`, a slice of window rows, limits phase 2's cross-attention
         and decoder 2 to those rows and skips O2.  Phase 1 and the phase-2
         context encoder run whole: the focus reads all of O1, and every
-        context row is a phase-2 key and value.
+        context row is a phase-2 key and value.  The rows are sliced from the
+        window encoding's array, which records no tape: such a pass is for
+        scoring under `no_grad`, and phase 2 passes no gradient to the window
+        encoding.
         """
         W, C = Tensor(W), Tensor(C)
-        B, K, m = W.shape
-
-        zero_focus = Tensor(np.zeros((B, K, m)))
+        zero_focus = Tensor(np.zeros(W.shape))
         ctx1 = self.encode_context(C, zero_focus, rng)
         win, self_w = self.encode_window(W, rng)
-        I23 = self.window_encoder(win, ctx1, rng)
+        I23 = self.attend_context(win, ctx1, rng)
         O1 = ad.feed_forward(I23, self.decoder1, sigmoid=True)
         O2 = ad.feed_forward(I23, self.decoder2, sigmoid=True) if decode_rows is None else None
 
-        diff = O1 + (-W)
-        focus = diff * diff
+        focus = ad.squared_deviation(O1, W.data)
         phase2_focus = focus if self_condition else zero_focus
 
         ctx2 = self.encode_context(C, phase2_focus, rng)
-        win2 = win if decode_rows is None else win[:, decode_rows]
-        I23_2 = self.window_encoder(win2, ctx2, rng)
+        win2 = win if decode_rows is None else Tensor(win.data[:, decode_rows])
+        I23_2 = self.attend_context(win2, ctx2, rng)
         O2_hat = ad.feed_forward(I23_2, self.decoder2, sigmoid=True)
         return TwoPhaseOutput(O1=O1, O2=O2, O2_hat=O2_hat, focus=phase2_focus,
                               window_attention=self_w)

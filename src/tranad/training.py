@@ -88,10 +88,9 @@ def loss_phase1(O1, O2, W):
 
 
 def loss_adversarial(O2_hat, W):
-    """The conditioned-reconstruction deviation, signed for the two sides of
-    the min-max game: (+d for decoder 1, -d for decoder 2)."""
-    d = ad.mean_frobenius(O2_hat, W.data)
-    return d, -d
+    """The conditioned-reconstruction deviation d, which L1 adds and L2
+    subtracts in the min-max game."""
+    return ad.mean_frobenius(O2_hat, W.data)
 
 
 def schedule_weight(n, eps):
@@ -99,17 +98,15 @@ def schedule_weight(n, eps):
     return float(eps) ** (-n)
 
 
-def loss_combined(phase1, adv, n, eps, use_adversarial=True):
-    """Weighted combination of reconstruction and adversarial terms.  With the
+def loss_combined(phase1, d, n, eps, use_adversarial=True):
+    """Weighted combination of reconstruction and adversarial terms, each
+    loss one node: L1 = p1*w + d*(1-w), L2 = p2*w + (-d)*(1-w).  With the
     adversarial toggle off the losses are the pure reconstruction terms."""
     p1, p2 = phase1
     if not use_adversarial:
         return p1, p2
-    a1, a2 = adv
     w = schedule_weight(n, eps)
-    L1 = p1 * w + a1 * (1.0 - w)
-    L2 = p2 * w + a2 * (1.0 - w)
-    return L1, L2
+    return ad.mix(p1, d, w, 1.0), ad.mix(p2, d, w, -1.0)
 
 
 # -- gradient routing ---------------------------------------------------------
@@ -150,8 +147,8 @@ def _batch_losses(model, W, C, cfg, n, rng):
     out = model.forward_two_phase(W, C, rng=rng, self_condition=cfg.use_self_condition)
     Wt = Tensor(W)
     phase1 = loss_phase1(out.O1, out.O2, Wt)
-    adv = loss_adversarial(out.O2_hat, Wt)
-    return loss_combined(phase1, adv, n, cfg.epsilon, cfg.use_adversarial)
+    d = loss_adversarial(out.O2_hat, Wt)
+    return loss_combined(phase1, d, n, cfg.epsilon, cfg.use_adversarial)
 
 
 # -- epoch / meta steps -------------------------------------------------------

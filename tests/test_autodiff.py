@@ -45,33 +45,40 @@ def vjp(out, R):
 
 
 def total(x):
-    """The sum of a 1-D tensor as a one-element tensor, through `linear`."""
-    return ad.linear(x, Tensor(np.ones((x.shape[0], 1))), Tensor(np.zeros(1)))
+    """The sum of a (1, n) tensor as a one-element tensor, through the window
+    embedding with a column of ones; the one-row position table is sin 0 = 0."""
+    return ad.embed(x, Tensor(np.ones((x.shape[-1], 1))), Tensor(np.zeros(1)))
+
+
+def square(x):
+    """x * x, through the focus node against a zero target."""
+    return ad.squared_deviation(x, np.zeros(x.shape))
 
 
 class TestMatmul:
-    """The matrix product, through linear (x @ W + b) with a zero bias."""
+    """The matrix product, through the window embedding ((x @ W + b) + PE)
+    with a zero bias."""
 
     def test_identity(self):
-        a = np.eye(3)
-        b = np.arange(9.0).reshape(3, 3)
-        out = ad.linear(Tensor(a), Tensor(b), Tensor(np.zeros(3)))
-        np.testing.assert_array_equal(out.data, b)
+        a = np.eye(4)
+        b = np.arange(16.0).reshape(4, 4)
+        out = ad.embed(Tensor(a), Tensor(b), Tensor(np.zeros(4)))
+        np.testing.assert_array_equal(out.data, b + ad.position_encoding(4, 4))
 
     def test_hand_arithmetic(self):
-        out = ad.linear(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]),
-                        Tensor(np.zeros(1)))
-        np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
+        out = ad.embed(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]),
+                       Tensor(np.zeros(1)))
+        np.testing.assert_array_equal(out.data, [[3.0], [7.0 + math.sin(1.0)]])
 
     def test_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            ad.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))),
-                      Tensor(np.zeros(5)))
+            ad.embed(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 5))),
+                     Tensor(np.zeros(5)))
 
     def test_gradients(self):
         a = Tensor(np.array([[1.0, 2.0], [3.0, 4.0]]), requires_grad=True)
         b = Tensor(np.array([[5.0], [6.0]]), requires_grad=True)
-        grads = vjp(ad.linear(a, b, Tensor(np.zeros(1))), np.ones((2, 1)))
+        grads = vjp(ad.embed(a, b, Tensor(np.zeros(1))), np.ones((2, 1)))
         np.testing.assert_allclose(grads[a], [[5.0, 6.0], [5.0, 6.0]])
         np.testing.assert_allclose(grads[b], [[4.0], [6.0]])
 
@@ -200,9 +207,10 @@ class TestFusedNodes:
     """The one-node layers against finite differences."""
 
     def test_linear_3d_input(self):
+        # the window embedding, a linear layer plus the constant position table
         rng = np.random.default_rng(11)
-        check_node_gradients(ad.linear, [rng.normal(size=(2, 3, 4)),
-                                         rng.normal(size=(4, 5)), rng.normal(size=5)])
+        check_node_gradients(ad.embed, [rng.normal(size=(2, 3, 4)),
+                                        rng.normal(size=(4, 6)), rng.normal(size=6)])
 
     def test_layer_norm(self):
         # the residual norm, through both inputs of its sum
@@ -237,14 +245,34 @@ class TestFusedNodes:
     @pytest.mark.parametrize("rows", [3, 7])
     def test_concat_aligned(self, rows):
         # the focus (5 rows) beside a shorter context, which keeps its last
-        # rows, and beside a longer one, which pads it with zeros above
+        # rows, and beside a longer one, which pads it with zeros above; the
+        # position table of the context's length is added to both
         rng = np.random.default_rng(17)
-        a, b = rng.normal(size=(2, rows, 3)), rng.normal(size=(2, 5, 2))
+        a, b = rng.normal(size=(2, rows, 4)), rng.normal(size=(2, 5, 2))
         out, n = ad.concat_aligned(Tensor(a), Tensor(b)).data, min(rows, 5)
-        np.testing.assert_array_equal(out[..., :3], a)
-        np.testing.assert_array_equal(out[:, rows - n:, 3:], b[:, 5 - n:])
-        np.testing.assert_array_equal(out[:, :rows - n, 3:], 0.0)
+        pe = ad.position_encoding(rows, 6)
+        np.testing.assert_array_equal(out[..., :4], a + pe[:, :4])
+        np.testing.assert_array_equal(out[:, rows - n:, 4:], b[:, 5 - n:] + pe[rows - n:, 4:])
+        np.testing.assert_array_equal(out[:, :rows - n, 4:], np.broadcast_to(
+            pe[:rows - n, 4:], (2, rows - n, 2)))
         check_node_gradients(ad.concat_aligned, [a, b])
+
+    def test_squared_deviation(self):
+        # the focus score against a target array, with one entry on target
+        rng = np.random.default_rng(18)
+        target, x = rng.normal(size=(2, 3, 4)), rng.normal(size=(2, 3, 4))
+        x[0, 1, 2] = target[0, 1, 2]
+        np.testing.assert_array_equal(ad.squared_deviation(Tensor(x), target).data,
+                                      (x - target) ** 2)
+        check_node_gradients(lambda t: ad.squared_deviation(t, target), [x])
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_mix(self, sign):
+        # L1 (+) and L2 (-) of the schedule from two scalar loss terms
+        p, d, w = np.array(0.7), np.array(1.9), 1.05 ** -3
+        out = ad.mix(Tensor(p), Tensor(d), w, sign)
+        assert float(out.data) == float(p) * w + sign * float(d) * (1.0 - w)
+        check_node_gradients(lambda a, b: ad.mix(a, b, w, sign), [p, d])
 
     def test_mean_frobenius_with_a_zero_norm(self):
         # the second window is reconstructed exactly: the square root's
@@ -289,8 +317,8 @@ def test_attention_backward_matches_explicit_row_term(n_heads, masked):
 
 class TestBackward:
     def test_square_gradient(self):
-        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        np.testing.assert_array_equal(total(x * x).backward()[x], [2.0, 4.0])
+        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        np.testing.assert_array_equal(total(square(x)).backward()[x], [[2.0, 4.0]])
 
     def test_composed_graph_vs_finite_difference(self):
         # an encoder layer and a decoder built from the fused nodes, as the
@@ -308,11 +336,13 @@ class TestBackward:
         target, mask = rng.uniform(size=(2, 3, 2)), np.triu(np.ones((3, 3), dtype=bool), k=1)
 
         def graph(x):
-            e = ad.linear(x, *embed)
+            e = ad.embed(x, *embed)
             h = ad.add_norm(e, ad.attention(e, e, e, attn, 2, mask=mask)[0], norm1)
             h = ad.add_norm(h, ad.feed_forward(h, ff), norm2)
             out = ad.feed_forward(h, dec, sigmoid=True)
-            return ad.mean_frobenius(out, target) * 0.5 + ad.mean_frobenius(x, target) * 0.25
+            focus = ad.squared_deviation(out, target)
+            return ad.mix(ad.mean_frobenius(out, target), ad.mean_frobenius(focus, target),
+                          2 / 3, -1.0)
 
         def f(arr):
             return float(graph(Tensor(arr)).data)
@@ -323,8 +353,8 @@ class TestBackward:
         np.testing.assert_allclose(grads[x], fd, rtol=1e-4, atol=1e-8)
 
     def test_gradients_are_values_not_tensor_state(self):
-        x = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
-        h = x * x
+        x = Tensor(np.array([[1.0, -2.0, 0.5]]), requires_grad=True)
+        h = square(x)
         loss = total(h)
         first, second = loss.backward(), loss.backward()
         assert list(first) == list(second) == [x]
@@ -337,22 +367,26 @@ class TestBackward:
 
     def test_sequential_backward_on_shared_graph(self):
         # two losses sharing intermediates must not contaminate each other
-        x = Tensor(np.array([1.0, 2.0]), requires_grad=True)
-        h = x * x
+        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        h = square(x)
         l1 = total(h)
-        l2 = total(h * h)
+        l2 = total(square(h))
         g1 = l1.backward()[x]
         g2 = l2.backward()[x]
-        np.testing.assert_allclose(g1, [2.0, 4.0])
-        np.testing.assert_allclose(g2, [4.0, 32.0])   # d/dx x^4 = 4x^3
+        np.testing.assert_allclose(g1, [[2.0, 4.0]])
+        np.testing.assert_allclose(g2, [[4.0, 32.0]])   # d/dx x^4 = 4x^3
 
     def test_leaf_grads_are_separate_arrays(self):
-        # the add node hands one cotangent to both parents
-        x = Tensor(np.ones(2), requires_grad=True)
-        y = Tensor(np.ones(2), requires_grad=True)
-        grads = total(x + y).backward()
+        # the residual norm hands one cotangent to both inputs of its sum
+        x = Tensor(np.array([[0.0, 1.0, 3.0]]), requires_grad=True)
+        y = Tensor(np.array([[1.0, 0.0, 0.0]]), requires_grad=True)
+        norm = (Tensor(np.array([1.0, 2.0, 3.0])), Tensor(np.zeros(3)))
+        grads = total(ad.add_norm(x, y, norm)).backward()
+        expected = grads[y].copy()
+        np.testing.assert_array_equal(grads[x], expected)
+        assert np.abs(expected).max() > 0.1
         grads[x] *= 3.0
-        np.testing.assert_array_equal(grads[y], [1.0, 1.0])
+        np.testing.assert_array_equal(grads[y], expected)
 
     def test_backward_requires_scalar(self):
         x = Tensor(np.ones(3), requires_grad=True)
@@ -362,7 +396,7 @@ class TestBackward:
     def test_no_grad_blocks_recording(self):
         x = Tensor(np.ones(3), requires_grad=True)
         with ad.no_grad():
-            out = x * 2.0
+            out = square(x)
         assert not out.requires_grad
 
 

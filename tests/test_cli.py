@@ -397,6 +397,15 @@ class TestBadInputs:
         assert_failed(code, capsys, *names)
         assert list(out.iterdir()) == []
 
+    def test_train_range_overflow_names_its_column(self, tmp_path, capsys):
+        # max - min of column 1 (counting from 0) is 2e308, past the largest
+        # float; a numpy overflow warning would fail the test as an error
+        data, out = tmp_path / "wide.csv", tmp_path / "out"
+        data.write_text("".join(f"1,{v}\n" for v in ("1e308", "-1e308") * 80))
+        code = cli.main(["train", "--quiet", "--data", str(data), "--out", str(out)])
+        assert_failed(code, capsys, "column 1", "overflows")
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         ["detect", "--seed", "3", "--data", "a.csv", "--test", "b.csv",
          "--checkpoint", "c.bin", "--stats", "s.json"],
@@ -503,8 +512,9 @@ class TestBadInputs:
         ('{"min": [0], "max": [1, 1], "eps": 1e-8}', ["equally long lists"]),
         ('{"min": [0, 0], "max": [1, 1], "eps": 0}', ["eps"]),
         ('{"min": [0, 2], "max": [1, 1], "eps": 1e-8}', ["min exceeds max"]),
+        ('{"min": [-1e308, 0], "max": [1e308, 1], "eps": 1e-8}', ["column 0", "overflows"]),
     ], ids=["not-json", "not-object", "missing-keys", "unknown-key", "string", "bool", "nan",
-            "huge-int", "unequal", "eps-zero", "min-above-max"])
+            "huge-int", "unequal", "eps-zero", "min-above-max", "range-overflow"])
     def test_bad_stats(self, pipeline, tmp_path, capsys, command, text, names):
         _, train_dir, test_dir, run_dir, cfg = pipeline
         stats = tmp_path / "stats.json"

@@ -8,15 +8,9 @@ import pytest
 
 from tranad import autodiff as ad
 from tranad import training
-from tranad.autodiff import Tensor
+from tranad.autodiff import Tensor, position_encoding
 from tranad.errors import DimensionMismatch, ShapeMismatch, TranadError
-from tranad.model import (
-    ModelConfig,
-    TranAD,
-    causal_mask,
-    position_encode,
-    position_encoding,
-)
+from tranad.model import ModelConfig, TranAD, causal_mask
 
 from conftest import plain_attention
 
@@ -61,9 +55,12 @@ class TestPositionEncoding:
                 assert pe[p, 2 * i + 1] == pytest.approx(math.cos(angle), rel=1e-12)
 
     def test_position_encode_adds_table(self):
-        x = np.zeros((3, 4))
-        out = position_encode(Tensor(x))
-        np.testing.assert_array_equal(out.data, position_encoding(3, 4))
+        # both encoder input blocks add the table of their output's shape
+        embedded = ad.embed(Tensor(np.zeros((2, 3, 2))), Tensor(np.zeros((2, 4))),
+                            Tensor(np.zeros(4)))
+        context = ad.concat_aligned(Tensor(np.zeros((2, 5, 2))), Tensor(np.zeros((2, 3, 2))))
+        np.testing.assert_array_equal(embedded.data[1], position_encoding(3, 4))
+        np.testing.assert_array_equal(context.data[1], position_encoding(5, 4))
 
 
 class TestAttention:
@@ -104,10 +101,15 @@ class TestMultiHead:
         assert mask is causal_mask(4, 4) and not mask.flags.writeable
         np.testing.assert_array_equal(mask, np.triu(np.ones((4, 4), dtype=bool), k=1))
 
+    @staticmethod
+    def _window_self_attention(model, x):
+        x = Tensor(x)
+        return ad.attention(x, x, x, model.self_attn, model.config.m, mask=causal_mask(4, 4))
+
     def test_masked_first_row_degenerate(self):
         model = small_model()
-        x = Tensor(np.random.default_rng(2).normal(size=(1, 4, 4)))
-        _, w = model.window_encoder.self_attn(x, x, x, masked=True)
+        x = np.random.default_rng(2).normal(size=(1, 4, 4))
+        _, w = self._window_self_attention(model, x)
         # row 0 can only see position 0
         np.testing.assert_allclose(w[0, :, 0, 0], np.ones(model.config.m))
         np.testing.assert_allclose(w[0, :, 0, 1:], 0.0, atol=1e-300)
@@ -116,13 +118,11 @@ class TestMultiHead:
         model = small_model()
         rng = np.random.default_rng(3)
         x = rng.normal(size=(1, 4, 4))
-        base, _ = model.window_encoder.self_attn(Tensor(x), Tensor(x), Tensor(x),
-                                                 masked=True)
+        base, _ = self._window_self_attention(model, x)
         for t in range(3):
             pert = x.copy()
             pert[0, t + 1:] += rng.normal(size=pert[0, t + 1:].shape)
-            out, _ = model.window_encoder.self_attn(
-                Tensor(pert), Tensor(pert), Tensor(pert), masked=True)
+            out, _ = self._window_self_attention(model, pert)
             np.testing.assert_array_equal(out.data[0, :t + 1], base.data[0, :t + 1])
 
 
@@ -154,7 +154,7 @@ class TestEncoders:
         W, C = random_inputs(model)
         ctx = model.encode_context(Tensor(C), Tensor(np.zeros((1, 4, 2))))
         win, _ = model.encode_window(Tensor(W))
-        out = model.window_encoder(win, ctx, None)
+        out = model.attend_context(win, ctx)
         assert out.shape == (1, 4, model.config.d_model)
 
 
@@ -225,7 +225,8 @@ class TestTwoPhase:
         p1 = training.loss_phase1(out.O1, out.O2, Wt)
         adv = training.loss_adversarial(out.O2_hat, Wt)
         L1, L2 = training.loss_combined(p1, adv, n=1, eps=1.05)
-        grads = (L1 + L2).backward()
+        one = np.ones_like(L1.data)    # the gradient of L1 + L2
+        grads = ad.reverse_walk([(L1, one), (L2, one)], ad.tape_order([L1, L2], {})[0])
         for path, p in model.params.items():
             assert p in grads and np.abs(grads[p]).max() > 0, path
 

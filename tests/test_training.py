@@ -4,7 +4,7 @@ training loop."""
 import numpy as np
 import pytest
 
-from tranad import dataset, training
+from tranad import autodiff as ad, dataset, training
 from tranad.autodiff import ParamStore, Tensor
 from tranad.errors import InvalidConfig, NonFiniteLoss, ShapeMismatch
 from tranad.model import ModelConfig, TranAD
@@ -46,10 +46,14 @@ class TestLosses:
                                  Tensor(np.zeros((1, 3, 2))))
 
     def test_adversarial_negation(self):
+        # L1 adds the deviation d and L2 subtracts it
         W = Tensor(np.zeros((1, 2, 2)))
         O = Tensor(np.full((1, 2, 2), 1.0))
-        a1, a2 = training.loss_adversarial(O, W)
-        assert float(a1.data) == pytest.approx(2.0)
+        d = training.loss_adversarial(O, W)
+        assert float(d.data) == pytest.approx(2.0)
+        zero = Tensor(np.zeros(()))
+        a1, a2 = training.loss_combined((zero, zero), d, n=1, eps=1.05)
+        assert float(a1.data) == float(d.data) * (1 - training.schedule_weight(1, 1.05))
         assert float(a2.data) == -float(a1.data)
 
 
@@ -69,14 +73,12 @@ class TestSchedule:
     def test_limit_towards_adversarial(self):
         W = Tensor(np.zeros((1, 1, 1)))
         p = (Tensor(np.array(1.0)), Tensor(np.array(1.0)))
-        adv = (Tensor(np.array(5.0)), Tensor(np.array(-5.0)))
-        L1, _ = training.loss_combined(p, adv, n=500, eps=1.05)
+        L1, _ = training.loss_combined(p, Tensor(np.array(5.0)), n=500, eps=1.05)
         assert float(L1.data) == pytest.approx(5.0, rel=1e-6)
 
     def test_adversarial_toggle_off(self):
         p = (Tensor(np.array(1.0)), Tensor(np.array(2.0)))
-        adv = (Tensor(np.array(5.0)), Tensor(np.array(-5.0)))
-        L1, L2 = training.loss_combined(p, adv, n=3, eps=1.05,
+        L1, L2 = training.loss_combined(p, Tensor(np.array(5.0)), n=3, eps=1.05,
                                         use_adversarial=False)
         assert float(L1.data) == 1.0 and float(L2.data) == 2.0
 
@@ -131,15 +133,40 @@ class TestGradientRouting:
         assert_routing_matches_fresh_graphs(
             training.TrainConfig(seed=0, use_maml=False, **{toggle: False}))
 
-    def test_step_tape_has_at_most_33_op_nodes(self):
-        # the benchmark's training shape: B=16, K=10, L=30, m=3; one node per
-        # attention, feed-forward, residual norm and loss term, and one window
-        # self-attention block per pass keep the step at 33
+    def test_step_tape_has_at_most_25_op_nodes(self):
+        # the benchmark's training shape: B=16, K=10, L=30, m=3; every op is a
+        # block (5 attention, 5 feed-forward, 7 residual norms, the window
+        # embedding, the phase-2 context input, the focus, 3 loss terms, and
+        # L1 and L2), and one window self-attention block per pass
         model = TranAD(ModelConfig(m=3, window_size=10, context_cap=30, dropout=0.0))
         rng = np.random.default_rng(0)
         W, C = rng.uniform(size=(16, 10, 3)), rng.uniform(size=(16, 30, 3))
         L1, L2 = training._batch_losses(model, W, C, training.TrainConfig(), n=1, rng=rng)
-        assert count_op_nodes(L1, L2) <= 33
+        assert count_op_nodes(L1, L2) <= 25
+
+    def test_shared_walk_stops_at_the_adversarial_term(self, monkeypatch):
+        # L1 and L2 hand d exactly opposite cotangents, so the shared walk
+        # runs no phase-2 rule; the decoder walks do run decoder 2's
+        model, train_b, _ = tiny_setup()
+        W, C, _ = dataset.batch_groups(train_b, 16)[0]
+        L1, L2 = training._batch_losses(model, W, C, training.TrainConfig(), n=1, rng=None)
+        d = L1._parents[1]
+        O2_hat = d._parents[0]     # phase 2's decoder-2 feed-forward node
+        walks, calls, rule, walk = [], [], O2_hat._backward, ad.reverse_walk
+
+        def spy(g, need):
+            calls.append(walks[-1])
+            return rule(g, need)
+
+        def tagged(seeds, order, masks=None, bit=0):
+            walks.append(bit)
+            return walk(seeds, order, masks, bit)
+
+        O2_hat._backward = spy
+        monkeypatch.setattr(ad, "reverse_walk", tagged)
+        training.partitioned_grads(model, L1, L2)
+        assert walks == [training.SHARED, training.D1, training.D2]
+        assert calls == [training.D1, training.D2]
 
     def test_batch_groups_share_context_length(self):
         _, train_b, _ = tiny_setup(T=30, cap=8)
