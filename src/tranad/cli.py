@@ -302,7 +302,7 @@ def cmd_inspect(args, cfg, out):
                 np.column_stack([t, res.focus.data[:, -1]]))
 
     att_rows, focus_rows = zip(*detection.map_chunks(model, batch, inspect))
-    detection.check_finite(np.concatenate(focus_rows)[:, 1:], "focus")
+    dataset.check_finite(np.concatenate(focus_rows)[:, 1:], "focus")
     out.write_text(os.path.join(args.out, "attention.csv"),
                    "\n".join(att_lines) + "\n" + _matrix_csv(np.concatenate(att_rows)))
     out.write_text(os.path.join(args.out, "focus.csv"),

@@ -210,12 +210,22 @@ def apply_normalize(series, stats):
     if series.m != stats.min.shape[0]:
         raise DimensionMismatch(
             f"series has m={series.m} but stats were fit for m={stats.min.shape[0]}")
-    normed = (series.values - stats.min) / (stats.max - stats.min + stats.eps)
+    with np.errstate(over="ignore"):
+        normed = (series.values - stats.min) / (stats.max - stats.min + stats.eps)
+    check_finite(normed, "normalized value")
     n_over = int(np.sum((normed < 0) | (normed >= 1 + 1e-6)))
     if n_over:
         log.info("%d normalized entries fall outside [0, 1) (test range exceeds train range)",
                  n_over)
     return TimeSeries(values=normed, stats=stats)
+
+
+def check_finite(rows, what):
+    """`rows` (one per timestamp), or NonFiniteInput naming the first that is not finite."""
+    bad = ~np.isfinite(rows).all(axis=1)
+    if bad.any():
+        raise NonFiniteInput(f"non-finite {what} at timestamp {bad.argmax()}")
+    return rows
 
 
 def make_windows(series, window_size, context_cap):

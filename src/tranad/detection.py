@@ -21,8 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .dataset import batch_groups, make_windows
-from .errors import NonFiniteInput
+from .dataset import batch_groups, check_finite, make_windows
 
 SCORE_CHUNK = 32    # windows per forward, so its attention buffers stay near the cache
 LAST_ROW = slice(-1, None)
@@ -68,14 +67,6 @@ def map_chunks(model, batch, fn):
         for future in futures:
             future.result()
     return results
-
-
-def check_finite(rows, what):
-    """`rows` (one per timestamp), or NonFiniteInput naming the first that is not finite."""
-    bad = ~np.isfinite(rows).all(axis=1)
-    if bad.any():
-        raise NonFiniteInput(f"non-finite {what} at timestamp {bad.argmax()}")
-    return rows
 
 
 def score_series(model, series):

@@ -1,8 +1,8 @@
 """Detection and diagnosis metrics.
 
-Detection: precision / recall / F1 over binary timestamp labels, rank-based
-ROC AUC, and optional point adjustment (a correct hit anywhere inside a
-ground-truth anomaly segment counts the whole segment as detected).
+Detection: precision / recall / F1 over binary timestamp labels, ROC AUC on
+numpy midranks, and optional point adjustment (a correct hit anywhere inside
+a ground-truth anomaly segment counts the whole segment as detected).
 
 Diagnosis: HitRate@P% and NDCG@P% over per-timestamp dimension rankings,
 where the candidate count at a timestamp with G truly anomalous dimensions
@@ -15,6 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
+from .dataset import check_finite
 from .errors import DegenerateTruth, LengthMismatch, NoAnomalousTimestamps
 
 
@@ -76,14 +77,13 @@ def roc_auc(scores, truth):
     truth = np.asarray(truth).ravel()
     if scores.shape != truth.shape:
         raise LengthMismatch("scores and truth lengths differ")
+    check_finite(scores[:, None], "score")
     npos = int(np.sum(truth == 1))
     nneg = int(np.sum(truth == 0))
     if npos == 0 or nneg == 0:
         raise DegenerateTruth("AUC needs at least one positive and one negative")
-    # imported here: loading scipy.stats costs about half a second, which
-    # every command would pay at start-up if it sat at the top of the module
-    from scipy.stats import rankdata
-    ranks = rankdata(scores)   # midranks for ties
+    s = np.sort(scores)   # a tie block s[l:r] shares midrank (l + r + 1) / 2, exact in float64
+    ranks = (np.searchsorted(s, scores, "left") + np.searchsorted(s, scores, "right") + 1) / 2
     pos_rank_sum = ranks[truth == 1].sum()
     return float((pos_rank_sum - npos * (npos + 1) / 2) / (npos * nneg))
 

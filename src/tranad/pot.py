@@ -3,7 +3,8 @@
 The initial threshold is an empirical high quantile of the anomaly scores; at
 least MIN_EXCESSES excesses over it are fitted with a GPD by maximum likelihood
 (Grimshaw's reduction, with a method-of-moments fallback), and the final
-threshold is the value-at-risk extrapolation at risk level q.
+threshold is the value-at-risk extrapolation at risk level q.  scipy is
+imported by the Grimshaw root search alone, so only a GPD fit loads it.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy import optimize
 
 from .errors import EmptyInput, InvalidConfig, check_real
 
@@ -50,10 +50,6 @@ class DimThreshold:
     def to_dict(self):
         return asdict(self)
 
-    @classmethod
-    def from_dict(cls, d):
-        return cls(**d)
-
 
 @dataclass
 class ThresholdModel:
@@ -72,7 +68,7 @@ class ThresholdModel:
 
     @classmethod
     def from_dict(cls, d):
-        return cls(dims=[DimThreshold.from_dict(x) for x in d["dims"]],
+        return cls(dims=[DimThreshold(**x) for x in d["dims"]],
                    config=PotConfig(**d["config"]))
 
 
@@ -111,6 +107,8 @@ def _moments_estimate(y):
 def _grimshaw_candidates(y, n_points=10, eps=1e-8):
     """Roots t of the Grimshaw reduction u(t)v(t) = 1; each root gives a
     candidate (gamma, sigma) pair."""
+    # imported here: scipy costs most of the package's start-up, and only a fit needs it
+    from scipy import optimize
 
     def u(s):
         return 1.0 + np.mean(np.log(s))
@@ -159,7 +157,7 @@ def fit_gpd(excesses):
         raise ValueError("excesses must be strictly positive")
     try:
         candidates = _grimshaw_candidates(y)
-    except Exception:
+    except (ArithmeticError, RuntimeError, ValueError, Warning):   # not a missing scipy
         candidates = None
     if candidates is None:
         return (*_moments_estimate(y), "moments")

@@ -1,15 +1,21 @@
 """Shared fixtures: the seeded synthetic benchmark used by the acceptance
-suite, plus a terminal-summary hook that echoes one pass/fail line per
-acceptance criterion."""
+suite, a terminal-summary hook that echoes one pass/fail line per acceptance
+criterion, and the fixed Hypothesis profile of the property tests."""
 
 import time
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from tranad import autodiff as ad, dataset, detection, metrics, pot, training
 from tranad.autodiff import Tensor
 from tranad.model import ModelConfig, TranAD
+
+# Property tests draw the same examples on every run, so a failure reproduces
+settings.register_profile("tier1", max_examples=200, derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("tier1")
 
 # One line per acceptance criterion, printed in the terminal summary so the
 # results survive pytest's output capture.

@@ -1,6 +1,8 @@
 """End-to-end command-line surface on a tiny synthetic series."""
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -214,10 +216,10 @@ class TestDetect:
         assert list((tmp_path / "out").iterdir()) == []
 
 
-def with_outlier_row(src, dst, t):
-    """A copy of the values CSV `src` whose row t is 1e200,1."""
+def with_outlier_row(src, dst, t, row="1e200,1"):
+    """A copy of the values CSV `src` whose row t is `row`."""
     rows = src.read_text().splitlines()
-    rows[t] = "1e200,1"
+    rows[t] = row
     dst.write_text("\n".join(rows) + "\n")
     return str(dst)
 
@@ -404,6 +406,21 @@ class TestBadInputs:
         data.write_text("".join(f"1,{v}\n" for v in ("1e308", "-1e308") * 80))
         code = cli.main(["train", "--quiet", "--data", str(data), "--out", str(out)])
         assert_failed(code, capsys, "column 1", "overflows")
+        assert list(out.iterdir()) == []
+
+    def test_normalize_overflow_names_its_timestamp(self, pipeline, tmp_path, capsys):
+        # 1e308 - (-1e308) overflows; a numpy overflow warning would fail the
+        # test as an error
+        _, train_dir, test_dir, _, cfg = pipeline
+        data = with_outlier_row(train_dir / "values.csv", tmp_path / "train.csv", 10, "-1e308,0")
+        test = with_outlier_row(test_dir / "values.csv", tmp_path / "test.csv", 30, "1e308,0")
+        run, out = tmp_path / "run", tmp_path / "out"
+        assert cli.main(["train", "--config", cfg, "--quiet", "--data", data,
+                         "--out", str(run)]) == 0
+        code = cli.main(["detect", "--config", cfg, "--data", data, "--test", test,
+                         "--checkpoint", str(run / "checkpoint.bin"),
+                         "--stats", str(run / "stats.json"), "--out", str(out)])
+        assert_failed(code, capsys, "non-finite normalized value at timestamp 30")
         assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize("argv", [
@@ -672,3 +689,45 @@ class TestSeedDerivation:
         assert cli.derive_seed(0, "model-init") == cli.derive_seed(0, "model-init")
         assert cli.derive_seed(0, "model-init") != cli.derive_seed(0, "training")
         assert cli.derive_seed(1, "model-init") != cli.derive_seed(0, "model-init")
+
+
+# Runs each argv list of argv[2] (JSON) through cli.main in this fresh
+# interpreter, and prints per command its exit code and the scipy modules loaded
+COLD_START = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from tranad import cli
+scipy = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps(["import", 0, scipy()]))
+for argv in json.loads(sys.argv[2]):
+    print(json.dumps([argv[0], cli.main(argv), scipy()]))
+"""
+
+
+class TestColdStart:
+    def test_only_detect_imports_scipy(self, pipeline, tmp_path):
+        # a fresh interpreter, as the one that pytest runs in has loaded scipy;
+        # 16 of 160 training scores exceed the initial threshold, so detect fits a GPD
+        root, _, test_dir, run_dir, _ = pipeline
+        cfg = write_cfg(tmp_path / "cfg.json", dict(RUN_CFG, pot={"low_quantile": 0.1}))
+        data, run = str(tmp_path / "synth" / "values.csv"), tmp_path / "run"
+        model = ["--checkpoint", str(run / "checkpoint.bin"), "--stats", str(run / "stats.json")]
+        commands = [
+            ["synth", "--config", str(root / "strain.json"), "--out", str(tmp_path / "synth")],
+            ["train", "--config", cfg, "--quiet", "--data", data, "--out", str(run)],
+            ["inspect", *model, "--data", data, "--out", str(run)],
+            ["eval", "--report", str(run_dir / "detection.csv"),
+             "--labels", str(test_dir / "labels.csv"), "--out", str(run)],
+            ["detect", "--config", cfg, *model, "--data", data, "--test", data,
+             "--out", str(run)],
+        ]
+        package = str(Path(cli.__file__).resolve().parents[1])
+        child = subprocess.run([sys.executable, "-c", COLD_START, package, json.dumps(commands)],
+                               capture_output=True, text=True, timeout=60)
+        assert child.returncode == 0, child.stderr
+        steps = [json.loads(ln) for ln in child.stdout.splitlines()]
+        assert [name for name, _, _ in steps] == ["import", "synth", "train", "inspect",
+                                                   "eval", "detect"]
+        assert all(code == 0 for _, code, _ in steps)
+        assert all(loaded == [] for _, _, loaded in steps[:-1])
+        assert "scipy.optimize" in steps[-1][2]

@@ -5,9 +5,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
+from scipy.stats import rankdata
 
 from tranad import metrics
-from tranad.errors import DegenerateTruth, LengthMismatch, NoAnomalousTimestamps
+from tranad.errors import DegenerateTruth, LengthMismatch, NoAnomalousTimestamps, NonFiniteInput
+
+
+@st.composite
+def tie_heavy(draw):
+    """Finite scores drawn from at most four levels, and a truth vector with
+    at least one positive and one negative."""
+    n = draw(st.integers(2, 40))
+    levels = draw(st.lists(st.floats(-1e6, 1e6, allow_nan=False), min_size=1, max_size=4))
+    scores = draw(st.lists(st.sampled_from(levels), min_size=n, max_size=n))
+    npos = draw(st.integers(1, n - 1))
+    truth = draw(st.permutations([1] * npos + [0] * (n - npos)))
+    return np.array(scores), np.array(truth)
 
 
 def brute_force_auc(scores, truth):
@@ -74,6 +88,20 @@ class TestAuc:
         a = metrics.roc_auc(scores, truth)
         b = metrics.roc_auc(np.exp(3 * scores) + 7, truth)
         assert a == pytest.approx(b, abs=1e-12)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_names_its_timestamp(self, bad):
+        with pytest.raises(NonFiniteInput, match="score at timestamp 2"):
+            metrics.roc_auc([0.1, 0.2, bad, 0.4], [0, 1, 0, 1])
+
+    @given(tie_heavy())
+    @example((np.full(5, 0.5), np.array([1, 0, 0, 1, 0])))          # all tied
+    @example((np.array([0.1, 0.4, 0.4, 0.2]), np.array([0, 1, 0, 0])))   # one positive
+    def test_equals_rankdata_bit_for_bit(self, case):
+        scores, truth = case
+        P, N = int(truth.sum()), int((truth == 0).sum())
+        want = (rankdata(scores)[truth == 1].sum() - P * (P + 1) / 2) / (P * N)
+        assert metrics.roc_auc(scores, truth) == float(want)
 
     def test_matches_brute_force_with_ties(self):
         rng = np.random.default_rng(1)

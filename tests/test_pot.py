@@ -2,6 +2,7 @@
 value-at-risk extrapolation."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -58,6 +59,13 @@ class TestFitGpd:
             dim = pot.pot_threshold(scores, pot.PotConfig(low_quantile=q_low))
             assert dim.n_excesses == n == pot.MIN_EXCESSES - 1 + fitted
             assert (dim.method != "max_fallback") == fitted
+
+    def test_missing_scipy_fails_instead_of_falling_back(self, monkeypatch):
+        # the Grimshaw search imports scipy when it runs; without scipy a fit
+        # must fail, not quietly return the moments estimate
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        with pytest.raises(ImportError):
+            pot.fit_gpd(np.random.default_rng(10).exponential(1.0, size=100))
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
