@@ -26,11 +26,11 @@ flat buffers, the AdamW optimizer, and the binary checkpoint format.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import hashlib
 import json
 import math
+import operator
 
 import numpy as np
 
@@ -39,20 +39,25 @@ from .errors import CorruptCheckpoint, ShapeMismatch
 DEFAULT_DTYPE = np.float64
 MASK_LOGIT = -1e9
 NORM_EPS = 1e-5    # added to the variance in `add_norm`
+# The blocks read weights through a C getter and sum with np.add.reduce, the
+# reduction ndarray.sum makes through a Python wrapper: no Python frame per call.
+_data = operator.attrgetter("data")
 
 _GRAD_ENABLED = True
 
 
-@contextlib.contextmanager
-def no_grad():
-    """Disable tape recording inside the block.  The flag is process-wide, so
-    `detection.map_chunks` holds it off on the caller while its pool runs."""
-    global _GRAD_ENABLED
-    prev, _GRAD_ENABLED = _GRAD_ENABLED, False
-    try:
-        yield
-    finally:
-        _GRAD_ENABLED = prev
+class no_grad:
+    """Disable tape recording inside the `with` block.  The flag is
+    process-wide, so `detection.map_chunks` holds it off on the caller while
+    its pool runs.  A class, not a generator, to keep a scored row cheap."""
+
+    def __enter__(self):
+        global _GRAD_ENABLED
+        self.prev, _GRAD_ENABLED = _GRAD_ENABLED, False
+
+    def __exit__(self, *exc):
+        global _GRAD_ENABLED
+        _GRAD_ENABLED = self.prev
 
 
 class Tensor:
@@ -77,7 +82,7 @@ class Tensor:
                                        else ((), None))
         return out
 
-    shape = property(lambda self: self.data.shape)
+    shape = property(operator.attrgetter("data.shape"))
 
     def backward(self):
         """{leaf: gradient of this scalar} for every leaf it reaches."""
@@ -236,8 +241,8 @@ def add_norm(x, r, weights):
     gain, bias = weights
     s = x.data + r.data
     inv_n = 1.0 / float(s.shape[-1])
-    centered = s - s.sum(axis=-1, keepdims=True) * inv_n
-    std = np.sqrt((centered * centered).sum(axis=-1, keepdims=True) * inv_n + NORM_EPS)
+    centered = s - np.add.reduce(s, axis=-1, keepdims=True) * inv_n
+    std = np.sqrt(np.add.reduce(centered * centered, axis=-1, keepdims=True) * inv_n + NORM_EPS)
     xhat = centered / std
 
     def backward_fn(g, need):
@@ -256,7 +261,7 @@ def add_norm(x, r, weights):
 def feed_forward(x, weights, sigmoid=False):
     """relu(x @ W1 + b1) @ W2 + b2 as one node, through a sigmoid if
     `sigmoid`; `weights` is (W1, b1, W2, b2)."""
-    W1, b1, W2, b2 = (t.data for t in weights)
+    W1, b1, W2, b2 = map(_data, weights)
     h = np.maximum(x.data @ W1 + b1, 0.0)
     data = h @ W2 + b2
     if sigmoid:
@@ -304,14 +309,14 @@ def attention(Q, K, V, weights, n_heads, mask=None):
     inputs cannot influence the output or receive gradient.  Returns (output,
     weights), the weights (..., h, Lq, Lk) being the buffer the backward reads,
     so callers must not write to it."""
-    Wq, bq, Wk, bk, Wv, bv, Wo, bo = (t.data for t in weights)
+    Wq, bq, Wk, bk, Wv, bv, Wo, bo = map(_data, weights)
     ins = (Q.data, K.data, V.data)
-    q, k, v = (x @ W + b for x, W, b in zip(ins, (Wq, Wk, Wv), (bq, bk, bv)))
+    q, k, v = ins[0] @ Wq + bq, ins[1] @ Wk + bk, ins[2] @ Wv + bv
     if q.shape[-1] != k.shape[-1]:
         raise ShapeMismatch(f"query width {q.shape[-1]} != key width {k.shape[-1]}")
     if k.shape[-2] != v.shape[-2]:
         raise ShapeMismatch(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
-    qh, kh, vh = (_heads(t, n_heads) for t in (q, k, v))
+    qh, kh, vh = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
     inv_scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
     # the weights are built in one buffer, in place
     w = qh @ kh.swapaxes(-1, -2)
@@ -323,7 +328,7 @@ def attention(Q, K, V, weights, n_heads, mask=None):
     rows = _row_starts(w.size, w.shape[-1])
     w -= np.maximum.reduceat(w.reshape(-1), rows).reshape(*w.shape[:-1], 1)
     np.exp(w, out=w)
-    w /= w.sum(axis=-1, keepdims=True)
+    w /= np.add.reduce(w, axis=-1, keepdims=True)
     oh = w @ vh
     merged = _merge(oh)
 

@@ -7,13 +7,13 @@ mutable state, so concurrent calls on distinct inputs are safe.
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (
     ConfigMismatch,
@@ -34,8 +34,14 @@ log = logging.getLogger(__name__)
 DEFAULT_EPS = 1e-8
 
 
+class _Rows:
+    """The T x m shape of `values`."""
+    T = property(lambda self: self.values.shape[0])
+    m = property(lambda self: self.values.shape[1])
+
+
 @dataclass
-class RawSeries:
+class RawSeries(_Rows):
     """T x m value matrix with optional per-dimension {0,1} ground truth."""
 
     values: np.ndarray
@@ -53,14 +59,6 @@ class RawSeries:
             if self.labels.shape != self.values.shape:
                 raise ShapeMismatch(
                     f"labels shape {self.labels.shape} != values shape {self.values.shape}")
-
-    @property
-    def T(self):
-        return self.values.shape[0]
-
-    @property
-    def m(self):
-        return self.values.shape[1]
 
 
 @dataclass
@@ -84,19 +82,11 @@ class NormStats:
 
 
 @dataclass
-class TimeSeries:
+class TimeSeries(_Rows):
     """Normalized series together with the stats that produced it."""
 
     values: np.ndarray
     stats: NormStats
-
-    @property
-    def T(self):
-        return self.values.shape[0]
-
-    @property
-    def m(self):
-        return self.values.shape[1]
 
 
 @dataclass
@@ -228,27 +218,32 @@ def check_finite(rows, what):
     return rows
 
 
+@functools.cache
+def _window_rows(T, window_size, context_cap):
+    """(the (T, K) row index of each window, the T context slices), read-only."""
+    rows = np.maximum(np.arange(T)[:, None] + np.arange(1 - window_size, 1), 0)
+    rows.flags.writeable = False
+    return rows, tuple(slice(max(0, t + 1 - context_cap), t + 1) for t in range(T))
+
+
 def make_windows(series, window_size, context_cap):
     """Slide a length-K window over the series, one window per timestamp.
 
     Windows ending before the K-th timestamp are replication-padded at the
     front with the earliest available row so every window has exactly K rows.
-    Each context holds the last min(t+1, context_cap) rows ending at t.
+    Each context holds the last min(t+1, context_cap) rows ending at t.  The
+    windows are one gather of the rows through an index clamped at row 0 (the
+    pad), the contexts views through a tuple of slices; index and slices are
+    built once per (T, K, L) and shared read-only by every caller.
     """
-    if window_size < 1:
-        raise ValueError("window_size must be >= 1")
-    if context_cap < window_size:
-        raise ValueError("context_cap must be >= window_size")
+    if window_size < 1 or context_cap < window_size:
+        raise InvalidConfig(f"windows need 1 <= window_size <= context_cap, got "
+                            f"{window_size!r} and {context_cap!r}")
     x = series.values
-    T = x.shape[0]
-    if T == 0:
+    if x.shape[0] == 0:
         raise EmptySeries("cannot window an empty series")
-    padded = np.concatenate([np.repeat(x[:1], window_size - 1, axis=0), x])
-    # (T, m, K) view of every length-K run of rows -> dense (T, K, m) copy
-    windows = np.ascontiguousarray(
-        sliding_window_view(padded, window_size, axis=0).transpose(0, 2, 1))
-    contexts = [x[max(0, t + 1 - context_cap):t + 1] for t in range(T)]
-    return WindowBatch(windows=windows, contexts=contexts)
+    rows, slices = _window_rows(x.shape[0], window_size, context_cap)
+    return WindowBatch(windows=x.take(rows, 0), contexts=list(map(x.__getitem__, slices)))
 
 
 def split_train_val(batch, ratio=0.8):

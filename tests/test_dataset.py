@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from tranad import dataset
 from tranad.errors import (
     DimensionMismatch,
+    InvalidConfig,
     NonFiniteInput,
     OverlapError,
     ParseError,
@@ -153,6 +156,41 @@ class TestMakeWindows:
         for t in range(3, 8):
             np.testing.assert_array_equal(
                 batch.windows[t][:, 0], np.arange(t - 3, t + 1, dtype=float))
+
+    def test_window_size_below_one_is_invalid_config(self):
+        with pytest.raises(InvalidConfig, match="window_size"):
+            dataset.make_windows(self._series(5), 0, 4)
+
+    def test_context_cap_below_window_size_is_invalid_config(self):
+        with pytest.raises(InvalidConfig, match="context_cap"):
+            dataset.make_windows(self._series(5), 3, 2)
+
+    @given(st.integers(1, 12).flatmap(lambda K: st.tuples(
+        st.integers(1, 90), st.just(K), st.integers(K, 40), st.integers(1, 5),
+        st.integers(0, 2**32 - 1))))
+    def test_gather_equals_padded_sliding_windows(self, case):
+        T, K, L, m, seed = case
+        x = np.random.default_rng(seed).normal(size=(T, m))
+        original = x.copy()
+        # the reference: replication pad, every length-K run, contiguous copy
+        padded = np.concatenate([np.repeat(x[:1], K - 1, axis=0), x])
+        want = np.ascontiguousarray(sliding_window_view(padded, K, axis=0).transpose(0, 2, 1))
+        ts = dataset.TimeSeries(values=x, stats=None)
+        batch = dataset.make_windows(ts, K, L)
+        assert batch.windows.dtype == np.float64 and batch.windows.flags["C_CONTIGUOUS"]
+        assert batch.windows.shape == want.shape
+        assert batch.windows.tobytes() == want.tobytes()
+        assert len(batch.contexts) == T
+        for t, context in enumerate(batch.contexts):
+            np.testing.assert_array_equal(context, x[max(0, t + 1 - L):t + 1], strict=True)
+        # the windows are a copy: writing to them reaches neither the series
+        # nor the index and slices the next call of this shape shares
+        batch.windows[...] = -1.0
+        assert x.tobytes() == original.tobytes()
+        assert not dataset._window_rows(T, K, L)[0].flags.writeable
+        again = dataset.make_windows(ts, K, L)
+        assert again.windows.tobytes() == want.tobytes()
+        assert [c.shape for c in again.contexts] == [c.shape for c in batch.contexts]
 
 
 class TestSplit:

@@ -32,19 +32,32 @@ def wide_setup():
     return model, norm
 
 
+@pytest.fixture(scope="module")
+def bench_shape_setup():
+    # the train-m3 benchmark's shape: m=3, K=10, a 30-row cap
+    raw = dataset.synth_generate(dataset.SynthSpec(T=40, m=3, seed=4, noise_sigma=0.1))
+    norm, _ = dataset.fit_normalize(raw)
+    model = TranAD(ModelConfig(m=3, window_size=10, context_cap=30, init_seed=1,
+                               dropout=0.0))
+    return model, norm
+
+
 def assert_chunks_match_per_prefix_scores(model, norm, T):
     # every row, the first context_cap - 1 short-context ones included,
-    # equals the score of the one window a stream cut at that row ends with
+    # equals the score of the one window a stream cut at that row ends with,
+    # and the score of the last window of the capped buffer the benchmark's
+    # row-by-row stream (bench/pipeline.py `stream`) windows at that row
+    K, L = model.config.window_size, model.config.context_cap
     values = np.tile(norm.values, (2, 1))[:T]
     series = dataset.TimeSeries(values=values, stats=norm.stats)
     full = detection.score_series(model, series)
     for t in range(T):
-        prefix = dataset.TimeSeries(values=values[:t + 1], stats=norm.stats)
-        batch = dataset.make_windows(prefix, model.config.window_size,
-                                     model.config.context_cap)
-        np.testing.assert_array_equal(
-            full[t], detection.score_batch(model, batch.windows[-1:],
-                                           batch.contexts[-1][None])[0])
+        for rows in (values[:t + 1], values[max(0, t + 1 - L):t + 1]):
+            batch = dataset.make_windows(dataset.TimeSeries(values=rows, stats=norm.stats),
+                                         K, L)
+            np.testing.assert_array_equal(
+                full[t], detection.score_batch(model, batch.windows[-1:],
+                                               batch.contexts[-1][None])[0])
 
 
 def make_threshold_model(values, cfg=None):
@@ -108,9 +121,13 @@ class TestScoring:
     def test_chunks_match_per_prefix_scores(self, scored_setup, T):
         assert_chunks_match_per_prefix_scores(*scored_setup, T)
 
-    @pytest.mark.parametrize("T", [31, 32, 33])
+    @pytest.mark.parametrize("T", [31, 32, 33, 60])
     def test_wide_chunks_match_per_prefix_scores(self, wide_setup, T):
         assert_chunks_match_per_prefix_scores(*wide_setup, T)
+
+    def test_bench_shape_chunks_match_per_prefix_scores(self, bench_shape_setup):
+        # every row t < 2L at the train-m3 shape, in and past the 30-row cap
+        assert_chunks_match_per_prefix_scores(*bench_shape_setup, 60)
 
     def test_deterministic(self, scored_setup):
         model, norm = scored_setup
@@ -342,3 +359,30 @@ def test_one_window_score_builds_at_most_20_result_tensors(monkeypatch):
     monkeypatch.setattr(Tensor, "_result", staticmethod(counted))
     detection.score_batch(model, rng.uniform(size=(1, 10, 3)), rng.uniform(size=(1, 30, 3)))
     assert len(built) <= 20
+
+
+def test_one_capped_row_enters_at_most_88_package_frames():
+    # the fixed cost of a streamed row in Python calls: window a 30-row capped
+    # buffer and score its last window, as the benchmark's stream does.  Only
+    # frames of this package count, so numpy's version cannot move the figure.
+    model = TranAD(ModelConfig(m=3, window_size=10, context_cap=30, dropout=0.0))
+    rows = dataset.TimeSeries(values=np.random.default_rng(0).uniform(size=(30, 3)),
+                              stats=None)
+    package = os.path.dirname(os.path.abspath(detection.__file__)) + os.sep
+    entered = []
+
+    def row():
+        batch = dataset.make_windows(rows, 10, 30)
+        detection.score_batch(model, batch.windows[-1:], batch.contexts[-1][None])
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename.startswith(package):
+            entered.append(frame.f_code.co_name)
+
+    row()   # the first row of a shape builds its shared constants
+    sys.setprofile(profile)
+    try:
+        row()
+    finally:
+        sys.setprofile(None)
+    assert len(entered) <= 88, sorted(entered)
