@@ -64,8 +64,6 @@ def _load_config(path):
     if "seed" in _setting(cfg, "train"):
         raise ConfigMismatch("train.seed is not a setting: the top-level seed derives it")
     check_real("config", "eps", _setting(cfg, "eps"), lambda v: v > 0, "> 0")
-    check_real("config", "split_ratio", _setting(cfg, "split_ratio"),
-               lambda v: 0 < v <= 1, "in (0, 1]")
     return cfg
 
 
@@ -137,8 +135,7 @@ def cmd_train(args, cfg, out):
     raw = dataset.load_csv(args.data, has_header=args.header)
     normalized, stats = dataset.fit_normalize(raw, eps=_setting(cfg, "eps"))
     model_cfg = _model_config_from(cfg, raw.m, seed)
-    windows = dataset.make_windows(normalized, model_cfg.window_size,
-                                   model_cfg.context_cap)
+    windows = dataset.make_windows(normalized, model_cfg.window_size, model_cfg.context_cap)
     train_b, val_b = dataset.split_train_val(windows, _setting(cfg, "split_ratio"))
     model = TranAD(model_cfg)
     report = training.fit(model, train_b, val_b, train_cfg,

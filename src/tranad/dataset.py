@@ -7,11 +7,11 @@ mutable state, so concurrent calls on distinct inputs are safe.
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import logging
 import math
-from dataclasses import asdict, dataclass, field
+from collections.abc import Sequence
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -89,36 +89,47 @@ class TimeSeries(_Rows):
     stats: NormStats
 
 
+@dataclass(frozen=True)
+class Contexts(Sequence):
+    """contexts[i]: the last min(t+1, cap) `rows` up to timestamp t = ts[i], a read-only view."""
+
+    rows: np.ndarray = field(repr=False)    # (T, m)
+    ts: range
+    cap: int
+    __len__ = lambda self: len(self.ts)
+
+    def __getitem__(self, i):
+        t = self.ts[i]
+        return self.rows[max(0, t + 1 - self.cap):t + 1]
+
+
 @dataclass
 class WindowBatch:
-    """Sliding windows with their capped context slices.
+    """Sliding windows with their capped contexts, in time order: windows[i] is
+    the K x m window and contexts[i] the last min(t+1, context_cap) rows ending at
+    the batch's i-th timestamp t, both read-only views of one copy of the series."""
 
-    windows[i] is the K x m window ending at the batch's i-th timestamp, in
-    time order; contexts[i] is the slice of the last min(t+1, context_cap)
-    rows ending at that same timestamp t.
-    """
+    windows: np.ndarray     # (N, K, m)
+    contexts: Contexts
+    __len__ = lambda self: self.windows.shape[0]
 
-    windows: np.ndarray          # (N, K, m)
-    contexts: list = field(repr=False, default_factory=list)  # list of (L_t, m)
 
-    def __len__(self):
-        return self.windows.shape[0]
+def _runs(rows, first, n, length):
+    """The runs of `length` rows that start at rows first .. first+n-1 of a
+    C-contiguous (T, m) `rows`: one (n, length, m) view, read-only as `rows`."""
+    s0, s1 = rows.strides
+    return np.ndarray((n, length, rows.shape[1]), rows.dtype, rows, first * s0, (s0, s0, s1))
 
 
 def batch_groups(batch, batch_size):
-    """Chunk a WindowBatch into (windows, contexts, slice) groups of at most
-    batch_size windows whose contexts all share one length, so each group
-    stacks into a dense (B, L, m) array; the slice locates the group in the
-    batch."""
-    groups = []
-    i = 0
-    n = len(batch)
-    while i < n:
-        L = batch.contexts[i].shape[0]
-        j = i
-        while j < n and j - i < batch_size and batch.contexts[j].shape[0] == L:
-            j += 1
-        groups.append((batch.windows[i:j], np.stack(batch.contexts[i:j]), slice(i, j)))
+    """(windows, contexts, slice) groups of at most batch_size windows whose contexts share one
+    length, the contexts one read-only (B, L, m) view of the series (a short context is alone)."""
+    c, groups, i = batch.contexts, [], 0
+    while i < len(c):
+        t = c.ts[i]
+        L = min(t + 1, c.cap)
+        j = min(len(c), i + batch_size) if L == c.cap else i + 1
+        groups.append((batch.windows[i:j], _runs(c.rows, t + 1 - L, j - i, L), slice(i, j)))
         i = j
     return groups
 
@@ -218,43 +229,34 @@ def check_finite(rows, what):
     return rows
 
 
-@functools.cache
-def _window_rows(T, window_size, context_cap):
-    """(the (T, K) row index of each window, the T context slices), read-only."""
-    rows = np.maximum(np.arange(T)[:, None] + np.arange(1 - window_size, 1), 0)
-    rows.flags.writeable = False
-    return rows, tuple(slice(max(0, t + 1 - context_cap), t + 1) for t in range(T))
-
-
 def make_windows(series, window_size, context_cap):
     """Slide a length-K window over the series, one window per timestamp.
 
-    Windows ending before the K-th timestamp are replication-padded at the
-    front with the earliest available row so every window has exactly K rows.
-    Each context holds the last min(t+1, context_cap) rows ending at t.  The
-    windows are one gather of the rows through an index clamped at row 0 (the
-    pad), the contexts views through a tuple of slices; index and slices are
-    built once per (T, K, L) and shared read-only by every caller.
-    """
+    Windows ending before the K-th timestamp are padded at the front with
+    copies of row 0; contexts hold the last min(t+1, context_cap) rows ending
+    at t.  Both are read-only views of one copy of the series behind the pad."""
     if window_size < 1 or context_cap < window_size:
         raise InvalidConfig(f"windows need 1 <= window_size <= context_cap, got "
                             f"{window_size!r} and {context_cap!r}")
     x = series.values
     if x.shape[0] == 0:
         raise EmptySeries("cannot window an empty series")
-    rows, slices = _window_rows(x.shape[0], window_size, context_cap)
-    return WindowBatch(windows=x.take(rows, 0), contexts=list(map(x.__getitem__, slices)))
+    padded = np.concatenate((np.repeat(x[:1], window_size - 1, 0), x))
+    padded.flags.writeable = False
+    return WindowBatch(_runs(padded, 0, x.shape[0], window_size),
+                       Contexts(padded[window_size - 1:], range(x.shape[0]), context_cap))
 
 
 def split_train_val(batch, ratio=0.8):
-    """Contiguous-in-time split: first ceil(ratio*N) windows train, rest val."""
+    """Contiguous-in-time split: first ceil(ratio*N) windows train, rest val (0 < ratio <= 1)."""
+    check_real("config", "split_ratio", ratio, lambda v: 0 < v <= 1, "in (0, 1]")
     n = len(batch)
     if n == 0:
         raise EmptySeries("cannot split an empty window batch")
     cut = math.ceil(ratio * n)
     if cut >= n:
         log.warning("validation split is empty (N=%d, ratio=%g); validation disabled", n, ratio)
-    return tuple(WindowBatch(windows=batch.windows[s], contexts=batch.contexts[s])
+    return tuple(WindowBatch(batch.windows[s], replace(batch.contexts, ts=batch.contexts.ts[s]))
                  for s in (slice(None, cut), slice(cut, None)))
 
 

@@ -140,8 +140,9 @@ class TranAD:
             for name in ("decoder1", "decoder2"))
 
     def _residual(self, x, sublayer, norm, rng):
-        """LayerNorm(x + dropout(sublayer))."""
-        return ad.add_norm(x, ad.dropout(sublayer, self.config.dropout, rng), norm)
+        """LayerNorm(x + dropout(sublayer)), dropout skipped with rng None."""
+        sublayer = sublayer if rng is None else ad.dropout(sublayer, self.config.dropout, rng)
+        return ad.add_norm(x, sublayer, norm)
 
     # -- encoding -------------------------------------------------------------
 

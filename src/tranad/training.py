@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AdamW, Tensor
 from .dataset import batch_groups
-from .errors import InvalidConfig, NonFiniteLoss, check_int, check_real
+from .errors import EmptySeries, InvalidConfig, NonFiniteLoss, check_int, check_real
 
 LR_DECAY = 0.5    # `fit` halves the learning rate every lr_decay_every_epochs epochs
 
@@ -218,7 +218,7 @@ def fit(model, train_batch, val_batch, cfg, progress=True):
     """Run the full training loop; leaves the model at its best-epoch weights
     and returns the per-epoch report."""
     if len(train_batch) == 0:
-        raise ValueError("training batch is empty")
+        raise EmptySeries("training batch is empty")
     groups = batch_groups(train_batch, cfg.batch_size)
     opt = AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
     report = TrainReport()

@@ -1,11 +1,13 @@
 """CSV ingestion, normalization, windowing, splitting, synthetic generation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from numpy.lib.stride_tricks import sliding_window_view
 
-from tranad import dataset
+from tranad import dataset, detection
 from tranad.errors import (
     DimensionMismatch,
     InvalidConfig,
@@ -14,6 +16,7 @@ from tranad.errors import (
     ParseError,
     ShapeMismatch,
 )
+from tranad.model import ModelConfig, TranAD
 
 
 class TestLoadCsv:
@@ -109,6 +112,16 @@ class TestNormalize:
 
 
 
+def assert_read_only_views(batch, *arrays):
+    """Each array views the batch's one copy of the series, and writing to it
+    raises."""
+    for a in arrays:
+        assert not a.flags.writeable
+        assert np.shares_memory(a, batch.contexts.rows)
+        with pytest.raises(ValueError):
+            a[...] = 0.0
+
+
 class TestMakeWindows:
     def _series(self, T, m=1):
         vals = np.arange(T * m, dtype=float).reshape(T, m)
@@ -148,7 +161,8 @@ class TestMakeWindows:
                 pad = np.repeat(span[:1], K - span.shape[0], axis=0)
                 expected[t] = np.concatenate([pad, span], axis=0)
             np.testing.assert_array_equal(batch.windows, expected)
-            assert batch.windows.flags["C_CONTIGUOUS"]
+            np.testing.assert_array_equal(batch.contexts.rows, x, strict=True)
+            assert_read_only_views(batch, batch.windows, batch.contexts[-1])
 
     def test_no_padding_from_K(self):
         ts = self._series(8)
@@ -177,20 +191,23 @@ class TestMakeWindows:
         want = np.ascontiguousarray(sliding_window_view(padded, K, axis=0).transpose(0, 2, 1))
         ts = dataset.TimeSeries(values=x, stats=None)
         batch = dataset.make_windows(ts, K, L)
-        assert batch.windows.dtype == np.float64 and batch.windows.flags["C_CONTIGUOUS"]
+        assert batch.windows.dtype == np.float64
         assert batch.windows.shape == want.shape
         assert batch.windows.tobytes() == want.tobytes()
         assert len(batch.contexts) == T
         for t, context in enumerate(batch.contexts):
             np.testing.assert_array_equal(context, x[max(0, t + 1 - L):t + 1], strict=True)
-        # the windows are a copy: writing to them reaches neither the series
-        # nor the index and slices the next call of this shape shares
-        batch.windows[...] = -1.0
-        assert x.tobytes() == original.tobytes()
-        assert not dataset._window_rows(T, K, L)[0].flags.writeable
-        again = dataset.make_windows(ts, K, L)
-        assert again.windows.tobytes() == want.tobytes()
-        assert [c.shape for c in again.contexts] == [c.shape for c in batch.contexts]
+        groups = dataset.batch_groups(batch, 7)
+        for W, C, rows in groups:
+            assert C.tobytes() == np.stack(
+                [batch.contexts[i] for i in range(rows.start, rows.stop)]).tobytes()
+        # the windows and contexts are views of the batch's own copy of the
+        # series: writing to them raises, and writing to the series does not
+        # reach them
+        assert_read_only_views(batch, batch.windows, *batch.contexts, *groups[-1][:2])
+        x[...] = -1.0
+        assert batch.windows.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(batch.contexts[-1], original[max(0, T - L):])
 
 
 class TestSplit:
@@ -207,6 +224,11 @@ class TestSplit:
         tr, va = dataset.split_train_val(self._batch(1), 0.8)
         assert (len(tr), len(va)) == (1, 0)
 
+    @pytest.mark.parametrize("ratio", [-0.5, 0, 1.5, float("nan")])
+    def test_ratio_outside_unit_interval_is_invalid_config(self, ratio):
+        with pytest.raises(InvalidConfig, match="ratio"):
+            dataset.split_train_val(self._batch(10), ratio)
+
     def test_ceiling_rule(self):
         tr, va = dataset.split_train_val(self._batch(5), 0.5)
         assert (len(tr), len(va)) == (3, 2)
@@ -217,6 +239,28 @@ class TestSplit:
         np.testing.assert_array_equal(tr.windows[:, -1, 0], np.arange(8))
         np.testing.assert_array_equal(va.windows[:, -1, 0], np.arange(8, 10))
         assert [c[-1, 0] for c in va.contexts] == [8.0, 9.0]
+
+
+def test_smd_sized_series_windows_in_about_one_copy():
+    # SMD machine-1-1's training split, 28,479 x 38, at K=10 and L=100: the
+    # windows and contexts are views, so windowing, splitting, grouping and a
+    # chunk pass allocate about one padded copy of the series, where stacked
+    # copies would take (K + L) of them
+    x = np.random.default_rng(0).uniform(size=(28_479, 38))
+    ts = dataset.TimeSeries(values=x, stats=None)
+    model = TranAD(ModelConfig(m=38, window_size=10, context_cap=100))
+    tracemalloc.start()
+    try:
+        batch = dataset.make_windows(ts, 10, 100)
+        groups = [dataset.batch_groups(b, 128) for b in dataset.split_train_val(batch, 0.8)]
+        shapes = detection.map_chunks(model, batch, lambda W, C, rows: (W.shape, C.shape))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * x.nbytes, f"{peak / x.nbytes:.1f}x the series"
+    assert sum(W.shape[0] for part in groups for W, _, _ in part) == len(batch)
+    assert sum(W[0] for W, C in shapes) == len(batch)
+    assert (100, 38) in {C[1:] for W, C in shapes}
 
 
 class TestSynth:

@@ -6,7 +6,7 @@ import pytest
 
 from tranad import autodiff as ad, dataset, training
 from tranad.autodiff import ParamStore, Tensor
-from tranad.errors import InvalidConfig, NonFiniteLoss, ShapeMismatch
+from tranad.errors import EmptySeries, InvalidConfig, NonFiniteLoss, ShapeMismatch
 from tranad.model import ModelConfig, TranAD
 
 
@@ -173,6 +173,8 @@ class TestGradientRouting:
         stop = 0
         for W, C, rows in dataset.batch_groups(train_b, 16):
             assert C.ndim == 3 and W.shape[0] == C.shape[0]
+            # the contexts are a read-only view of the series, not a stacked copy
+            assert np.shares_memory(C, train_b.contexts.rows) and not C.flags.writeable
             assert rows.start == stop       # the slices tile the batch in order
             np.testing.assert_array_equal(W, train_b.windows[rows])
             stop = rows.stop
@@ -253,6 +255,13 @@ class TestFit:
         report = training.fit(model, train_b, val_b, cfg, progress=False)
         assert len(report.epochs) == 1
         assert report.stop_reason == "completed all epochs"
+
+    def test_empty_training_batch_is_empty_series(self):
+        model, train_b, val_b = tiny_setup()
+        c = train_b.contexts
+        empty = dataset.WindowBatch(train_b.windows[:0], dataset.Contexts(c.rows, range(0), c.cap))
+        with pytest.raises(EmptySeries, match="training batch is empty"):
+            training.fit(model, empty, val_b, training.TrainConfig(seed=0), progress=False)
 
     def test_loss_finite_nonnegative(self):
         model, train_b, val_b = tiny_setup()
