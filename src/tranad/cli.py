@@ -19,8 +19,7 @@ import sys
 import numpy as np
 
 from . import dataset, detection, metrics, pot, training
-from .errors import (ConfigMismatch, ParseError, ShapeMismatch, TranadError, check_fields,
-                     check_int, check_real)
+from .errors import ConfigMismatch, ParseError, ShapeMismatch, TranadError, check_fields, check_int
 from .model import ModelConfig, TranAD
 
 FLOAT_FMT = "%.17g"
@@ -35,8 +34,7 @@ def derive_seed(seed, tag):
 # The top-level config keys the commands read, with their defaults.  The
 # other keys a config may hold are the ModelConfig fields bar m and
 # init_seed, which come from the data and the run seed.
-SETTINGS = {"seed": 0, "eps": dataset.DEFAULT_EPS, "split_ratio": 0.8,
-            "synth": {}, "train": {}, "pot": {}}
+SETTINGS = {"seed": 0, "synth": {}, "train": {}, "pot": {}}
 # the sections whose keys are checked on load, whichever command reads them
 SECTIONS = {"train": training.TrainConfig, "pot": pot.PotConfig}
 MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig)
@@ -56,14 +54,12 @@ def _load_config(path):
     unknown = sorted(set(cfg) - set(SETTINGS) - set(MODEL_KEYS))
     if unknown:
         raise ConfigMismatch(f"unknown config keys: {', '.join(unknown)}")
-    for key, default in SETTINGS.items():
-        if isinstance(default, dict) and not isinstance(cfg.get(key, default), dict):
-            raise ConfigMismatch(f"config section {key!r} must be a JSON object")
+    if not isinstance(_setting(cfg, "synth"), dict):   # its keys are checked by `synth` alone
+        raise ConfigMismatch("synth must be a JSON object")
     for key, cls in SECTIONS.items():
         check_fields(cls, _setting(cfg, key), key)
     if "seed" in _setting(cfg, "train"):
         raise ConfigMismatch("train.seed is not a setting: the top-level seed derives it")
-    check_real("config", "eps", _setting(cfg, "eps"), lambda v: v > 0, "> 0")
     return cfg
 
 
@@ -133,15 +129,15 @@ def cmd_train(args, cfg, out):
     train_cfg = training.TrainConfig(**dict(_setting(cfg, "train"),
                                             seed=derive_seed(seed, "training")))
     raw = dataset.load_csv(args.data, has_header=args.header)
-    normalized, stats = dataset.fit_normalize(raw, eps=_setting(cfg, "eps"))
+    normalized, stats = dataset.fit_normalize(raw)
     model_cfg = _model_config_from(cfg, raw.m, seed)
     windows = dataset.make_windows(normalized, model_cfg.window_size, model_cfg.context_cap)
-    train_b, val_b = dataset.split_train_val(windows, _setting(cfg, "split_ratio"))
+    train_b, val_b = dataset.split_train_val(windows)
     model = TranAD(model_cfg)
     report = training.fit(model, train_b, val_b, train_cfg,
                           progress=not args.quiet)
-    out.write_binary(os.path.join(args.out, "checkpoint.bin"),
-                     lambda p: model.save(p, extra={"train_config": train_cfg.to_dict()}))
+    out.write_binary(os.path.join(args.out, "checkpoint.bin"), lambda p: model.save(
+        p, extra={"train_config": dataclasses.asdict(train_cfg)}))
     out.write_text(os.path.join(args.out, "stats.json"), json.dumps({
         "min": stats.min.tolist(), "max": stats.max.tolist(), "eps": stats.eps,
     }, sort_keys=True) + "\n")
@@ -160,12 +156,12 @@ def _load_stats(path):
             raise ParseError(f"stats {path} is not valid JSON: {exc}") from None
     if not isinstance(d, dict):
         raise ParseError(f"stats {path} must hold a JSON object")
-    check_fields(dataset.NormStats, d, "stats", error=ParseError)
     lo, hi = d.get("min"), d.get("max")
     if not ("eps" in d and isinstance(lo, list) and isinstance(hi, list) and len(lo) == len(hi)
             and all(type(v) is float and np.isfinite(v) for v in lo + hi)):
         raise ParseError(f"stats {path} must hold eps and equally long lists of "
                          f"finite numbers min and max")
+    check_fields(dataset.NormStats, d, "stats", error=ParseError)
     return dataset.NormStats(min=lo, max=hi, eps=d["eps"])
 
 

@@ -193,16 +193,13 @@ def _read_numeric_csv(path, has_header):
     return np.asarray(rows, dtype=np.float64)
 
 
-def fit_normalize(train, eps=DEFAULT_EPS):
-    """Scale each dimension by its training range: (x - min) / (max - min + eps).
+def fit_normalize(train):
+    """Scale each dimension by its training range: (x - min) / (max - min + DEFAULT_EPS).
 
     Returns the normalized series and the stats to reuse on test data.
     """
-    lo = train.values.min(axis=0)
-    hi = train.values.max(axis=0)
-    stats = NormStats(min=lo, max=hi, eps=eps)
-    normed = (train.values - lo) / (hi - lo + eps)
-    return TimeSeries(values=normed, stats=stats), stats
+    stats = NormStats(min=train.values.min(axis=0), max=train.values.max(axis=0))
+    return apply_normalize(train, stats), stats
 
 
 def apply_normalize(series, stats):
@@ -249,7 +246,7 @@ def make_windows(series, window_size, context_cap):
 
 def split_train_val(batch, ratio=0.8):
     """Contiguous-in-time split: first ceil(ratio*N) windows train, rest val (0 < ratio <= 1)."""
-    check_real("config", "split_ratio", ratio, lambda v: 0 < v <= 1, "in (0, 1]")
+    check_real("split", "ratio", ratio, lambda v: 0 < v <= 1, "in (0, 1]")
     n = len(batch)
     if n == 0:
         raise EmptySeries("cannot split an empty window batch")
@@ -310,6 +307,8 @@ class SynthSpec:
                 for key in SINUSOID_KEYS:
                     check_real("synth sinusoid", key, c[key], math.isfinite, "finite")
                 check_real("synth sinusoid", "period", c["period"], lambda v: v != 0, "nonzero")
+        if not isinstance(self.anomalies, list):
+            raise ConfigMismatch("synth anomalies must be a list of objects")
         self.anomalies = [a if isinstance(a, Anomaly)
                           else Anomaly(**check_fields(Anomaly, a, "synth anomaly"))
                           for a in self.anomalies]

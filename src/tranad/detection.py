@@ -52,7 +52,9 @@ def map_chunks(model, batch, fn):
     once, around the pool, so a no_grad nested in a worker restores False."""
     # at most 512 // m windows: each pool thread's malloc arena keeps its largest chunk
     groups = batch_groups(batch, min(SCORE_CHUNK, max(1, 512 // model.config.m)))
-    n = min(len(os.sched_getaffinity(0)), len(groups))
+    # sched_getaffinity is missing on macOS and Windows
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    n = min(cores or 1, len(groups))
     results = [None] * len(groups)
 
     def run(part):

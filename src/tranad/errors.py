@@ -2,6 +2,7 @@
 
 import dataclasses
 import numbers
+import sys
 
 
 class TranadError(Exception):
@@ -71,11 +72,19 @@ class InvalidConfig(TranadError):
 
 
 def check_fields(cls, d, section, error=ConfigMismatch):
-    """Return the mapping `d` once every key names a field of the dataclass
-    `cls`; otherwise raise `error` naming the keys that do not."""
-    unknown = sorted(set(d) - {f.name for f in dataclasses.fields(cls)})
+    """Return `d` once it is a dict whose keys name fields of the dataclass
+    `cls` and include every field without a default; otherwise raise `error`
+    saying what is wrong."""
+    if not isinstance(d, dict):
+        raise error(f"{section} must be a JSON object")
+    fields = dataclasses.fields(cls)
+    unknown = sorted(set(d) - {f.name for f in fields})
     if unknown:
         raise error(f"unknown {section} keys: {', '.join(unknown)}")
+    missing = [f.name for f in fields if f.name not in d and f.default is dataclasses.MISSING
+               and f.default_factory is dataclasses.MISSING]
+    if missing:
+        raise error(f"missing {section} keys: {', '.join(missing)}")
     return d
 
 
@@ -86,7 +95,8 @@ def check_int(section, name, value, low):
 
 
 def check_real(section, name, value, ok, expected):
-    """Raise InvalidConfig unless `value` is a real number (not a bool) with
-    `ok(value)`; `expected` describes the allowed range."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not ok(value):
+    """Raise InvalidConfig unless `value` is a finite real number (not a bool) that a
+    float holds, with `ok(value)`; `expected` describes the allowed range."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max or not ok(value)):
         raise InvalidConfig(f"{section} {name} must be {expected}, got {value!r}")

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ParamStore
-from .errors import CorruptCheckpoint, DimensionMismatch, check_fields, check_int, check_real
+from .errors import DimensionMismatch, check_fields, check_int, check_real
 
 FF_HIDDEN = 64    # hidden width of the encoder's and decoders' feed-forward blocks
 
@@ -222,8 +222,6 @@ class TranAD:
     @classmethod
     def load(cls, path):
         arrays, extra = ad.load_arrays(path)
-        if not isinstance(extra.get("model_config"), dict):
-            raise CorruptCheckpoint(f"{path} holds no model configuration")
-        model = cls(ModelConfig.from_dict(extra["model_config"]))
+        model = cls(ModelConfig.from_dict(extra.get("model_config")))
         model.params.load(arrays)   # ShapeMismatch unless the arrays are the model's
         return model, extra

@@ -20,6 +20,9 @@ from .dataset import batch_groups
 from .errors import EmptySeries, InvalidConfig, NonFiniteLoss, check_int, check_real
 
 LR_DECAY = 0.5    # `fit` halves the learning rate every lr_decay_every_epochs epochs
+EPSILON = 1.05    # the reconstruction weight at schedule index n is EPSILON^-n
+META_LR = 0.02    # the MAML outer step size
+PATIENCE = 3      # epochs without improvement before `fit` stops early
 
 
 @dataclass
@@ -27,30 +30,20 @@ class TrainConfig:
     epochs: int = 5
     batch_size: int = 128
     lr: float = 0.01
-    meta_lr: float = 0.02
-    epsilon: float = 1.05
     seed: int = 0
     use_self_condition: bool = True
     use_adversarial: bool = True
     use_maml: bool = True
-    early_stop_patience: int = 3
-    weight_decay: float = 1e-5
     lr_decay_every_epochs: int = 1
 
     def __post_init__(self):
         for name, low in (("epochs", 1), ("batch_size", 1), ("seed", 0),
-                          ("early_stop_patience", 1), ("lr_decay_every_epochs", 1)):
+                          ("lr_decay_every_epochs", 1)):
             check_int("train", name, getattr(self, name), low)
-        for name in ("lr", "meta_lr", "weight_decay"):
-            check_real("train", name, getattr(self, name), lambda v: v >= 0, ">= 0")
-        check_real("train", "epsilon", self.epsilon, lambda v: v > 1,
-                   "> 1 so the schedule decays")
+        check_real("train", "lr", self.lr, lambda v: v >= 0, ">= 0")
         for name in ("use_self_condition", "use_adversarial", "use_maml"):
             if not isinstance(getattr(self, name), bool):
                 raise InvalidConfig(f"train {name} must be true or false")
-
-    def to_dict(self):
-        return asdict(self)
 
 
 @dataclass
@@ -93,19 +86,19 @@ def loss_adversarial(O2_hat, W):
     return ad.mean_frobenius(O2_hat, W.data)
 
 
-def schedule_weight(n, eps):
-    """eps^-n, the weight on the reconstruction term at schedule index n."""
-    return float(eps) ** (-n)
+def schedule_weight(n):
+    """EPSILON^-n, the weight on the reconstruction term at schedule index n."""
+    return EPSILON ** (-n)
 
 
-def loss_combined(phase1, d, n, eps, use_adversarial=True):
+def loss_combined(phase1, d, n, use_adversarial=True):
     """Weighted combination of reconstruction and adversarial terms, each
     loss one node: L1 = p1*w + d*(1-w), L2 = p2*w + (-d)*(1-w).  With the
     adversarial toggle off the losses are the pure reconstruction terms."""
     p1, p2 = phase1
     if not use_adversarial:
         return p1, p2
-    w = schedule_weight(n, eps)
+    w = schedule_weight(n)
     return ad.mix(p1, d, w, 1.0), ad.mix(p2, d, w, -1.0)
 
 
@@ -148,7 +141,7 @@ def _batch_losses(model, W, C, cfg, n, rng):
     Wt = Tensor(W)
     phase1 = loss_phase1(out.O1, out.O2, Wt)
     d = loss_adversarial(out.O2_hat, Wt)
-    return loss_combined(phase1, d, n, cfg.epsilon, cfg.use_adversarial)
+    return loss_combined(phase1, d, n, cfg.use_adversarial)
 
 
 # -- epoch / meta steps -------------------------------------------------------
@@ -186,8 +179,8 @@ def meta_update(store, grad_fn, alpha, beta):
 
 def maml_step(model, batch_group, cfg, n):
     """Meta-learn on one random batch using the combined loss at the current
-    schedule index.  No-op when the toggle is off or meta_lr is zero."""
-    if not cfg.use_maml or cfg.meta_lr == 0.0:
+    schedule index, the outer step at META_LR.  No-op when use_maml is off."""
+    if not cfg.use_maml:
         return
     W, C, _ = batch_group
 
@@ -197,7 +190,7 @@ def maml_step(model, batch_group, cfg, n):
         partitioned_grads(model, L1, L2)
         return model.params.grad
 
-    meta_update(model.params, grad_fn, cfg.lr, cfg.meta_lr)
+    meta_update(model.params, grad_fn, cfg.lr, META_LR)
 
 
 def validation_score(model, val_batch, cfg, n):
@@ -220,7 +213,7 @@ def fit(model, train_batch, val_batch, cfg, progress=True):
     if len(train_batch) == 0:
         raise EmptySeries("training batch is empty")
     groups = batch_groups(train_batch, cfg.batch_size)
-    opt = AdamW(model.params, lr=cfg.lr, weight_decay=cfg.weight_decay)
+    opt = AdamW(model.params, lr=cfg.lr)
     report = TrainReport()
     rng = np.random.default_rng(cfg.seed)
     meta_rng = np.random.default_rng(cfg.seed + 1)
@@ -252,7 +245,7 @@ def fit(model, train_batch, val_batch, cfg, progress=True):
             since_improve = 0
         else:
             since_improve += 1
-            if since_improve >= cfg.early_stop_patience:
+            if since_improve >= PATIENCE:
                 report.stop_reason = (
                     f"early stop: no improvement for {since_improve} epochs")
                 break

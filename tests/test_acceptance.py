@@ -28,14 +28,13 @@ def test_criterion_01_gradient_suite():
     rng = np.random.default_rng(1)
     W = rng.uniform(size=(2, 4, 2))
     C = rng.uniform(size=(2, 8, 2))
-    cfg = training.TrainConfig(seed=0)
 
     def losses():
         out = model.forward_two_phase(W, C)
         Wt = Tensor(W)
         phase1 = training.loss_phase1(out.O1, out.O2, Wt)
         adv = training.loss_adversarial(out.O2_hat, Wt)
-        return training.loss_combined(phase1, adv, n=1, eps=cfg.epsilon)
+        return training.loss_combined(phase1, adv, n=1)
 
     L1, L2 = losses()
     g1, g2 = L1.backward(), L2.backward()
@@ -105,17 +104,16 @@ def test_criterion_02_causality():
 
 
 def test_criterion_03_loss_schedule():
-    eps = 1.05
     sums_exact = all(
-        training.schedule_weight(n, eps) + (1 - training.schedule_weight(n, eps))
+        training.schedule_weight(n) + (1 - training.schedule_weight(n))
         == 1.0 for n in range(1, 100))
-    ws = [training.schedule_weight(n, eps) for n in range(1, 100)]
+    ws = [training.schedule_weight(n) for n in range(1, 100)]
     decreasing = all(a > b for a, b in zip(ws, ws[1:]))
     O = Tensor(np.random.default_rng(0).uniform(size=(1, 3, 2)))
     W = Tensor(np.zeros((1, 3, 2)))
     # with zero reconstruction terms, L1 and L2 are the adversarial terms alone
     zero = Tensor(np.zeros(()))
-    a1, a2 = training.loss_combined((zero, zero), training.loss_adversarial(O, W), 1, eps)
+    a1, a2 = training.loss_combined((zero, zero), training.loss_adversarial(O, W), 1)
     negation = float(a1.data) == -float(a2.data) and float(a1.data) > 0
     ok = sums_exact and decreasing and negation
     record_criterion(

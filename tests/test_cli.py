@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from tranad import cli
+from tranad import cli, training
 from tranad.errors import ConfigMismatch, ParseError
 from tranad.model import TranAD
 
@@ -154,11 +154,12 @@ class TestTrain:
             assert json.loads(header)["extra"]["train_config"][key] is False
             assert payload != full, key
 
-    def test_empty_validation_writes_null(self, tmp_path, capsys):
-        # two rows give two windows, and split_ratio 0.8 trains on both
+    def test_empty_validation_writes_null(self, tmp_path, capsys, monkeypatch):
+        # two rows give two windows, and the split's ratio 0.8 trains on both
         data, out = tmp_path / "values.csv", tmp_path / "out"
         data.write_text("0.1,0.9\n0.4,0.2\n")
-        cfg = write_cfg(tmp_path / "cfg.json", {"train": {"epochs": 6, "early_stop_patience": 1}})
+        monkeypatch.setattr(training, "PATIENCE", 1)
+        cfg = write_cfg(tmp_path / "cfg.json", {"train": {"epochs": 6}})
         assert cli.main(["train", "--config", cfg, "--data", str(data), "--out", str(out)]) == 0
         assert "val -" in capsys.readouterr().err
         report = strict_json((out / "train_report.json").read_text())
@@ -312,6 +313,25 @@ class TestBadInputs:
         assert_failed(code, capsys, "model_config", "ff_hidden", "n_heads")
         assert not (tmp_path / "detection.csv").exists()
 
+    @pytest.mark.parametrize("edit, names", [
+        (lambda extra: extra["model_config"].pop("m"), ["missing model_config keys: m"]),
+        (lambda extra: extra.pop("model_config"), ["model_config must be a JSON object"]),
+        (lambda extra: extra.update(model_config=[2, 4]), ["model_config must be a JSON object"]),
+        (lambda extra: extra["model_config"].update(window_size="4"), ["window_size"]),
+    ], ids=["missing-m", "missing", "list", "string-window"])
+    def test_checkpoint_with_malformed_model_config(self, pipeline, tmp_path, capsys, edit,
+                                                    names):
+        # the sha256 covers the payload only, so a header edit reaches the model config
+        _, _, _, run_dir, _ = pipeline
+        header, payload = (run_dir / "checkpoint.bin").read_bytes().split(b"\n", 1)
+        meta = json.loads(header)
+        edit(meta["extra"])
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
+        out = tmp_path / "out"
+        assert_failed(cli.main(detect_argv(pipeline, out, checkpoint=bad)), capsys, *names)
+        assert list(out.iterdir()) == []
+
     def test_truncated_checkpoint(self, pipeline, tmp_path, capsys):
         _, _, _, run_dir, _ = pipeline
         header, payload = (run_dir / "checkpoint.bin").read_bytes().split(b"\n", 1)
@@ -363,12 +383,12 @@ class TestBadInputs:
         ({"pot": {"min_excesses": 5}}, ["unknown pot keys", "min_excesses"]),
         ({"dropout": 1.5}, ["dropout"]),
         ({"window_size": 4, "context_cap": 2}, ["context_cap"]),
-        ({"train": {"epsilon": 1.0}}, ["epsilon"]),
+        ({"train": {"epsilon": 1.0}}, ["unknown train keys", "epsilon"]),   # training.EPSILON
         ({"train": {"batch_size": 0}}, ["batch_size"]),
         ({"windw_size": 4}, ["windw_size"]),
         ({"m": 3, "init_seed": 1}, ["init_seed", "m"]),
         ({"train": 5}, ["train"]),
-        ({"split_ratio": 0}, ["split_ratio"]),
+        ({"split_ratio": 0}, ["unknown config keys", "split_ratio"]),   # the split keeps 0.8
         ({"n_enc_layers": 1}, ["n_enc_layers"]),       # a removed model option
         ({"score_reduce": "last_row"}, ["score_reduce"]),          # removed settings
         ({"train": {"n_semantics": "epoch"}}, ["n_semantics"]),
@@ -378,6 +398,12 @@ class TestBadInputs:
         ({"seed": True}, ["seed"]),
         ({"seed": -3}, ["seed"]),
         ({"train": {"seed": 3}}, ["train.seed", "top-level seed"]),   # the only seed is top-level
+        # fixed as well: training.META_LR and PATIENCE, AdamW's decay, dataset.DEFAULT_EPS
+        ({"train": {"meta_lr": 0.0}}, ["unknown train keys", "meta_lr"]),
+        ({"train": {"weight_decay": 0.0}}, ["unknown train keys", "weight_decay"]),
+        ({"train": {"early_stop_patience": 1}}, ["unknown train keys", "early_stop_patience"]),
+        ({"eps": 1e-4}, ["unknown config keys", "eps"]),
+        ({"train": {"lr": 10 ** 400}}, ["lr"]),     # beyond a float's range
     ])
     def test_bad_train_config(self, pipeline, tmp_path, capsys, cfg, names):
         _, train_dir, _, _, _ = pipeline
@@ -484,9 +510,18 @@ class TestBadInputs:
         ({"noise_sigma": -1}, ["noise_sigma"]),
         ({"noise_sigma": "a"}, ["noise_sigma"]),
         ({"noise_sigma": float("nan")}, ["noise_sigma"]),
+        ({"anomalies": [{"kind": "spike", "start": 1, "length": 1, "dims": [0]}]},
+         ["missing synth anomaly keys: magnitude"]),
+        ({"anomalies": [["spike", 1, 1, [0], 5.0]]}, ["synth anomaly must be a JSON object"]),
+        ({"anomalies": [None]}, ["synth anomaly must be a JSON object"]),
+        ({"anomalies": 5}, ["synth anomalies must be a list"]),
+        ({"noise_sigma": 10 ** 400}, ["noise_sigma"]),
+        ({"anomalies": [{"kind": "spike", "start": 1, "length": 1, "dims": [0],
+                         "magnitude": 10 ** 400}]}, ["magnitude"]),
     ], ids=["unknown-keys", "extra-key", "not-a-list", "not-lists", "more-than-m",
             "amplitude-string", "period-zero", "phase-inf", "sigma-negative",
-            "sigma-string", "sigma-nan"])
+            "sigma-string", "sigma-nan", "anomaly-missing-key", "anomaly-list",
+            "anomaly-null", "anomalies-not-a-list", "sigma-huge-int", "magnitude-huge-int"])
     def test_bad_synth_spec(self, tmp_path, capsys, synth, names):
         cfg = write_cfg(tmp_path / "c.json", {"synth": dict({"T": 50, "m": 2}, **synth)})
         out = tmp_path / "out"

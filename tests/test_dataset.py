@@ -67,9 +67,10 @@ class TestLoadCsv:
 class TestNormalize:
     def test_hand_arithmetic(self):
         raw = dataset.RawSeries(values=np.array([[0.0], [5.0], [10.0]]))
-        ts, stats = dataset.fit_normalize(raw, eps=1e-4)
+        ts, stats = dataset.fit_normalize(raw)
+        assert stats.eps == dataset.DEFAULT_EPS == 1e-8
         np.testing.assert_allclose(
-            ts.values[:, 0], [0.0, 5.0 / 10.0001, 10.0 / 10.0001], rtol=1e-12)
+            ts.values[:, 0], [0.0, 5.0 / (10 + 1e-8), 10.0 / (10 + 1e-8)], rtol=1e-12)
 
     def test_constant_column(self):
         raw = dataset.RawSeries(values=np.full((3, 1), 7.0))

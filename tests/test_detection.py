@@ -1,5 +1,6 @@
 """Online scoring, threshold labeling and root-cause ranking."""
 
+import functools
 import os
 import sys
 import threading
@@ -170,6 +171,20 @@ class TestPool:
         np.testing.assert_array_equal(detection.score_series(model, norm), pooled)
         assert started == []
 
+    @pytest.mark.parametrize("cpus", [3, None])
+    def test_platform_without_affinity_pools_every_core(self, monkeypatch, cpus):
+        # macOS and Windows have no os.sched_getaffinity; os.cpu_count() may be None
+        model, norm = pool_series(3, 29 + 32 + 5)
+        allow_cores(monkeypatch, 2)
+        pooled = detection.score_series(model, norm)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        workers, pool = [], detection.ThreadPoolExecutor
+        monkeypatch.setattr(detection, "ThreadPoolExecutor",
+                            lambda n: workers.append(n) or pool(n))
+        np.testing.assert_array_equal(detection.score_series(model, norm), pooled)
+        assert workers == [max(1, (cpus or 1) - 1)]    # the caller runs one part itself
+
     @pytest.mark.parametrize("m, chunk", [(3, 32), (38, 13)])
     def test_results_in_chunk_order_at_most_512_over_m_windows_a_chunk(self, monkeypatch,
                                                                         m, chunk):
@@ -193,10 +208,11 @@ class TestPool:
             sys.setswitchinterval(interval)
         assert ad._GRAD_ENABLED is True
         # with no weight decay and no meta step, only a gradient moves a weight
+        monkeypatch.setattr(training, "AdamW", functools.partial(ad.AdamW, weight_decay=0.0))
         train_b, val_b = dataset.split_train_val(dataset.make_windows(norm, 10, 30))
         before = model.params.flat.copy()
         training.fit(model, train_b, val_b, training.TrainConfig(
-            epochs=1, batch_size=16, weight_decay=0.0, use_maml=False), progress=False)
+            epochs=1, batch_size=16, use_maml=False), progress=False)
         assert not np.array_equal(model.params.flat, before)
 
     def test_worker_exception_propagates_and_the_pool_stops(self, monkeypatch):

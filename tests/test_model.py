@@ -224,7 +224,7 @@ class TestTwoPhase:
         Wt = Tensor(W)
         p1 = training.loss_phase1(out.O1, out.O2, Wt)
         adv = training.loss_adversarial(out.O2_hat, Wt)
-        L1, L2 = training.loss_combined(p1, adv, n=1, eps=1.05)
+        L1, L2 = training.loss_combined(p1, adv, n=1)
         one = np.ones_like(L1.data)    # the gradient of L1 + L2
         grads = ad.reverse_walk([(L1, one), (L2, one)], ad.tape_order([L1, L2], {})[0])
         for path, p in model.params.items():
