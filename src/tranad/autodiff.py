@@ -270,9 +270,8 @@ def feed_forward(x, weights, sigmoid=False):
     def backward_fn(g, need):
         if sigmoid:
             g = g * data * (1.0 - data)
+        # gh is set: one gradient group holds a block's weights, so needing W2 means needing W1
         gh, gW2, gb2 = _linear_grads(g, h, W2, (any(need[:3]),) + need[3:])
-        if gh is None:
-            return None, None, None, gW2, gb2
         return (*_linear_grads(gh * (h > 0), x.data, W1, need[:3]), gW2, gb2)
 
     return Tensor._result(data, (x, *weights), backward_fn)
@@ -337,8 +336,7 @@ def attention(Q, K, V, weights, n_heads, mask=None):
         branch = [any(need[i:i + 3]) for i in (0, 3, 6)]
         go, gWo, gbo = _linear_grads(g, merged, Wo, (any(branch),) + need[9:])
         out = [None] * 9 + [gWo, gbo]
-        if go is None:
-            return out
+        # go is set: one gradient group holds a block's weights, so needing Wo means needing Wq
         # softmax backward: the row term sum_j w_ij (g_i . v_j) equals
         # g_i . o_i, a reduction over the head width instead of the keys
         gh = _heads(go, n_heads)

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import dataset, detection, metrics, pot, training
-from .errors import ConfigMismatch, ParseError, ShapeMismatch, TranadError, check_fields, check_int
+from .errors import InvalidConfig, ParseError, ShapeMismatch, TranadError, check_fields, check_int
 from .model import ModelConfig, TranAD
 
 FLOAT_FMT = "%.17g"
@@ -50,16 +50,16 @@ def _load_config(path):
         except ValueError as exc:
             raise ParseError(f"config {path} is not valid JSON: {exc}") from None
     if not isinstance(cfg, dict):
-        raise ConfigMismatch(f"config {path} must hold a JSON object")
+        raise InvalidConfig(f"config {path} must hold a JSON object")
     unknown = sorted(set(cfg) - set(SETTINGS) - set(MODEL_KEYS))
     if unknown:
-        raise ConfigMismatch(f"unknown config keys: {', '.join(unknown)}")
+        raise InvalidConfig(f"unknown config keys: {', '.join(unknown)}")
     if not isinstance(_setting(cfg, "synth"), dict):   # its keys are checked by `synth` alone
-        raise ConfigMismatch("synth must be a JSON object")
+        raise InvalidConfig("synth must be a JSON object")
     for key, cls in SECTIONS.items():
         check_fields(cls, _setting(cfg, key), key)
     if "seed" in _setting(cfg, "train"):
-        raise ConfigMismatch("train.seed is not a setting: the top-level seed derives it")
+        raise InvalidConfig("train.seed is not a setting: the top-level seed derives it")
     return cfg
 
 
@@ -114,7 +114,7 @@ def cmd_synth(args, cfg, out):
     out.write_text(os.path.join(args.out, "labels.csv"),
                    _matrix_csv(series.labels, fmt="%d"))
     out.write_text(os.path.join(args.out, "synth_spec.json"),
-                   json.dumps(spec.to_dict(), indent=2, sort_keys=True) + "\n")
+                   json.dumps(dataclasses.asdict(spec), indent=2, sort_keys=True) + "\n")
     return 0
 
 
@@ -167,13 +167,13 @@ def _load_stats(path):
 
 def _load_for_scoring(args, *paths):
     """The checkpoint's model and each CSV of `paths` normalized with the
-    stats file; ConfigMismatch unless every CSV has the model's width."""
+    stats file; ShapeMismatch unless every CSV has the model's width."""
     model, _ = TranAD.load(args.checkpoint)
     stats = _load_stats(args.stats)
     raws = [dataset.load_csv(path, has_header=args.header) for path in paths]
     for raw in raws:
         if raw.m != model.config.m:
-            raise ConfigMismatch(
+            raise ShapeMismatch(
                 f"checkpoint expects m={model.config.m}, data has m={raw.m}")
     return [model] + [dataset.apply_normalize(raw, stats) for raw in raws]
 
@@ -188,7 +188,7 @@ def cmd_detect(args, cfg, out):
     # every cell is a float >= 0, and %.17g prints the integral ones as integers
     table = np.column_stack([[rec.timestamp for rec in records], [rec.scores for rec in records],
                              [rec.labels for rec in records], [rec.label for rec in records]])
-    head = ["# threshold_model " + json.dumps(thresholds.to_dict(), sort_keys=True),
+    head = ["# threshold_model " + json.dumps(dataclasses.asdict(thresholds), sort_keys=True),
             ",".join(_report_columns(model.config.m))]
     out.write_text(os.path.join(args.out, "detection.csv"),
                    "\n".join(head) + "\n" + _matrix_csv(table))
@@ -369,7 +369,7 @@ def main(argv=None):
         check_int("config", "seed", _setting(cfg, "seed", getattr(args, "seed", None)), 0)
         os.makedirs(args.out, exist_ok=True)
         return COMMANDS[args.command](args, cfg, out)
-    except TranadError as exc:
+    except (TranadError, MemoryError) as exc:   # numpy refuses an oversized shape at once
         out.cleanup()
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -11,17 +11,14 @@ import io
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .errors import (
-    ConfigMismatch,
-    DimensionMismatch,
-    EmptySeries,
+    EmptyInput,
     InvalidConfig,
     NonFiniteInput,
-    OverlapError,
     ParseError,
     ShapeMismatch,
     check_fields,
@@ -52,8 +49,7 @@ class RawSeries(_Rows):
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.shape[0] < 1 or self.values.shape[1] < 1:
             raise ShapeMismatch(f"values must be T x m with T,m >= 1, got {self.values.shape}")
-        if not np.isfinite(self.values).all():
-            raise NonFiniteInput(f"series {self.name!r} contains non-finite values")
+        check_finite(self.values, f"value in series {self.name!r}")
         if self.labels is not None:
             self.labels = np.asarray(self.labels)
             if self.labels.shape != self.values.shape:
@@ -206,7 +202,7 @@ def apply_normalize(series, stats):
     """Normalize with previously fitted stats.  Test values outside the
     training range may fall outside [0, 1); they are kept and logged."""
     if series.m != stats.min.shape[0]:
-        raise DimensionMismatch(
+        raise ShapeMismatch(
             f"series has m={series.m} but stats were fit for m={stats.min.shape[0]}")
     with np.errstate(over="ignore"):
         normed = (series.values - stats.min) / (stats.max - stats.min + stats.eps)
@@ -237,7 +233,7 @@ def make_windows(series, window_size, context_cap):
                             f"{window_size!r} and {context_cap!r}")
     x = series.values
     if x.shape[0] == 0:
-        raise EmptySeries("cannot window an empty series")
+        raise EmptyInput("cannot window an empty series")
     padded = np.concatenate((np.repeat(x[:1], window_size - 1, 0), x))
     padded.flags.writeable = False
     return WindowBatch(_runs(padded, 0, x.shape[0], window_size),
@@ -249,7 +245,7 @@ def split_train_val(batch, ratio=0.8):
     check_real("split", "ratio", ratio, lambda v: 0 < v <= 1, "in (0, 1]")
     n = len(batch)
     if n == 0:
-        raise EmptySeries("cannot split an empty window batch")
+        raise EmptyInput("cannot split an empty window batch")
     cut = math.ceil(ratio * n)
     if cut >= n:
         log.warning("validation split is empty (N=%d, ratio=%g); validation disabled", n, ratio)
@@ -300,15 +296,15 @@ class SynthSpec:
                 isinstance(comps, list) and all(
                     isinstance(c, dict) and set(c) == set(SINUSOID_KEYS) for c in comps)
                 for comps in self.sinusoids)):
-            raise ConfigMismatch(f"synth sinusoids must be a list of at most m={self.m} lists "
-                                 f"of objects with exactly the keys {', '.join(SINUSOID_KEYS)}")
+            raise InvalidConfig(f"synth sinusoids must be a list of at most m={self.m} lists "
+                                f"of objects with exactly the keys {', '.join(SINUSOID_KEYS)}")
         for comps in self.sinusoids:
             for c in comps:
                 for key in SINUSOID_KEYS:
                     check_real("synth sinusoid", key, c[key], math.isfinite, "finite")
                 check_real("synth sinusoid", "period", c["period"], lambda v: v != 0, "nonzero")
         if not isinstance(self.anomalies, list):
-            raise ConfigMismatch("synth anomalies must be a list of objects")
+            raise InvalidConfig("synth anomalies must be a list of objects")
         self.anomalies = [a if isinstance(a, Anomaly)
                           else Anomaly(**check_fields(Anomaly, a, "synth anomaly"))
                           for a in self.anomalies]
@@ -328,9 +324,6 @@ class SynthSpec:
     @classmethod
     def from_dict(cls, d):
         return cls(**check_fields(cls, d, "synth"))
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def synth_generate(spec):
@@ -354,7 +347,7 @@ def synth_generate(spec):
         rows = slice(a.start, a.start + a.length)
         if labels[rows, a.dims].any():
             t, d = np.argwhere(labels[rows, a.dims])[0]
-            raise OverlapError(f"anomalies overlap at (t={a.start + t}, dim={a.dims[d]})")
+            raise InvalidConfig(f"anomalies overlap at (t={a.start + t}, dim={a.dims[d]})")
         # all three kinds are additive offsets of magnitude*sigma; they differ
         # in intent (short pulse / long step / correlated multi-dim pulse)
         values[rows, a.dims] += a.magnitude * spec.noise_sigma

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package: one `TranadError` subclass per
+kind of failure a caller can act on, and the config checks that raise them."""
 
 import dataclasses
 import numbers
@@ -20,19 +21,7 @@ class ShapeMismatch(TranadError):
     pass
 
 
-class DimensionMismatch(TranadError):
-    pass
-
-
 class NonFiniteInput(TranadError):
-    pass
-
-
-class EmptySeries(TranadError):
-    pass
-
-
-class OverlapError(TranadError):
     pass
 
 
@@ -48,19 +37,7 @@ class EmptyInput(TranadError):
 
 
 class DegenerateTruth(TranadError):
-    pass
-
-
-class LengthMismatch(TranadError):
-    pass
-
-
-class NoAnomalousTimestamps(TranadError):
-    pass
-
-
-class ConfigMismatch(TranadError):
-    pass
+    """The labels leave this metric undefined."""
 
 
 class CorruptCheckpoint(TranadError):
@@ -68,10 +45,11 @@ class CorruptCheckpoint(TranadError):
 
 
 class InvalidConfig(TranadError):
-    """A configuration value of the wrong type or out of range."""
+    """A configuration that is not the expected object, or a value of the wrong
+    type or out of range."""
 
 
-def check_fields(cls, d, section, error=ConfigMismatch):
+def check_fields(cls, d, section, error=InvalidConfig):
     """Return `d` once it is a dict whose keys name fields of the dataclass
     `cls` and include every field without a default; otherwise raise `error`
     saying what is wrong."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .dataset import check_finite
-from .errors import DegenerateTruth, LengthMismatch, NoAnomalousTimestamps
+from .errors import DegenerateTruth, ShapeMismatch
 
 
 @dataclass
@@ -67,7 +67,7 @@ def _as_binary(pred, truth):
     pred = np.asarray(pred).ravel()
     truth = np.asarray(truth).ravel()
     if pred.shape != truth.shape:
-        raise LengthMismatch(f"pred length {pred.size} != truth length {truth.size}")
+        raise ShapeMismatch(f"pred length {pred.size} != truth length {truth.size}")
     return pred, truth
 
 
@@ -76,7 +76,7 @@ def roc_auc(scores, truth):
     scores = np.asarray(scores, dtype=np.float64).ravel()
     truth = np.asarray(truth).ravel()
     if scores.shape != truth.shape:
-        raise LengthMismatch("scores and truth lengths differ")
+        raise ShapeMismatch("scores and truth lengths differ")
     check_finite(scores[:, None], "score")
     npos = int(np.sum(truth == 1))
     nneg = int(np.sum(truth == 0))
@@ -107,11 +107,11 @@ def _top_hits(rankings, truth, p_pct):
     rankings = np.asarray(rankings)
     true = np.asarray(truth) != 0
     if rankings.shape[0] != true.shape[0]:
-        raise LengthMismatch("rankings and truth lengths differ")
+        raise ShapeMismatch("rankings and truth lengths differ")
     g = true.sum(axis=1)
     rows = g > 0
     if not rows.any():
-        raise NoAnomalousTimestamps("no timestamp has an anomalous dimension")
+        raise DegenerateTruth("no timestamp has an anomalous dimension")
     g = g[rows]
     k = np.floor(g * p_pct / 100.0).astype(np.int64)
     hits = np.take_along_axis(true[rows], rankings[rows], axis=1)
@@ -163,6 +163,6 @@ def evaluate(scores_agg, pred, truth, point_adjusted=False,
             report.hitrate_150 = hitrate_at(rankings, dim_truth, 150)
             report.ndcg_100 = ndcg_at(rankings, dim_truth, 100)
             report.ndcg_150 = ndcg_at(rankings, dim_truth, 150)
-        except NoAnomalousTimestamps:
+        except DegenerateTruth:
             pass
     return report

@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, ParamStore
-from .errors import DimensionMismatch, check_fields, check_int, check_real
+from .errors import ShapeMismatch, check_fields, check_int, check_real
 
 FF_HIDDEN = 64    # hidden width of the encoder's and decoders' feed-forward blocks
 
@@ -52,9 +52,6 @@ class ModelConfig:
     def d_model(self):
         """Encoder width: m data columns concatenated with m focus columns."""
         return 2 * self.m
-
-    def to_dict(self):
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d):
@@ -151,8 +148,8 @@ class TranAD:
         the context (zeros above them) with the position table, then run
         self-attention and feed-forward sublayers."""
         if C.shape[-1] != self.config.m:
-            raise DimensionMismatch(f"context has {C.shape[-1]} dims, "
-                                    f"model expects {self.config.m}")
+            raise ShapeMismatch(f"context has {C.shape[-1]} dims, "
+                                f"model expects {self.config.m}")
         x = ad.concat_aligned(C, F)
         x = self._residual(x, ad.attention(x, x, x, self.context_attn, self.config.m)[0],
                            self.context_ln1, rng)
@@ -163,8 +160,8 @@ class TranAD:
         self-attention: the part of the window encoder both phases share.
         Returns (encoding, weights)."""
         if W.shape[-1] != self.config.m:
-            raise DimensionMismatch(f"window has {W.shape[-1]} dims, "
-                                    f"model expects {self.config.m}")
+            raise ShapeMismatch(f"window has {W.shape[-1]} dims, "
+                                f"model expects {self.config.m}")
         x = ad.embed(W, *self.window_embed)
         K = x.shape[-2]
         att, weights = ad.attention(x, x, x, self.self_attn, self.config.m,
@@ -216,7 +213,7 @@ class TranAD:
     # -- persistence ----------------------------------------------------------
 
     def save(self, path, extra=None):
-        meta = {"model_config": self.config.to_dict(), **(extra or {})}
+        meta = {"model_config": asdict(self.config), **(extra or {})}
         ad.save_arrays(path, self.params.snapshot(), extra=meta)
 
     @classmethod

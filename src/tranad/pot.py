@@ -10,7 +10,7 @@ imported by the Grimshaw root search alone, so only a GPD fit loads it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,9 +31,6 @@ class PotConfig:
             raise InvalidConfig(
                 f"pot risk must be below low_quantile, got {self.risk}, {self.low_quantile}")
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class DimThreshold:
@@ -47,9 +44,6 @@ class DimThreshold:
     threshold: float
     method: str = "gpd"    # "gpd", "moments", "max_fallback" or "constant"
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass
 class ThresholdModel:
@@ -61,10 +55,6 @@ class ThresholdModel:
     @property
     def thresholds(self):
         return np.array([d.threshold for d in self.dims])
-
-    def to_dict(self):
-        return {"config": self.config.to_dict(),
-                "dims": [d.to_dict() for d in self.dims]}
 
     @classmethod
     def from_dict(cls, d):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from tranad import cli, training
-from tranad.errors import ConfigMismatch, ParseError
+from tranad.errors import InvalidConfig, ParseError
 from tranad.model import TranAD
 
 SYNTH_TRAIN = {
@@ -434,6 +434,21 @@ class TestBadInputs:
         assert_failed(code, capsys, "column 1", "overflows")
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("synth", {"synth": {"T": 10 ** 15}}),
+        ("train", {"window_size": 10 ** 15, "context_cap": 10 ** 15}),
+    ], ids=["synth-rows", "train-window"])
+    def test_oversized_shape(self, pipeline, tmp_path, capsys, command, cfg):
+        # petabytes: numpy refuses the request at once and allocates nothing
+        _, train_dir, _, _, _ = pipeline
+        out = tmp_path / "out"
+        argv = [command, "--quiet", "--config", write_cfg(tmp_path / "c.json", cfg),
+                "--out", str(out)]
+        if command == "train":
+            argv += ["--data", str(train_dir / "values.csv")]
+        assert_failed(cli.main(argv), capsys, "allocate")
+        assert list(out.iterdir()) == []
+
     def test_normalize_overflow_names_its_timestamp(self, pipeline, tmp_path, capsys):
         # 1e308 - (-1e308) overflows; a numpy overflow warning would fail the
         # test as an error
@@ -488,9 +503,9 @@ class TestBadInputs:
 
     def test_unknown_score_reduce_fails_before_reading_files(self, pipeline, tmp_path,
                                                              capsys):
-        # score_reduce is no longer a setting: a config naming it is a mismatch
+        # score_reduce is no longer a setting: a config naming it names an unknown key
         cfg = write_cfg(tmp_path / "c.json", dict(RUN_CFG, score_reduce="last_row"))
-        with pytest.raises(ConfigMismatch, match="score_reduce"):
+        with pytest.raises(InvalidConfig, match="score_reduce"):
             cli._load_config(cfg)
         argv = detect_argv(pipeline, tmp_path, cfg=cfg, checkpoint=tmp_path / "absent.bin")
         assert_failed(cli.main(argv), capsys, "unknown config keys", "score_reduce")

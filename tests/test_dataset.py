@@ -1,5 +1,8 @@
 """CSV ingestion, normalization, windowing, splitting, synthetic generation."""
 
+import dataclasses
+import os
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -9,12 +12,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from tranad import dataset, detection
 from tranad.errors import (
-    DimensionMismatch,
     InvalidConfig,
     NonFiniteInput,
-    OverlapError,
     ParseError,
     ShapeMismatch,
+    TranadError,
 )
 from tranad.model import ModelConfig, TranAD
 
@@ -64,6 +66,32 @@ class TestLoadCsv:
             dataset.load_labels(lab)
 
 
+# cells a CSV may hold: numbers and labels, or text a parser trips on
+NUMBER = (st.floats().map(repr) | st.integers().map(str)
+          | st.sampled_from(["0", "1", "nan", "1e999", "-0", " 1 "]))
+CELL = NUMBER | st.text(max_size=4) | st.sampled_from(["", "\x00", '"1,2"', '"0,1"'])
+# rows of numbers of one width, or of any cells and widths
+ROWS = (st.integers(1, 4).flatmap(lambda w: st.lists(st.lists(NUMBER, min_size=w, max_size=w),
+                                                     max_size=6))
+        | st.lists(st.lists(CELL, max_size=4), max_size=6))
+
+
+@given(rows=ROWS, eol=st.sampled_from(["\n", "\r\n", "\r"]), has_header=st.booleans())
+def test_csv_text_loads_finite_or_raises_a_typed_error(rows, eol, has_header):
+    text = "".join(",".join(row) + eol for row in rows)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cells.csv")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        for load in (lambda: dataset.load_csv(path, has_header).values,
+                     lambda: dataset.load_labels(path, has_header)):
+            try:
+                values = load()
+            except TranadError:
+                continue
+            assert values.ndim == 2 and values.size > 0 and np.isfinite(values).all()
+
+
 class TestNormalize:
     def test_hand_arithmetic(self):
         raw = dataset.RawSeries(values=np.array([[0.0], [5.0], [10.0]]))
@@ -83,8 +111,11 @@ class TestNormalize:
         np.testing.assert_array_equal(ts.values.min(axis=0), [0.0, 0.0])
 
     def test_non_finite_rejected(self):
-        with pytest.raises(NonFiniteInput):
-            dataset.RawSeries(values=np.array([[np.nan], [1.0]]))
+        values = np.ones((9, 2))
+        values[7, 1] = np.nan
+        with pytest.raises(NonFiniteInput,
+                           match="non-finite value in series 'x.csv' at timestamp 7"):
+            dataset.RawSeries(values=values, name="x.csv")
 
     def test_apply_at_training_max_below_one(self):
         raw = dataset.RawSeries(values=np.array([[0.0], [10.0]]))
@@ -101,7 +132,7 @@ class TestNormalize:
     def test_dimension_mismatch(self):
         raw = dataset.RawSeries(values=np.zeros((2, 2)))
         _, stats = dataset.fit_normalize(raw)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             dataset.apply_normalize(dataset.RawSeries(values=np.zeros((2, 3))), stats)
 
     def test_idempotence_against_stats(self):
@@ -298,12 +329,12 @@ class TestSynth:
             {"kind": "spike", "start": 10, "length": 5, "dims": [0], "magnitude": 5.0},
             {"kind": "level_shift", "start": 12, "length": 3, "dims": [0],
              "magnitude": 5.0}])
-        with pytest.raises(OverlapError):
+        with pytest.raises(InvalidConfig, match="anomalies overlap"):
             dataset.synth_generate(spec)
 
     def test_spec_roundtrip(self):
         spec = dataset.SynthSpec(T=100, m=2, seed=3, anomalies=[
             {"kind": "burst", "start": 10, "length": 2, "dims": [0, 1],
              "magnitude": 4.0}])
-        again = dataset.SynthSpec.from_dict(spec.to_dict())
-        assert again.to_dict() == spec.to_dict()
+        again = dataset.SynthSpec.from_dict(dataclasses.asdict(spec))
+        assert dataclasses.asdict(again) == dataclasses.asdict(spec)

@@ -9,7 +9,7 @@ from hypothesis import example, given, strategies as st
 from scipy.stats import rankdata
 
 from tranad import metrics
-from tranad.errors import DegenerateTruth, LengthMismatch, NoAnomalousTimestamps, NonFiniteInput
+from tranad.errors import DegenerateTruth, NonFiniteInput, ShapeMismatch
 
 
 @st.composite
@@ -53,7 +53,7 @@ class TestPrf1:
         assert metrics.prf1(np.zeros(5), np.zeros(5)) == (0.0, 0.0, 0.0)
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(ShapeMismatch):
             metrics.prf1(np.zeros(3), np.zeros(4))
 
     def test_f1_symmetric_in_p_and_r(self):
@@ -200,7 +200,7 @@ class TestDiagnosisMetrics:
             assert 0.0 <= v <= 1.0
 
     def test_no_anomalous_timestamps(self):
-        with pytest.raises(NoAnomalousTimestamps):
+        with pytest.raises(DegenerateTruth):
             metrics.hitrate_at([[0, 1]], np.zeros((1, 2), dtype=int), 100)
 
 

@@ -1,6 +1,7 @@
 """Network components: position encoding, attention, encoders, decoders and
 the two-phase forward pass."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from tranad import autodiff as ad
 from tranad import training
 from tranad.autodiff import Tensor, position_encoding
-from tranad.errors import DimensionMismatch, ShapeMismatch, TranadError
+from tranad.errors import ShapeMismatch, TranadError
 from tranad.model import ModelConfig, TranAD, causal_mask
 
 from conftest import plain_attention
@@ -145,7 +146,7 @@ class TestEncoders:
 
     def test_context_dim_mismatch(self):
         model = small_model(m=2)
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ShapeMismatch):
             model.encode_context(Tensor(np.zeros((1, 5, 3))),
                                  Tensor(np.zeros((1, 4, 3))))
 
@@ -255,6 +256,6 @@ class TestPersistence:
         arrays = model.params.snapshot()
         change(arrays)
         path = tmp_path / "ckpt.bin"
-        ad.save_arrays(path, arrays, extra={"model_config": model.config.to_dict()})
+        ad.save_arrays(path, arrays, extra={"model_config": dataclasses.asdict(model.config)})
         with pytest.raises(TranadError):
             TranAD.load(path)

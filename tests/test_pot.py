@@ -1,6 +1,7 @@
 """Peaks-over-threshold fitting: quantiles, GPD maximum likelihood and the
 value-at-risk extrapolation."""
 
+import dataclasses
 import math
 import sys
 
@@ -140,7 +141,7 @@ class TestPotThreshold:
         cfg = pot.PotConfig(low_quantile=0.01)
         a = pot.pot_threshold(scores, cfg)
         b = pot.pot_threshold(scores, cfg)
-        assert a.to_dict() == b.to_dict()
+        assert dataclasses.asdict(a) == dataclasses.asdict(b)
 
     def test_scale_equivariance(self):
         scores = np.random.default_rng(17).exponential(size=50000)
@@ -159,5 +160,5 @@ class TestPotThreshold:
     def test_model_roundtrip(self):
         scores = np.random.default_rng(18).exponential(size=(5000, 2))
         model = pot.fit_thresholds(scores, pot.PotConfig(low_quantile=0.01))
-        again = pot.ThresholdModel.from_dict(model.to_dict())
+        again = pot.ThresholdModel.from_dict(dataclasses.asdict(model))
         np.testing.assert_array_equal(model.thresholds, again.thresholds)

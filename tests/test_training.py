@@ -6,7 +6,7 @@ import pytest
 
 from tranad import autodiff as ad, dataset, training
 from tranad.autodiff import ParamStore, Tensor
-from tranad.errors import EmptySeries, NonFiniteLoss, ShapeMismatch
+from tranad.errors import EmptyInput, NonFiniteLoss, ShapeMismatch
 from tranad.model import ModelConfig, TranAD
 
 
@@ -261,7 +261,7 @@ class TestFit:
         model, train_b, val_b = tiny_setup()
         c = train_b.contexts
         empty = dataset.WindowBatch(train_b.windows[:0], dataset.Contexts(c.rows, range(0), c.cap))
-        with pytest.raises(EmptySeries, match="training batch is empty"):
+        with pytest.raises(EmptyInput, match="training batch is empty"):
             training.fit(model, empty, val_b, training.TrainConfig(seed=0), progress=False)
 
     def test_loss_finite_nonnegative(self):
