@@ -8,6 +8,7 @@ temp files and renamed, and partial outputs are removed on failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import hashlib
 import io
@@ -44,13 +45,7 @@ MODEL_KEYS = tuple(f.name for f in dataclasses.fields(ModelConfig)
 def _load_config(path):
     if path is None:
         return {}
-    with open(path) as f:
-        try:
-            cfg = json.load(f)
-        except ValueError as exc:
-            raise ParseError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(cfg, dict):
-        raise InvalidConfig(f"config {path} must hold a JSON object")
+    cfg = _read_json_object(path, "config", InvalidConfig)
     unknown = sorted(set(cfg) - set(SETTINGS) - set(MODEL_KEYS))
     if unknown:
         raise InvalidConfig(f"unknown config keys: {', '.join(unknown)}")
@@ -63,6 +58,17 @@ def _load_config(path):
     return cfg
 
 
+def _read_json_object(path, what, error, **options):
+    """The JSON object in file `path` read as UTF-8; else a ParseError or `error`."""
+    try:
+        d = json.loads(dataset.read_text(path), **options)
+    except ValueError as exc:
+        raise ParseError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(d, dict):
+        raise error(f"{what} {path} must hold a JSON object")
+    return d
+
+
 def _setting(cfg, key, flag_value=None):
     """A top-level value: the flag if given, else the config's, else the default."""
     if flag_value is not None:
@@ -71,10 +77,17 @@ def _setting(cfg, key, flag_value=None):
 
 
 class _OutputTracker:
-    """Write-then-rename file creation with cleanup of partial outputs."""
+    """Write-then-rename file creation, and on failure removal of what was made."""
 
     def __init__(self):
-        self.written = []
+        self.made = []   # paths in the order they were made
+
+    def make_dir(self, path):
+        """Make the directory `path`, after those of its parents that are missing."""
+        if not os.path.isdir(path):
+            self.make_dir(os.path.dirname(os.path.abspath(path)))
+            os.mkdir(path)
+            self.made.append(path)
 
     def write_text(self, path, text):
         self.write_binary(path, lambda tmp: pathlib.Path(tmp).write_text(text))
@@ -87,14 +100,12 @@ class _OutputTracker:
         except BaseException:
             pathlib.Path(tmp).unlink(missing_ok=True)
             raise
-        self.written.append(str(path))
+        self.made.append(str(path))
 
     def cleanup(self):
-        for p in self.written:
-            try:
-                os.remove(p)
-            except OSError:
-                pass
+        for p in reversed(self.made):   # files first, then each directory before its parent
+            with contextlib.suppress(OSError):
+                (os.rmdir if os.path.isdir(p) else os.remove)(p)
 
 
 def _matrix_csv(values, fmt=FLOAT_FMT):
@@ -118,19 +129,15 @@ def cmd_synth(args, cfg, out):
     return 0
 
 
-def _model_config_from(cfg, m, seed):
-    # m comes from the data and init_seed from the run seed, not the config
-    fields = {key: cfg[key] for key in MODEL_KEYS if key in cfg}
-    return ModelConfig(m=m, init_seed=derive_seed(seed, "model-init"), **fields)
-
-
 def cmd_train(args, cfg, out):
     seed = _setting(cfg, "seed", args.seed)
     train_cfg = training.TrainConfig(**dict(_setting(cfg, "train"),
                                             seed=derive_seed(seed, "training")))
     raw = dataset.load_csv(args.data, has_header=args.header)
     normalized, stats = dataset.fit_normalize(raw)
-    model_cfg = _model_config_from(cfg, raw.m, seed)
+    # m comes from the data and init_seed from the run seed, not the config
+    model_cfg = ModelConfig(m=raw.m, init_seed=derive_seed(seed, "model-init"),
+                            **{key: cfg[key] for key in MODEL_KEYS if key in cfg})
     windows = dataset.make_windows(normalized, model_cfg.window_size, model_cfg.context_cap)
     train_b, val_b = dataset.split_train_val(windows)
     model = TranAD(model_cfg)
@@ -149,13 +156,7 @@ def cmd_train(args, cfg, out):
 def _load_stats(path):
     """Read a stats.json: a JSON object of exactly `eps` and equally long
     lists of finite numbers `min` and `max`, else a ParseError."""
-    with open(path) as f:
-        try:
-            d = json.load(f, parse_int=float)   # an integer too large for a float is inf
-        except ValueError as exc:
-            raise ParseError(f"stats {path} is not valid JSON: {exc}") from None
-    if not isinstance(d, dict):
-        raise ParseError(f"stats {path} must hold a JSON object")
+    d = _read_json_object(path, "stats", ParseError, parse_int=float)   # a huge integer is inf
     lo, hi = d.get("min"), d.get("max")
     if not ("eps" in d and isinstance(lo, list) and isinstance(hi, list) and len(lo) == len(hi)
             and all(type(v) is float and np.isfinite(v) for v in lo + hi)):
@@ -205,42 +206,36 @@ def read_detection_report(path):
     agg_labels).  Raises ParseError on a byte that is not UTF-8, a missing or
     undecodable header, or a row that is short, not numeric, out of time order
     (`t` must run 0, 1, ...), or holds a non-finite score or a non-0/1 label."""
-    lines = [ln.rstrip("\n") for ln in io.StringIO(dataset.read_text(path), newline=None)]
-    head = lines[0].split(" ", 2) if lines else []
+    text = dataset.read_text(path)
+    lines = io.StringIO(text, newline=None)
+    head = lines.readline().rstrip("\n").split(" ", 2)
     if head[:2] != ["#", "threshold_model"] or len(head) < 3:
         raise ParseError(f"{path}: the first line is not a '# threshold_model' header",
                          row=1)
     try:
         thresholds = pot.ThresholdModel.from_dict(json.loads(head[2]))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, InvalidConfig) as exc:
         raise ParseError(f"{path}: undecodable threshold model header: {exc!r}",
                          row=1) from None
     m = len(thresholds.dims)
     columns = _report_columns(m)
-    if len(lines) < 2 or lines[1] != ",".join(columns):
+    if lines.readline().rstrip("\n") != ",".join(columns):
         raise ParseError(f"{path}: the second line is not the column header "
                          f"{','.join(columns)}", row=2)
-    scores, dim_labels, agg = [], [], []
-    for row, ln in enumerate(lines[2:], start=3):
-        if not ln:
-            continue
-        parts = ln.split(",")
-        if len(parts) != len(columns):
-            raise ParseError(f"{path} row {row}: expected {len(columns)} cells, "
-                             f"got {len(parts)}", row=row)
-        if parts[0] != str(len(scores)):
-            raise ParseError(f"{path} row {row}: t must be {len(scores)}, got {parts[0]!r}",
-                             row=row)
-        try:
-            scores.append([float(x) for x in parts[1:1 + m]])
-            dim_labels.append([int(x) for x in parts[1 + m:1 + 2 * m]])
-            agg.append(int(parts[-1]))
-        except ValueError as exc:
-            raise ParseError(f"{path} row {row}: {exc}", row=row) from None
-        if not (np.isfinite(scores[-1]).all() and set(dim_labels[-1] + agg[-1:]) <= {0, 1}):
-            raise ParseError(f"{path} row {row}: scores must be finite, labels 0 or 1", row=row)
-    return thresholds, np.array(scores), np.array(dim_labels, dtype=np.int8), \
-        np.array(agg, dtype=np.int8)
+
+    def check(body, at):
+        wrong_t = body[:, 0] != np.arange(len(body))
+        bad = wrong_t | ~(np.isfinite(body[:, 1:1 + m]).all(axis=1)
+                       & np.isin(body[:, 1 + m:], (0.0, 1.0)).all(axis=1))
+        if bad.any():
+            i = int(bad.argmax())
+            what = f"t must be {i}, got {float(body[i, 0])!r}" if wrong_t[i] else \
+                "scores must be finite, labels 0 or 1"
+            raise ParseError(f"{path} row {at[i]}: {what}", row=at[i])
+
+    body = dataset.read_matrix(path, text, skip=2, width=len(columns), check=check)[0]
+    return thresholds, body[:, 1:1 + m], body[:, 1 + m:-1].astype(np.int8), \
+        body[:, -1].astype(np.int8)
 
 
 def cmd_eval(args, cfg, out):
@@ -367,15 +362,11 @@ def main(argv=None):
     try:
         cfg = _load_config(args.config)
         check_int("config", "seed", _setting(cfg, "seed", getattr(args, "seed", None)), 0)
-        os.makedirs(args.out, exist_ok=True)
+        out.make_dir(args.out)
         return COMMANDS[args.command](args, cfg, out)
-    except (TranadError, MemoryError) as exc:   # numpy refuses an oversized shape at once
+    except (TranadError, MemoryError, OSError) as exc:   # numpy refuses a huge shape at once
         out.cleanup()
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        out.cleanup()
-        print(f"io error: {exc}", file=sys.stderr)
+        print(f"{'io error' if isinstance(exc, OSError) else 'error'}: {exc}", file=sys.stderr)
         return 1
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import logging
 import math
 from collections.abc import Sequence
@@ -133,13 +134,13 @@ def batch_groups(batch, batch_size):
 def load_csv(path, has_header=False):
     """Parse a comma-separated numeric file into a RawSeries.  Any
     non-numeric cell is a ParseError."""
-    return RawSeries(values=_read_numeric_csv(path, has_header), name=str(path))
+    return RawSeries(values=read_matrix(path, skip=int(has_header))[0], name=str(path))
 
 
 def load_labels(path, has_header=False):
     """Parse a comma-separated {0,1} label file into an int8 matrix.  Any
     other cell is a ParseError."""
-    labels = _read_numeric_csv(path, has_header)
+    labels = read_matrix(path, skip=int(has_header))[0]
     bad = ~np.isin(labels, (0.0, 1.0))
     if bad.any():
         r, c = np.argwhere(bad)[0]
@@ -159,34 +160,42 @@ def read_text(path):
         raise ParseError(f"{path} line {line} is not UTF-8 text", row=line) from None
 
 
-def _read_numeric_csv(path, has_header):
-    rows = []
-    width = None
-    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+def read_matrix(path, text=None, skip=0, width=None, check=lambda values, lines: None):
+    """(float64 matrix, file line of each row) of the numeric CSV `text` (else the
+    file's) after `skip` lines; `check(matrix, lines)` sees them, or those above the
+    first row not `width` (the first row's) numbers wide, which is a ParseError."""
+    lines = io.StringIO(read_text(path) if text is None else text, newline="")
+    reader = csv.reader(itertools.islice(lines, skip, None))
     try:
-        for i, row in enumerate(reader):
-            if i == 0 and has_header:
-                continue
-            if not row:
-                continue
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise ParseError(f"row {i} has {len(row)} fields, expected {width}", row=i)
-            try:
-                rows.append([float(cell) for cell in row])
-            except ValueError:
-                for j, cell in enumerate(row):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise ParseError(f"non-numeric cell {cell!r} at row {i}, col {j}",
-                                         row=i, col=j) from None
+        rows = [(row, skip + reader.line_num) for row in reader if row]
     except csv.Error as exc:   # a field over csv.field_size_limit()
-        raise ParseError(f"{path} line {reader.line_num}: {exc}", row=reader.line_num) from None
+        line = skip + reader.line_num
+        raise ParseError(f"{path} line {line}: {exc}", row=line) from None
     if not rows:
         raise ParseError(f"no data rows in {path}")
-    return np.asarray(rows, dtype=np.float64)
+    cells, at = zip(*rows)
+    width = len(cells[0]) if width is None else width
+    try:
+        values = np.array(cells, dtype=np.float64)   # as float() reads each cell
+        if values.shape[1] == width:
+            check(values, at)
+            return values, at
+    except ValueError:   # rows of other widths, or a cell that is not a number
+        pass
+    for i, row in enumerate(cells):   # the first bad row, in file order
+        if len(row) != width:
+            what, col = f"expected {width} cells, got {len(row)}", None
+        else:
+            for col, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError:
+                    break
+            else:
+                continue
+            what = f"non-numeric cell {row[col]!r} at col {col}"
+        check(np.array(cells[:i], dtype=np.float64).reshape(i, width), at[:i])
+        raise ParseError(f"{path} row {at[i]}: {what}", row=at[i], col=col)
 
 
 def fit_normalize(train):
@@ -257,7 +266,6 @@ def split_train_val(batch, ratio=0.8):
 
 
 ANOMALY_KINDS = ("spike", "level_shift", "burst")
-SINUSOID_KEYS = ("amplitude", "period", "phase")
 
 
 @dataclass
@@ -282,9 +290,6 @@ class SynthSpec:
     m: int = 3
     seed: int = 0
     noise_sigma: float = 0.05
-    # one list of {amplitude, period, phase} dicts per dimension; defaults
-    # derived from the dimension index when empty
-    sinusoids: list = field(default_factory=list)
     anomalies: list = field(default_factory=list)
 
     def __post_init__(self):
@@ -292,17 +297,6 @@ class SynthSpec:
             check_int("synth", name, getattr(self, name), low)
         check_real("synth", "noise_sigma", self.noise_sigma, lambda v: 0 <= v < math.inf,
                    "finite and >= 0")
-        if not (isinstance(self.sinusoids, list) and len(self.sinusoids) <= self.m and all(
-                isinstance(comps, list) and all(
-                    isinstance(c, dict) and set(c) == set(SINUSOID_KEYS) for c in comps)
-                for comps in self.sinusoids)):
-            raise InvalidConfig(f"synth sinusoids must be a list of at most m={self.m} lists "
-                                f"of objects with exactly the keys {', '.join(SINUSOID_KEYS)}")
-        for comps in self.sinusoids:
-            for c in comps:
-                for key in SINUSOID_KEYS:
-                    check_real("synth sinusoid", key, c[key], math.isfinite, "finite")
-                check_real("synth sinusoid", "period", c["period"], lambda v: v != 0, "nonzero")
         if not isinstance(self.anomalies, list):
             raise InvalidConfig("synth anomalies must be a list of objects")
         self.anomalies = [a if isinstance(a, Anomaly)
@@ -327,19 +321,13 @@ class SynthSpec:
 
 
 def synth_generate(spec):
-    """Deterministic labeled series: per-dimension sums of sinusoids plus
-    Gaussian noise, with the listed anomalies injected on top."""
+    """Deterministic labeled series: one sinusoid per dimension plus Gaussian
+    noise, with the listed anomalies injected on top."""
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.T, dtype=np.float64)
     values = np.zeros((spec.T, spec.m))
     for d in range(spec.m):
-        if d < len(spec.sinusoids):
-            comps = spec.sinusoids[d]
-        else:
-            comps = [{"amplitude": 1.0, "period": 100.0 + 30.0 * d, "phase": 0.7 * d}]
-        for comp in comps:
-            values[:, d] += comp["amplitude"] * np.sin(
-                2 * np.pi * t / comp["period"] + comp["phase"])
+        values[:, d] += np.sin(2 * np.pi * t / (100.0 + 30.0 * d) + 0.7 * d)
     values += rng.normal(0.0, spec.noise_sigma, size=values.shape)
 
     labels = np.zeros((spec.T, spec.m), dtype=np.int8)

@@ -1,12 +1,15 @@
 """End-to-end command-line surface on a tiny synthetic series."""
 
 import json
+import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tranad import cli, training
 from tranad.errors import InvalidConfig, ParseError
@@ -89,6 +92,16 @@ class TestSynth:
         assert (tmp_path / "values.csv").read_bytes() == \
             (train_dir / "values.csv").read_bytes()
 
+    def test_seed_flag_equals_config_seed(self, tmp_path):
+        flag, config = tmp_path / "flag", tmp_path / "config"
+        assert cli.main(["synth", "--config", write_cfg(tmp_path / "a.json", SYNTH_TRAIN),
+                         "--seed", "7", "--out", str(flag)]) == 0
+        cfg = {"synth": dict(SYNTH_TRAIN["synth"], seed=7)}
+        assert cli.main(["synth", "--config", write_cfg(tmp_path / "b.json", cfg),
+                         "--out", str(config)]) == 0
+        for name in ("values.csv", "labels.csv", "synth_spec.json"):
+            assert (flag / name).read_bytes() == (config / name).read_bytes()
+
     def test_overlap_fails_with_message(self, tmp_path, capsys):
         bad = {"synth": {"T": 100, "m": 1, "anomalies": [
             {"kind": "spike", "start": 10, "length": 5, "dims": [0],
@@ -133,7 +146,7 @@ class TestTrain:
                          "--data", str(train_dir / "values.csv"), "--out", str(out)])
         err = capsys.readouterr().err
         assert code == 1 and err.startswith("io error:") and "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     def test_ablation_settings_take_effect(self, pipeline, tmp_path, capsys):
         # an ablation is a `train` setting, recorded in the checkpoint; the
@@ -214,7 +227,7 @@ class TestDetect:
         assert cli.main(argv) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite score at timestamp 70" in err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert_left_nothing(tmp_path / "out")
 
 
 def with_outlier_row(src, dst, t, row="1e200,1"):
@@ -240,6 +253,11 @@ def assert_failed(code, capsys, *names):
     assert err.startswith("error:") and "Traceback" not in err
     for name in names:
         assert name in err
+
+
+def assert_left_nothing(out):
+    """A failed command removed the --out directory it made, with all it wrote."""
+    assert not out.exists()
 
 
 def set_cell(r, c, value):
@@ -284,7 +302,7 @@ class TestBadInputs:
         out = tmp_path / "out"
         assert_failed(cli.main(["synth", "--config", cfg, "--out", str(out)]),
                       capsys, "bogus")
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     def test_checkpoint_with_removed_model_keys(self, pipeline, tmp_path, capsys):
         # the model_config a checkpoint of the earlier format carried
@@ -330,7 +348,7 @@ class TestBadInputs:
         bad.write_bytes(json.dumps(meta, sort_keys=True).encode() + b"\n" + payload)
         out = tmp_path / "out"
         assert_failed(cli.main(detect_argv(pipeline, out, checkpoint=bad)), capsys, *names)
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     def test_truncated_checkpoint(self, pipeline, tmp_path, capsys):
         _, _, _, run_dir, _ = pipeline
@@ -350,7 +368,7 @@ class TestBadInputs:
         out = tmp_path / "out"
         assert_failed(cli.main(detect_argv(pipeline, out, checkpoint=flipped)),
                       capsys, "sha256")
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     @pytest.mark.parametrize("anomaly, names", [
         ({"kind": "bump"}, ["bump"]),
@@ -371,7 +389,7 @@ class TestBadInputs:
         out = tmp_path / "out"
         assert_failed(cli.main(["synth", "--config", cfg, "--out", str(out)]),
                       capsys, *names)
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
 
     @pytest.mark.parametrize("cfg, names", [
@@ -404,6 +422,8 @@ class TestBadInputs:
         ({"train": {"early_stop_patience": 1}}, ["unknown train keys", "early_stop_patience"]),
         ({"eps": 1e-4}, ["unknown config keys", "eps"]),
         ({"train": {"lr": 10 ** 400}}, ["lr"]),     # beyond a float's range
+        ({"train": {"use_maml": 1}}, ["train use_maml must be true or false"]),
+        ({"synth": [1]}, ["synth must be a JSON object"]),   # checked by every command
     ])
     def test_bad_train_config(self, pipeline, tmp_path, capsys, cfg, names):
         _, train_dir, _, _, _ = pipeline
@@ -412,7 +432,7 @@ class TestBadInputs:
                          "--quiet", "--out", str(out),
                          "--data", str(train_dir / "values.csv")])
         assert_failed(code, capsys, *names)
-        assert not out.exists() or list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     @pytest.mark.parametrize("data, names", [
         (b"0.1,0.2\n\xff\xfe,0.3\n", ["bad.csv line 2", "not UTF-8"]),
@@ -423,7 +443,7 @@ class TestBadInputs:
         bad.write_bytes(data)
         code = cli.main(["train", "--quiet", "--data", str(bad), "--out", str(out)])
         assert_failed(code, capsys, *names)
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     def test_train_range_overflow_names_its_column(self, tmp_path, capsys):
         # max - min of column 1 (counting from 0) is 2e308, past the largest
@@ -432,22 +452,24 @@ class TestBadInputs:
         data.write_text("".join(f"1,{v}\n" for v in ("1e308", "-1e308") * 80))
         code = cli.main(["train", "--quiet", "--data", str(data), "--out", str(out)])
         assert_failed(code, capsys, "column 1", "overflows")
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     @pytest.mark.parametrize("command, cfg", [
         ("synth", {"synth": {"T": 10 ** 15}}),
         ("train", {"window_size": 10 ** 15, "context_cap": 10 ** 15}),
     ], ids=["synth-rows", "train-window"])
     def test_oversized_shape(self, pipeline, tmp_path, capsys, command, cfg):
-        # petabytes: numpy refuses the request at once and allocates nothing
+        # petabytes: numpy refuses the request at once and allocates nothing;
+        # the failed command removes both directories it made for --out
         _, train_dir, _, _, _ = pipeline
-        out = tmp_path / "out"
+        out = tmp_path / "new" / "out"
         argv = [command, "--quiet", "--config", write_cfg(tmp_path / "c.json", cfg),
                 "--out", str(out)]
         if command == "train":
             argv += ["--data", str(train_dir / "values.csv")]
         assert_failed(cli.main(argv), capsys, "allocate")
-        assert list(out.iterdir()) == []
+        assert_left_nothing(tmp_path / "new")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json"]
 
     def test_normalize_overflow_names_its_timestamp(self, pipeline, tmp_path, capsys):
         # 1e308 - (-1e308) overflows; a numpy overflow warning would fail the
@@ -462,7 +484,7 @@ class TestBadInputs:
                          "--checkpoint", str(run / "checkpoint.bin"),
                          "--stats", str(run / "stats.json"), "--out", str(out)])
         assert_failed(code, capsys, "non-finite normalized value at timestamp 30")
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     @pytest.mark.parametrize("argv", [
         ["detect", "--seed", "3", "--data", "a.csv", "--test", "b.csv",
@@ -496,6 +518,16 @@ class TestBadInputs:
                       capsys, "c.json")
         assert not out.exists()
 
+    @pytest.mark.parametrize("flag", ["--config", "--stats"])
+    def test_json_input_not_utf8(self, pipeline, tmp_path, capsys, flag):
+        # config and stats files are decoded as UTF-8, whatever the locale
+        bad, out = tmp_path / "bad.json", tmp_path / "out"
+        bad.write_bytes(b'{"seed": 1,\n"\xff": 2}\n')
+        argv = detect_argv(pipeline, out)
+        argv[argv.index(flag) + 1] = str(bad)
+        assert_failed(cli.main(argv), capsys, "bad.json line 2 is not UTF-8")
+        assert_left_nothing(out)
+
     def test_bad_pot_value(self, pipeline, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "c.json", dict(RUN_CFG, pot={"risk": 0.5}))
         assert_failed(cli.main(detect_argv(pipeline, tmp_path, cfg=cfg)), capsys, "risk")
@@ -512,16 +544,8 @@ class TestBadInputs:
         assert not (tmp_path / "detection.csv").exists()
 
     @pytest.mark.parametrize("synth, names", [
-        ({"sinusoids": [[{"amp": 1}]]}, ["sinusoids"]),
-        ({"sinusoids": [[{"amplitude": 1, "period": 50, "phase": 0, "bogus": 1}]]},
-         ["sinusoids"]),
-        ({"sinusoids": 5}, ["sinusoids"]),
-        ({"sinusoids": [5]}, ["sinusoids"]),
-        ({"sinusoids": [[], [], []]}, ["sinusoids", "m=2"]),
-        ({"sinusoids": [[{"amplitude": "a", "period": 50, "phase": 0}]]}, ["amplitude"]),
-        ({"sinusoids": [[{"amplitude": 1, "period": 0, "phase": 0}]]}, ["period"]),
-        ({"sinusoids": [[{"amplitude": 1, "period": 50, "phase": float("inf")}]]},
-         ["phase"]),
+        # a removed setting: every dimension has its one default sinusoid
+        ({"sinusoids": []}, ["unknown synth keys: sinusoids"]),
         ({"noise_sigma": -1}, ["noise_sigma"]),
         ({"noise_sigma": "a"}, ["noise_sigma"]),
         ({"noise_sigma": float("nan")}, ["noise_sigma"]),
@@ -533,8 +557,7 @@ class TestBadInputs:
         ({"noise_sigma": 10 ** 400}, ["noise_sigma"]),
         ({"anomalies": [{"kind": "spike", "start": 1, "length": 1, "dims": [0],
                          "magnitude": 10 ** 400}]}, ["magnitude"]),
-    ], ids=["unknown-keys", "extra-key", "not-a-list", "not-lists", "more-than-m",
-            "amplitude-string", "period-zero", "phase-inf", "sigma-negative",
+    ], ids=["unknown-keys", "sigma-negative",
             "sigma-string", "sigma-nan", "anomaly-missing-key", "anomaly-list",
             "anomaly-null", "anomalies-not-a-list", "sigma-huge-int", "magnitude-huge-int"])
     def test_bad_synth_spec(self, tmp_path, capsys, synth, names):
@@ -542,7 +565,7 @@ class TestBadInputs:
         out = tmp_path / "out"
         assert_failed(cli.main(["synth", "--config", cfg, "--out", str(out)]),
                       capsys, *names)
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     @pytest.mark.parametrize("mutate, names", [
         (set_cell(0, 0, "0.5"), ["(0,0)", "{0,1}"]),
@@ -563,7 +586,7 @@ class TestBadInputs:
         code = cli.main(["eval", "--report", str(run_dir / "detection.csv"),
                          "--labels", str(labels), "--out", str(out)])
         assert_failed(code, capsys, *names)
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     @pytest.mark.parametrize("command", ["detect", "inspect"])
     @pytest.mark.parametrize("text, names", [
@@ -593,7 +616,7 @@ class TestBadInputs:
         if command == "detect":
             argv += ["--test", str(test_dir / "values.csv")]
         assert_failed(cli.main(argv), capsys, *names)
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     @pytest.mark.parametrize("mutate, names", [
         (lambda lines: ["garbage", "1,2"], ["threshold_model"]),
@@ -609,8 +632,17 @@ class TestBadInputs:
         (set_report_cell(5, 1, "nan"), ["row 6", "finite"]),
         (set_report_cell(5, 2, "inf"), ["row 6", "finite"]),
         (lambda lines: lines[:2] + ["x" + ln[ln.index(","):] for ln in lines[2:]],
-         ["row 3", "t must be 0"]),
+         ["row 3", "non-numeric"]),
         (lambda lines: lines[:2] + lines[:1:-1], ["row 3", "t must be 0"]),
+        # of two faults the first in the file is reported, and a row is named
+        # by its file line, blank lines counted
+        (lambda lines: set_report_cell(9, 1, "x")(lines[:2] + lines[3:1:-1] + lines[4:]),
+         ["row 3", "t must be 0"]),
+        (lambda lines: lines[:2] + [""] + set_report_cell(5, 1, "nan")(lines)[2:],
+         ["row 7", "finite"]),
+        # a header that decodes to an invalid POT config
+        (lambda lines: [lines[0].replace('"risk": 0.0001', '"risk": 0.5')] + lines[1:],
+         ["undecodable", "risk"]),
     ])
     def test_bad_report(self, pipeline, tmp_path, capsys, mutate, names):
         _, _, test_dir, run_dir, _ = pipeline
@@ -621,7 +653,7 @@ class TestBadInputs:
         code = cli.main(["eval", "--report", str(report), "--out", str(out),
                          "--labels", str(test_dir / "labels.csv")])
         assert_failed(code, capsys, *names)
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     def test_report_not_utf8(self, pipeline, tmp_path, capsys):
         _, _, _, run_dir, _ = pipeline
@@ -633,7 +665,7 @@ class TestBadInputs:
         assert exc.value.row == 3
         code = cli.main(["eval", "--report", str(report), "--out", str(out)])
         assert_failed(code, capsys, "detection.csv line 3", "not UTF-8")
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
 
     def test_report_with_fixed_setting(self, pipeline, tmp_path, capsys):
         # a report written while POT's fewest excesses was a setting: rerun detect
@@ -648,10 +680,75 @@ class TestBadInputs:
         assert exc.value.row == 1
         code = cli.main(["eval", "--report", str(report), "--out", str(out)])
         assert_failed(code, capsys, "undecodable", "min_excesses")
-        assert list(out.iterdir()) == []
+        assert_left_nothing(out)
+
+
+# edits of a report's lines: a body cell set to a number, nan, inf, text or
+# nothing; a line dropped, repeated, swapped with another or put in blank;
+# characters of a header line replaced
+TEXT = st.text(st.characters(exclude_categories=["Cs"]), max_size=3)
+CELL = (st.floats().map(repr) | TEXT
+        | st.sampled_from(["0", "1", "1.0", "1e0", "2", "-0", "nan", "-inf", "1e999", ""]))
+EDIT = st.tuples(st.sampled_from(["cell"] * 4 + ["drop", "repeat", "swap", "blank", "head"]),
+                 st.integers(0, 400), st.integers(0, 400), CELL)
+
+
+def edit_lines(lines, edit):
+    kind, i, j, text = edit
+    lines = list(lines)
+    if kind == "cell":
+        i = 2 + i % (len(lines) - 2)
+        cells = lines[i].split(",")
+        cells[j % len(cells)] = text
+        lines[i] = ",".join(cells)
+    elif kind == "head":
+        lines[i % 2] = lines[i % 2][:j] + text + lines[i % 2][j + len(text):]
+    elif kind == "drop":
+        del lines[i % len(lines)]
+    elif kind == "repeat":
+        lines.insert(i % len(lines), lines[i % len(lines)])
+    elif kind == "swap":
+        i, j = i % len(lines), j % len(lines)
+        lines[i], lines[j] = lines[j], lines[i]
+    else:
+        lines.insert(i % len(lines), "")
+    return lines
+
+
+@given(edits=st.lists(EDIT, max_size=4), eol=st.sampled_from(["\n", "\r\n"]))
+def test_report_text_reads_whole_or_raises_a_parse_error(pipeline, edits, eol):
+    # a 20-row report of m=2, edited
+    lines = (pipeline[3] / "detection.csv").read_text().splitlines()[:22]
+    for e in edits:
+        lines = edit_lines(lines, e)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "detection.csv")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write("".join(ln + eol for ln in lines))
+        try:
+            thresholds, scores, dim_labels, agg = cli.read_detection_report(path)
+        except ParseError:
+            return
+    T, m = len(agg), len(thresholds.dims)
+    assert scores.shape == dim_labels.shape == (T, m) and agg.shape == (T,)
+    assert scores.dtype == np.float64 and np.isfinite(scores).all()
+    assert dim_labels.dtype == agg.dtype == np.int8
+    assert set(np.unique(dim_labels)) | set(np.unique(agg)) <= {0, 1}
 
 
 class TestEval:
+    def test_failed_write_removes_what_it_wrote(self, pipeline, tmp_path, capsys):
+        # eval.json is written, then eval.csv cannot replace the directory of
+        # that name: the command removes eval.json and keeps the --out it found
+        _, _, test_dir, run_dir, _ = pipeline
+        (tmp_path / "eval.csv").mkdir()
+        code = cli.main(["eval", "--report", str(run_dir / "detection.csv"),
+                         "--labels", str(test_dir / "labels.csv"), "--out", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert code == 1 and err.startswith("io error:") and "Is a directory" in err
+        assert [p.name for p in tmp_path.iterdir()] == ["eval.csv"]
+        assert (tmp_path / "eval.csv").is_dir()
+
     def test_both_modes_reported(self, pipeline):
         _, _, _, run_dir, _ = pipeline
         result = json.loads((run_dir / "eval.json").read_text())
@@ -724,7 +821,7 @@ class TestInspect:
                          "--out", str(tmp_path / "out")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "non-finite focus at timestamp 70" in err
-        assert list((tmp_path / "out").iterdir()) == []
+        assert_left_nothing(tmp_path / "out")
 
     def test_focus_nonnegative(self, pipeline):
         _, _, _, run_dir, _ = pipeline

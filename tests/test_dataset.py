@@ -49,7 +49,9 @@ class TestLoadCsv:
         p.write_text("1,2\n3,oops\n")
         with pytest.raises(ParseError) as exc:
             dataset.load_csv(p)
-        assert exc.value.row == 1 and exc.value.col == 1
+        # the row is the file line, from 1; the column counts from 0
+        assert exc.value.row == 2 and exc.value.col == 1
+        assert str(exc.value) == f"{p} row 2: non-numeric cell 'oops' at col 1"
 
     def test_header_skipped(self, tmp_path):
         p = tmp_path / "v.csv"

@@ -80,6 +80,10 @@ class TestAuc:
         with pytest.raises(DegenerateTruth):
             metrics.roc_auc([0.1, 0.2], [1, 1])
 
+    def test_length_mismatch(self):
+        with pytest.raises(ShapeMismatch, match="scores and truth lengths differ"):
+            metrics.roc_auc(np.zeros(3), np.array([0, 1]))
+
     def test_monotone_transform_invariance(self):
         rng = np.random.default_rng(0)
         scores = rng.uniform(size=40)
@@ -198,6 +202,11 @@ class TestDiagnosisMetrics:
             rankings = [list(rng.permutation(m)) for _ in range(4)]
             v = metrics.ndcg_at(rankings, truth, 150)
             assert 0.0 <= v <= 1.0
+
+    @pytest.mark.parametrize("metric", [metrics.hitrate_at, metrics.ndcg_at])
+    def test_length_mismatch(self, metric):
+        with pytest.raises(ShapeMismatch, match="rankings and truth lengths differ"):
+            metric([[0, 1], [1, 0]], np.ones((3, 2), dtype=int), 100)
 
     def test_no_anomalous_timestamps(self):
         with pytest.raises(DegenerateTruth):

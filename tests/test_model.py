@@ -150,6 +150,11 @@ class TestEncoders:
             model.encode_context(Tensor(np.zeros((1, 5, 3))),
                                  Tensor(np.zeros((1, 4, 3))))
 
+    def test_window_dim_mismatch(self):
+        model = small_model(m=2)
+        with pytest.raises(ShapeMismatch, match="window has 3 dims"):
+            model.encode_window(Tensor(np.zeros((1, 4, 3))))
+
     def test_window_encoding_shape(self):
         model = small_model(m=2, K=4)
         W, C = random_inputs(model)

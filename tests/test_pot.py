@@ -117,6 +117,10 @@ class TestPotThreshold:
         assert dim.threshold == pytest.approx(mc, rel=0.05)
         assert dim.method == "gpd"
 
+    def test_empty(self):
+        with pytest.raises(EmptyInput, match="empty score vector"):
+            pot.pot_threshold(np.array([]), pot.PotConfig())
+
     def test_constant_scores(self):
         dim = pot.pot_threshold(np.full(100, 2.0), pot.PotConfig())
         assert dim.method == "constant"

@@ -27,8 +27,7 @@ def test_settings_surface():
         "epochs", "batch_size", "lr", "seed", "use_self_condition", "use_adversarial",
         "use_maml", "lr_decay_every_epochs"}
     assert field_names(pot.PotConfig) == {"risk", "low_quantile"}
-    assert field_names(dataset.SynthSpec) == {"T", "m", "seed", "noise_sigma", "sinusoids",
-                                              "anomalies"}
+    assert field_names(dataset.SynthSpec) == {"T", "m", "seed", "noise_sigma", "anomalies"}
     assert field_names(dataset.Anomaly) == {"kind", "start", "length", "dims", "magnitude"}
     assert cli.SECTIONS == {"train": training.TrainConfig, "pot": pot.PotConfig}
 
@@ -55,7 +54,7 @@ ANOMALY = {"kind": st.sampled_from(dataset.ANOMALY_KINDS), "start": st.integers(
            "length": st.integers(1, 10), "dims": st.lists(st.integers(0, 3), max_size=3),
            "magnitude": st.floats(-20, 20)}
 SYNTH = {"T": st.integers(1, 80), "m": st.integers(1, 4), "seed": st.integers(0, 9),
-         "noise_sigma": st.floats(0, 1), "sinusoids": st.just([]),
+         "noise_sigma": st.floats(0, 1),
          "anomalies": st.lists(mutated(ANOMALY) | JSON, max_size=3)}
 MODEL = {"m": st.integers(1, 4), "window_size": st.integers(1, 10),
          "context_cap": st.integers(1, 30), "dropout": st.floats(0, 0.9),

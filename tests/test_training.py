@@ -257,6 +257,20 @@ class TestFit:
         assert len(report.epochs) == 1
         assert report.stop_reason == "completed all epochs"
 
+    def test_early_stop_after_patience_epochs(self):
+        # at lr 0 the weights never move.  With the adversarial term on, the
+        # validation score would still fall by a factor 1.05 an epoch as the
+        # schedule weight decays; without it the score holds still, so epoch
+        # 1 stays the best and PATIENCE epochs without improvement end the run
+        model, train_b, val_b = tiny_setup(T=120, m=2, K=5, cap=10, seed=3)
+        cfg = training.TrainConfig(epochs=6, batch_size=16, lr=0.0, seed=0, use_maml=False,
+                                   use_adversarial=False)
+        report = training.fit(model, train_b, val_b, cfg, progress=False)
+        assert training.PATIENCE == 3 and len(report.epochs) == 4
+        assert report.stop_reason == "early stop: no improvement for 3 epochs"
+        assert report.best_epoch == 1
+        assert len({e.val_score for e in report.epochs}) == 1
+
     def test_empty_training_batch_is_empty_series(self):
         model, train_b, val_b = tiny_setup()
         c = train_b.contexts
