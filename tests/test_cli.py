@@ -544,8 +544,20 @@ class TestBadInputs:
         assert not (tmp_path / "detection.csv").exists()
 
     @pytest.mark.parametrize("synth, names", [
-        # a removed setting: every dimension has its one default sinusoid
+        # a removed setting: every dimension has its one default sinusoid, and
+        # whatever value the key carries, it is refused as an unknown key
         ({"sinusoids": []}, ["unknown synth keys: sinusoids"]),
+        ({"sinusoids": [[{"amplitude": 1, "period": 50, "phase": 0, "bogus": 1}]]},
+         ["unknown synth keys: sinusoids"]),
+        ({"sinusoids": 5}, ["unknown synth keys: sinusoids"]),
+        ({"sinusoids": [5]}, ["unknown synth keys: sinusoids"]),
+        ({"sinusoids": [[], [], []]}, ["unknown synth keys: sinusoids"]),
+        ({"sinusoids": [[{"amplitude": "a", "period": 50, "phase": 0}]]},
+         ["unknown synth keys: sinusoids"]),
+        ({"sinusoids": [[{"amplitude": 1, "period": 0, "phase": 0}]]},
+         ["unknown synth keys: sinusoids"]),
+        ({"sinusoids": [[{"amplitude": 1, "period": 50, "phase": float("inf")}]]},
+         ["unknown synth keys: sinusoids"]),
         ({"noise_sigma": -1}, ["noise_sigma"]),
         ({"noise_sigma": "a"}, ["noise_sigma"]),
         ({"noise_sigma": float("nan")}, ["noise_sigma"]),
@@ -557,7 +569,8 @@ class TestBadInputs:
         ({"noise_sigma": 10 ** 400}, ["noise_sigma"]),
         ({"anomalies": [{"kind": "spike", "start": 1, "length": 1, "dims": [0],
                          "magnitude": 10 ** 400}]}, ["magnitude"]),
-    ], ids=["unknown-keys", "sigma-negative",
+    ], ids=["unknown-keys", "extra-key", "not-a-list", "not-lists", "more-than-m",
+            "amplitude-string", "period-zero", "phase-inf", "sigma-negative",
             "sigma-string", "sigma-nan", "anomaly-missing-key", "anomaly-list",
             "anomaly-null", "anomalies-not-a-list", "sigma-huge-int", "magnitude-huge-int"])
     def test_bad_synth_spec(self, tmp_path, capsys, synth, names):
