@@ -44,6 +44,7 @@ NORM_EPS = 1e-5    # added to the variance in `add_norm`
 _data = operator.attrgetter("data")
 
 _GRAD_ENABLED = True
+_ARENA = None    # the open WeightArena
 
 
 class no_grad:
@@ -58,6 +59,30 @@ class no_grad:
     def __exit__(self, *exc):
         global _GRAD_ENABLED
         _GRAD_ENABLED = self.prev
+
+
+class WeightArena:
+    """Attention-weight buffers reused from one training step to the next.
+    While open (a `with` block), the weights of the i-th grad-recording
+    :func:`attention` call since `pos` was set to 0 go into the buffer of the
+    i-th call before, replaced where the shape differs.  Such weights are
+    valid only until the next step; closing the arena drops the buffers."""
+
+    def __enter__(self):
+        global _ARENA
+        _ARENA, self.buffers, self.pos = self, {}, 0
+        return self
+
+    def __exit__(self, *exc):
+        global _ARENA
+        _ARENA, self.buffers = None, {}
+
+    def take(self, shape):
+        self.pos += 1
+        buf = self.buffers.get(self.pos)
+        if buf is None or buf.shape != shape:
+            buf = self.buffers[self.pos] = np.empty(shape)
+        return buf
 
 
 class Tensor:
@@ -317,8 +342,10 @@ def attention(Q, K, V, weights, n_heads, mask=None):
         raise ShapeMismatch(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
     qh, kh, vh = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
     inv_scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
-    # the weights are built in one buffer, in place
-    w = qh @ kh.swapaxes(-1, -2)
+    # the weights are built in one buffer, in place: while recording in an open
+    # WeightArena, the buffer its call had the step before
+    w = (qh @ kh.swapaxes(-1, -2) if _ARENA is None or not _GRAD_ENABLED else
+         np.matmul(qh, kh.swapaxes(-1, -2), out=_ARENA.take(qh.shape[:-1] + kh.shape[-2:-1])))
     w *= inv_scale
     if mask is not None:
         np.copyto(w, MASK_LOGIT, where=mask)

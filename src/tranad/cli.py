@@ -270,16 +270,12 @@ def cmd_inspect(args, cfg, out):
     model, ts = _load_for_scoring(args, args.data)
     batch = dataset.make_windows(ts, model.config.window_size, model.config.context_cap)
     K = model.config.window_size
-    att_lines = [
-        "# masked self-attention weights of the last window row; "
-        f"one row per (timestamp, head) with K={K} weights",
-        "t,head," + ",".join(f"w_{k + 1}" for k in range(K)),
-    ]
-    focus_lines = [
-        "# phase-2 focus score at the last window row; one row per timestamp "
-        f"with m={model.config.m} entries",
-        "t," + ",".join(f"f_{d + 1}" for d in range(model.config.m)),
-    ]
+    att_lines = ["# masked self-attention weights of the last window row; "
+                 f"one row per (timestamp, head) with K={K} weights",
+                 "t,head," + ",".join(f"w_{k + 1}" for k in range(K))]
+    focus_lines = ["# phase-2 focus score at the last window row; one row per timestamp "
+                   f"with m={model.config.m} entries",
+                   "t," + ",".join(f"f_{d + 1}" for d in range(model.config.m))]
 
     def inspect(W, C, rows):
         res = model.forward_two_phase(W, C, decode_rows=detection.LAST_ROW)
@@ -315,8 +311,7 @@ def _add_common(p, seed=False, header=True):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="tranad",
-        description="Multivariate time-series anomaly detection and diagnosis")
+        prog="tranad", description="Multivariate time-series anomaly detection and diagnosis")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic series")
@@ -347,13 +342,8 @@ def build_parser():
     return parser
 
 
-COMMANDS = {
-    "synth": cmd_synth,
-    "train": cmd_train,
-    "detect": cmd_detect,
-    "eval": cmd_eval,
-    "inspect": cmd_inspect,
-}
+COMMANDS = {"synth": cmd_synth, "train": cmd_train, "detect": cmd_detect, "eval": cmd_eval,
+            "inspect": cmd_inspect}
 
 
 def main(argv=None):

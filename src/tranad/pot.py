@@ -103,12 +103,9 @@ def _grimshaw_candidates(y, n_points=10, eps=1e-8):
     def u(s):
         return 1.0 + np.mean(np.log(s))
 
-    def v(s):
-        return np.mean(1.0 / s)
-
     def w(t):
         s = 1.0 + t * y
-        return u(s) * v(s) - 1.0
+        return u(s) * np.mean(1.0 / s) - 1.0
 
     ymin, ymax, ymean = y.min(), y.max(), y.mean()
     a = -1.0 / ymax + eps
@@ -129,9 +126,7 @@ def _grimshaw_candidates(y, n_points=10, eps=1e-8):
             elif vals[i] * vals[i + 1] < 0:
                 roots.append(optimize.brentq(w, grid[i], grid[i + 1]))
     cands = []
-    for t in roots:
-        if t == 0:
-            continue
+    for t in roots:   # none is 0: each lies in [a, -eps], [eps, b] or [b, c] with b > 0
         gamma = u(1.0 + t * y) - 1.0
         sigma = gamma / t
         if sigma > 0:
@@ -181,7 +176,6 @@ def pot_threshold(scores, cfg):
     if scores.size == 0:
         raise EmptyInput("empty score vector")
     n = scores.size
-    smax = float(scores.max())
     if np.all(scores == scores[0]):
         # constant scores: no tail to fit; threshold just above the constant
         z = float(scores[0]) + max(abs(scores[0]), 1.0) * np.finfo(float).eps
@@ -191,12 +185,12 @@ def pot_threshold(scores, cfg):
     u = initial_threshold(scores, cfg.low_quantile)
     excesses = scores[scores > u] - u
     if excesses.size < MIN_EXCESSES:
+        smax = float(scores.max())
+        gamma, sigma, method = 0.0, 0.0, "max_fallback"
         z = smax * (1 + 1e-6) if smax > 0 else smax + 1e-6
-        return DimThreshold(initial_threshold=u, gamma=0.0, sigma=0.0,
-                            n_excesses=int(excesses.size), n_samples=n,
-                            threshold=max(z, u), method="max_fallback")
-    gamma, sigma, method = fit_gpd(excesses)
-    z = final_threshold(u, gamma, sigma, n, excesses.size, cfg.risk)
+    else:
+        gamma, sigma, method = fit_gpd(excesses)
+        z = final_threshold(u, gamma, sigma, n, excesses.size, cfg.risk)
     return DimThreshold(initial_threshold=u, gamma=gamma, sigma=sigma,
                         n_excesses=int(excesses.size), n_samples=n,
                         threshold=max(z, u), method=method)

@@ -63,12 +63,11 @@ class TrainReport:
     best_epoch: int = 0
 
     def to_dict(self):
-        # timing is left out so reruns with the same seed write byte-identical
-        # reports
-        recs = [{k: v for k, v in asdict(r).items() if k != "seconds"}
-                for r in self.epochs]
-        return {"epochs": recs, "stop_reason": self.stop_reason,
-                "best_epoch": self.best_epoch}
+        # timing is left out so reruns with the same seed write byte-identical reports
+        d = asdict(self)
+        for rec in d["epochs"]:
+            del rec["seconds"]
+        return d
 
 
 # -- losses -------------------------------------------------------------------
@@ -110,11 +109,7 @@ SHARED, D1, D2 = 1, 2, 4
 
 
 def _partition(path):
-    if path.startswith("decoder1."):
-        return D1
-    if path.startswith("decoder2."):
-        return D2
-    return SHARED
+    return {"decoder1": D1, "decoder2": D2}.get(path.split(".")[0], SHARED)
 
 
 def partitioned_grads(model, L1, L2):
@@ -149,20 +144,24 @@ def _batch_losses(model, W, C, cfg, n, rng):
 
 def train_epoch(model, groups, cfg, opt, epoch, rng):
     """One pass over the batch groups, with the epoch as the schedule index.
-    Returns (mean L1, mean L2)."""
+    Returns (mean L1, mean L2).  A step's graph is dropped before the next
+    forward, whose attention weights reuse its buffers (`ad.WeightArena`)."""
     l1_sum, l2_sum, count = 0.0, 0.0, 0
-    for b, (W, C, _) in enumerate(groups):
-        L1, L2 = _batch_losses(model, W, C, cfg, epoch, rng)
-        v1, v2 = float(L1.data), float(L2.data)
-        if not (np.isfinite(v1) and np.isfinite(v2)):
-            raise NonFiniteLoss(
-                f"non-finite loss at epoch {epoch}, batch {b}: L1={v1}, L2={v2}",
-                epoch=epoch, batch=b)
-        partitioned_grads(model, L1, L2)
-        opt.step()
-        l1_sum += v1 * W.shape[0]
-        l2_sum += v2 * W.shape[0]
-        count += W.shape[0]
+    with ad.WeightArena() as arena:
+        for b, (W, C, _) in enumerate(groups):
+            arena.pos = 0
+            L1, L2 = _batch_losses(model, W, C, cfg, epoch, rng)
+            v1, v2 = float(L1.data), float(L2.data)
+            if not (np.isfinite(v1) and np.isfinite(v2)):
+                raise NonFiniteLoss(
+                    f"non-finite loss at epoch {epoch}, batch {b}: L1={v1}, L2={v2}",
+                    epoch=epoch, batch=b)
+            partitioned_grads(model, L1, L2)
+            del L1, L2
+            opt.step()
+            l1_sum += v1 * W.shape[0]
+            l2_sum += v2 * W.shape[0]
+            count += W.shape[0]
     return l1_sum / count, l2_sum / count
 
 

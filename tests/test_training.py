@@ -1,11 +1,14 @@
 """Losses, the evolving schedule, gradient routing, meta-learning and the
 training loop."""
 
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
 from tranad import autodiff as ad, dataset, training
-from tranad.autodiff import ParamStore, Tensor
+from tranad.autodiff import AdamW, ParamStore, Tensor
 from tranad.errors import EmptyInput, NonFiniteLoss, ShapeMismatch
 from tranad.model import ModelConfig, TranAD
 
@@ -343,6 +346,126 @@ class TestFit:
         report = training.fit(model, train_b, val_b, cfg, progress=False)
         assert "seconds" not in report.to_dict()["epochs"][0]
         assert report.epochs[0].seconds > 0
+
+
+class TestStepMemory:
+    """A training step holds one graph, and its attention weights reuse the
+    buffers of the step before (`autodiff.WeightArena`)."""
+
+    @staticmethod
+    def wide_setup(T, K, cap, dropout):
+        values = np.random.default_rng(0).uniform(size=(T, 38))
+        norm, _ = dataset.fit_normalize(dataset.RawSeries(values=values))
+        train_b, _ = dataset.split_train_val(dataset.make_windows(norm, K, cap))
+        model = TranAD(ModelConfig(m=38, window_size=K, context_cap=cap, dropout=dropout))
+        cfg = training.TrainConfig(batch_size=16, lr=0.02)
+        return model, dataset.batch_groups(train_b, cfg.batch_size), cfg
+
+    def test_epoch_equals_the_same_steps_outside_the_arena(self):
+        # 7 short-context single-window steps, then 16, 16 and a remainder of 9
+        model, groups, cfg = self.wide_setup(T=60, K=4, cap=8, dropout=0.1)
+        assert sorted({len(W) for W, _, _ in groups}) == [1, 9, 16]
+        by_hand = TranAD(model.config)
+        opt, rng = AdamW(by_hand.params, lr=cfg.lr), np.random.default_rng(5)
+        for W, C, _ in groups:
+            training.partitioned_grads(by_hand, *training._batch_losses(
+                by_hand, W, C, cfg, 1, rng))
+            opt.step()
+        training.train_epoch(model, groups, cfg, AdamW(model.params, lr=cfg.lr), 1,
+                             np.random.default_rng(5))
+        assert np.array_equal(model.params.flat, by_hand.params.flat)
+
+    def test_previous_graph_is_dead_when_the_next_step_starts(self, monkeypatch):
+        model, train_b, _ = tiny_setup(T=120)
+        cfg = training.TrainConfig(batch_size=16, seed=0)
+        batch_losses, probes = training._batch_losses, []
+
+        def probed(*args):
+            # Tensor has no __weakref__ slot; a loss's backward closure lives
+            # exactly as long as the loss
+            assert all(probe() is None for probe in probes), "a step's graph outlived it"
+            L1, L2 = batch_losses(*args)
+            probes.extend((weakref.ref(L1._backward), weakref.ref(L2._backward)))
+            return L1, L2
+
+        monkeypatch.setattr(training, "_batch_losses", probed)
+        groups = dataset.batch_groups(train_b, cfg.batch_size)
+        training.train_epoch(model, groups, cfg, AdamW(model.params), 1, np.random.default_rng(0))
+        assert len(probes) == 2 * len(groups)
+
+    def test_epoch_peak_holds_one_step_graph(self):
+        # the `wide-m38` shape: 800 x 38, K=10, L=30, B=16; two graphs alive at
+        # once peaked at 45.9 MiB
+        model, groups, cfg = self.wide_setup(T=800, K=10, cap=30, dropout=0.0)
+        opt = AdamW(model.params, lr=cfg.lr)
+        tracemalloc.start()
+        try:
+            training.train_epoch(model, groups, cfg, opt, 1, np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32 * 2 ** 20, f"train_epoch peaked at {peak / 2 ** 20:.1f} MiB"
+
+    def test_non_finite_loss_closes_the_arena(self, monkeypatch):
+        model, train_b, _ = tiny_setup(T=120)
+        cfg = training.TrainConfig(batch_size=16, seed=0)
+        groups = dataset.batch_groups(train_b, cfg.batch_size)
+        forward, seen, buffers = model.forward_two_phase, [], []
+
+        def poisoned(W, C, **kwargs):
+            seen.append(ad._ARENA)
+            if len(seen) == len(groups) - 2:   # a full batch, after several steps
+                buffers.extend(ad._ARENA.buffers.values())
+                model.params["decoder1.ff.l1.W"].data[:] = np.nan
+            return forward(W, C, **kwargs)
+
+        monkeypatch.setattr(model, "forward_two_phase", poisoned)
+        with pytest.raises(NonFiniteLoss) as exc:
+            training.train_epoch(model, groups, cfg, AdamW(model.params), 1,
+                                 np.random.default_rng(0))
+        assert exc.value.batch == len(groups) - 3
+        arena = seen[0]
+        assert arena is not None and all(a is arena for a in seen)
+        assert ad._ARENA is None and arena.buffers == {}
+        W, C, _ = groups[-1]
+        first = forward(W, C).window_attention
+        assert buffers and not any(np.shares_memory(first, buf) for buf in buffers)
+        assert not np.shares_memory(first, forward(W, C).window_attention)
+
+    def test_weights_outside_the_arena_are_new_arrays(self):
+        model, train_b, _ = tiny_setup()
+        (W1, C1, _), (W2, C2, _) = dataset.batch_groups(train_b, 16)[-3:-1]
+        assert W1.shape == W2.shape and C1.shape == C2.shape
+        first = model.forward_two_phase(W1, C1).window_attention
+        kept = first.copy()
+        second = model.forward_two_phase(W2, C2).window_attention
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept) and not np.array_equal(first, second)
+
+    def test_arena_skips_calls_that_record_no_tape(self):
+        model, train_b, _ = tiny_setup()
+        W, C, _ = dataset.batch_groups(train_b, 16)[-1]
+        with ad.WeightArena() as arena, ad.no_grad():
+            model.forward_two_phase(W, C)
+        assert arena.pos == 0
+
+    def test_arena_is_open_only_inside_train_epoch(self, monkeypatch):
+        model, train_b, val_b = tiny_setup()
+        forward, calls = model.forward_two_phase, []
+
+        def watched(*args, **kwargs):
+            calls.append((ad._ARENA is not None, ad._GRAD_ENABLED))
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_two_phase", watched)
+        training.fit(model, train_b, val_b, training.TrainConfig(epochs=1, batch_size=16),
+                     progress=False)
+        steps = len(dataset.batch_groups(train_b, 16))
+        # the epoch's steps record in the arena; MAML's two forwards record
+        # outside it, and validation records nothing
+        assert calls[:steps] == [(True, True)] * steps
+        assert calls[steps:steps + 2] == [(False, True)] * 2
+        assert calls[steps + 2:] and set(calls[steps + 2:]) == {(False, False)}
 
 
 # -- AdamW and the meta step one parameter at a time, before the flat buffers --
