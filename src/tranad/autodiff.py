@@ -44,7 +44,7 @@ NORM_EPS = 1e-5    # added to the variance in `add_norm`
 _data = operator.attrgetter("data")
 
 _GRAD_ENABLED = True
-_ARENA = None    # the open WeightArena
+_ARENA = None    # the WeightArena whose `with` block is running
 
 
 class no_grad:
@@ -61,28 +61,26 @@ class no_grad:
         _GRAD_ENABLED = self.prev
 
 
-class WeightArena:
-    """Attention-weight buffers reused from one training step to the next.
-    While open (a `with` block), the weights of the i-th grad-recording
-    :func:`attention` call since `pos` was set to 0 go into the buffer of the
-    i-th call before, replaced where the shape differs.  Such weights are
-    valid only until the next step; closing the arena drops the buffers."""
+class WeightArena(dict):
+    """Attention-weight buffers by call position, reused across training steps.
+    Inside each `with` block (one step's forward; process-wide, like no_grad's
+    flag) the i-th grad-recording :func:`attention` call writes its weights into
+    buffer i, replaced where the shape differs: valid until the next block."""
 
     def __enter__(self):
         global _ARENA
-        _ARENA, self.buffers, self.pos = self, {}, 0
-        return self
+        self.prev, _ARENA = _ARENA, self
+        self.pos = 0
 
     def __exit__(self, *exc):
         global _ARENA
-        _ARENA, self.buffers = None, {}
+        _ARENA = self.prev
 
     def take(self, shape):
         self.pos += 1
-        buf = self.buffers.get(self.pos)
-        if buf is None or buf.shape != shape:
-            buf = self.buffers[self.pos] = np.empty(shape)
-        return buf
+        if self.pos not in self or self[self.pos].shape != shape:
+            self[self.pos] = np.empty(shape)
+        return self[self.pos]
 
 
 class Tensor:
@@ -342,8 +340,7 @@ def attention(Q, K, V, weights, n_heads, mask=None):
         raise ShapeMismatch(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
     qh, kh, vh = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
     inv_scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
-    # the weights are built in one buffer, in place: while recording in an open
-    # WeightArena, the buffer its call had the step before
+    # the weights are built in one buffer, in place (an open WeightArena's when recording)
     w = (qh @ kh.swapaxes(-1, -2) if _ARENA is None or not _GRAD_ENABLED else
          np.matmul(qh, kh.swapaxes(-1, -2), out=_ARENA.take(qh.shape[:-1] + kh.shape[-2:-1])))
     w *= inv_scale

@@ -270,12 +270,16 @@ def cmd_inspect(args, cfg, out):
     model, ts = _load_for_scoring(args, args.data)
     batch = dataset.make_windows(ts, model.config.window_size, model.config.context_cap)
     K = model.config.window_size
-    att_lines = ["# masked self-attention weights of the last window row; "
-                 f"one row per (timestamp, head) with K={K} weights",
-                 "t,head," + ",".join(f"w_{k + 1}" for k in range(K))]
-    focus_lines = ["# phase-2 focus score at the last window row; one row per timestamp "
-                   f"with m={model.config.m} entries",
-                   "t," + ",".join(f"f_{d + 1}" for d in range(model.config.m))]
+    att_lines = [
+        "# masked self-attention weights of the last window row; "
+        f"one row per (timestamp, head) with K={K} weights",
+        "t,head," + ",".join(f"w_{k + 1}" for k in range(K)),
+    ]
+    focus_lines = [
+        "# phase-2 focus score at the last window row; one row per timestamp "
+        f"with m={model.config.m} entries",
+        "t," + ",".join(f"f_{d + 1}" for d in range(model.config.m)),
+    ]
 
     def inspect(W, C, rows):
         res = model.forward_two_phase(W, C, decode_rows=detection.LAST_ROW)
@@ -297,8 +301,9 @@ def cmd_inspect(args, cfg, out):
 # -- argument parsing ---------------------------------------------------------
 
 
-def _add_common(p, seed=False, header=True):
-    """The flags of every command, plus --seed and --header where it reads them."""
+def _add_common(p, run, seed=False, header=True):
+    """The command's function `run` and flags, plus --seed and --header where it reads them."""
+    p.set_defaults(run=run)
     p.add_argument("--config", default=None, help="JSON config file")
     if seed:
         p.add_argument("--seed", type=int, default=None)
@@ -311,39 +316,36 @@ def _add_common(p, seed=False, header=True):
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="tranad", description="Multivariate time-series anomaly detection and diagnosis")
+        prog="tranad",
+        description="Multivariate time-series anomaly detection and diagnosis")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a labeled synthetic series")
-    _add_common(p, seed=True, header=False)
+    _add_common(p, cmd_synth, seed=True, header=False)
 
     p = sub.add_parser("train", help="train a model on a values CSV")
-    _add_common(p, seed=True)
+    _add_common(p, cmd_train, seed=True)
     p.add_argument("--data", required=True, help="training values CSV")
 
     p = sub.add_parser("detect", help="score a test series against a checkpoint")
-    _add_common(p)
+    _add_common(p, cmd_detect)
     p.add_argument("--data", required=True, help="training values CSV (POT fit)")
     p.add_argument("--test", required=True, help="test values CSV")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--stats", required=True, help="normalization stats JSON")
 
     p = sub.add_parser("eval", help="metrics over a detection report")
-    _add_common(p)
+    _add_common(p, cmd_eval)
     p.add_argument("--report", required=True, help="detection.csv from `detect`")
     p.add_argument("--labels", default=None, help="ground-truth labels CSV")
 
     p = sub.add_parser("inspect", help="dump attention and focus scores")
-    _add_common(p)
+    _add_common(p, cmd_inspect)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--stats", required=True)
     p.add_argument("--data", required=True)
 
     return parser
-
-
-COMMANDS = {"synth": cmd_synth, "train": cmd_train, "detect": cmd_detect, "eval": cmd_eval,
-            "inspect": cmd_inspect}
 
 
 def main(argv=None):
@@ -353,7 +355,7 @@ def main(argv=None):
         cfg = _load_config(args.config)
         check_int("config", "seed", _setting(cfg, "seed", getattr(args, "seed", None)), 0)
         out.make_dir(args.out)
-        return COMMANDS[args.command](args, cfg, out)
+        return args.run(args, cfg, out)
     except (TranadError, MemoryError, OSError) as exc:   # numpy refuses a huge shape at once
         out.cleanup()
         print(f"{'io error' if isinstance(exc, OSError) else 'error'}: {exc}", file=sys.stderr)

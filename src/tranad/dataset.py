@@ -16,8 +16,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import (EmptyInput, InvalidConfig, NonFiniteInput, ParseError, ShapeMismatch,
-                     check_fields, check_int, check_real)
+from .errors import (
+    EmptyInput,
+    InvalidConfig,
+    NonFiniteInput,
+    ParseError,
+    ShapeMismatch,
+    check_fields,
+    check_int,
+    check_real,
+)
 
 log = logging.getLogger(__name__)
 
@@ -316,7 +324,8 @@ def synth_generate(spec):
     """Deterministic labeled series: one sinusoid per dimension plus Gaussian
     noise, with the listed anomalies injected on top."""
     rng = np.random.default_rng(spec.seed)
-    t, d = np.arange(spec.T, dtype=np.float64)[:, None], np.arange(spec.m)
+    t = np.arange(spec.T, dtype=np.float64)[:, None]
+    d = np.arange(spec.m)
     values = np.sin(2 * np.pi * t / (100.0 + 30.0 * d) + 0.7 * d)
     values += rng.normal(0.0, spec.noise_sigma, size=values.shape)
 

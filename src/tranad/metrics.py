@@ -43,8 +43,7 @@ class EvalReport:
 
 def prf1(pred, truth):
     """Precision, recall, F1 with the zero-denominator-means-zero convention."""
-    tp, fp, fn, _ = confusion(pred, truth)
-    return _prf1(tp, fp, fn)
+    return _prf1(*confusion(pred, truth)[:3])
 
 
 def _prf1(tp, fp, fn):
@@ -55,12 +54,10 @@ def _prf1(tp, fp, fn):
 
 
 def confusion(pred, truth):
+    """(tp, fp, fn, tn) of binary predictions against binary truth."""
     pred, truth = _as_binary(pred, truth)
-    tp = int(np.sum((pred == 1) & (truth == 1)))
-    fp = int(np.sum((pred == 1) & (truth == 0)))
-    fn = int(np.sum((pred == 0) & (truth == 1)))
-    tn = int(np.sum((pred == 0) & (truth == 0)))
-    return tp, fp, fn, tn
+    return tuple(int(np.sum((pred == p) & (truth == t)))
+                 for p, t in ((1, 1), (1, 0), (0, 1), (0, 0)))
 
 
 def _as_binary(pred, truth):

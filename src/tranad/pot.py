@@ -143,17 +143,10 @@ def fit_gpd(excesses):
     try:
         candidates = _grimshaw_candidates(y)
     except (ArithmeticError, RuntimeError, ValueError, Warning):   # not a missing scipy
-        candidates = None
-    if candidates is None:
         return (*_moments_estimate(y), "moments")
     # the exponential boundary (gamma -> 0, sigma = mean) is always feasible
-    best = (0.0, float(y.mean()))
-    best_ll = gpd_log_likelihood(y, *best)
-    for gamma, sigma in candidates:
-        ll = gpd_log_likelihood(y, gamma, sigma)
-        if ll > best_ll:
-            best, best_ll = (gamma, sigma), ll
-    if not np.isfinite(best_ll):
+    best = max([(0.0, float(y.mean()))] + candidates, key=lambda c: gpd_log_likelihood(y, *c))
+    if not np.isfinite(gpd_log_likelihood(y, *best)):
         return (*_moments_estimate(y), "moments")
     return best[0], best[1], "gpd"
 
@@ -186,11 +179,12 @@ def pot_threshold(scores, cfg):
     excesses = scores[scores > u] - u
     if excesses.size < MIN_EXCESSES:
         smax = float(scores.max())
-        gamma, sigma, method = 0.0, 0.0, "max_fallback"
         z = smax * (1 + 1e-6) if smax > 0 else smax + 1e-6
-    else:
-        gamma, sigma, method = fit_gpd(excesses)
-        z = final_threshold(u, gamma, sigma, n, excesses.size, cfg.risk)
+        return DimThreshold(initial_threshold=u, gamma=0.0, sigma=0.0,
+                            n_excesses=int(excesses.size), n_samples=n,
+                            threshold=max(z, u), method="max_fallback")
+    gamma, sigma, method = fit_gpd(excesses)
+    z = final_threshold(u, gamma, sigma, n, excesses.size, cfg.risk)
     return DimThreshold(initial_threshold=u, gamma=gamma, sigma=sigma,
                         n_excesses=int(excesses.size), n_samples=n,
                         threshold=max(z, u), method=method)

@@ -63,7 +63,8 @@ class TrainReport:
     best_epoch: int = 0
 
     def to_dict(self):
-        # timing is left out so reruns with the same seed write byte-identical reports
+        # timing is left out so reruns with the same seed write byte-identical
+        # reports
         d = asdict(self)
         for rec in d["epochs"]:
             del rec["seconds"]
@@ -147,21 +148,21 @@ def train_epoch(model, groups, cfg, opt, epoch, rng):
     Returns (mean L1, mean L2).  A step's graph is dropped before the next
     forward, whose attention weights reuse its buffers (`ad.WeightArena`)."""
     l1_sum, l2_sum, count = 0.0, 0.0, 0
-    with ad.WeightArena() as arena:
-        for b, (W, C, _) in enumerate(groups):
-            arena.pos = 0
+    arena = ad.WeightArena()
+    for b, (W, C, _) in enumerate(groups):
+        with arena:
             L1, L2 = _batch_losses(model, W, C, cfg, epoch, rng)
-            v1, v2 = float(L1.data), float(L2.data)
-            if not (np.isfinite(v1) and np.isfinite(v2)):
-                raise NonFiniteLoss(
-                    f"non-finite loss at epoch {epoch}, batch {b}: L1={v1}, L2={v2}",
-                    epoch=epoch, batch=b)
-            partitioned_grads(model, L1, L2)
-            del L1, L2
-            opt.step()
-            l1_sum += v1 * W.shape[0]
-            l2_sum += v2 * W.shape[0]
-            count += W.shape[0]
+        v1, v2 = float(L1.data), float(L2.data)
+        if not (np.isfinite(v1) and np.isfinite(v2)):
+            raise NonFiniteLoss(
+                f"non-finite loss at epoch {epoch}, batch {b}: L1={v1}, L2={v2}",
+                epoch=epoch, batch=b)
+        partitioned_grads(model, L1, L2)
+        del L1, L2
+        opt.step()
+        l1_sum += v1 * W.shape[0]
+        l2_sum += v2 * W.shape[0]
+        count += W.shape[0]
     return l1_sum / count, l2_sum / count
 
 

@@ -326,6 +326,16 @@ class TestSynth:
         b = dataset.synth_generate(dataset.SynthSpec(**spec))
         np.testing.assert_array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("T, m", [(1, 1), (7, 3), (500, 38), (2000, 5)])
+    def test_sinusoids_equal_the_per_dimension_loop(self, T, m):
+        # the reference: one sinusoid per dimension, added column by column
+        t = np.arange(T, dtype=np.float64)
+        want = np.zeros((T, m))
+        for d in range(m):
+            want[:, d] += np.sin(2 * np.pi * t / (100.0 + 30.0 * d) + 0.7 * d)
+        got = dataset.synth_generate(dataset.SynthSpec(T=T, m=m, noise_sigma=0.0)).values
+        np.testing.assert_array_equal(got, want)
+
     def test_overlap_rejected(self):
         spec = dataset.SynthSpec(T=100, m=1, anomalies=[
             {"kind": "spike", "start": 10, "length": 5, "dims": [0], "magnitude": 5.0},

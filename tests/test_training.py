@@ -406,7 +406,7 @@ class TestStepMemory:
             tracemalloc.stop()
         assert peak <= 32 * 2 ** 20, f"train_epoch peaked at {peak / 2 ** 20:.1f} MiB"
 
-    def test_non_finite_loss_closes_the_arena(self, monkeypatch):
+    def test_non_finite_loss_leaves_no_arena(self, monkeypatch):
         model, train_b, _ = tiny_setup(T=120)
         cfg = training.TrainConfig(batch_size=16, seed=0)
         groups = dataset.batch_groups(train_b, cfg.batch_size)
@@ -415,7 +415,7 @@ class TestStepMemory:
         def poisoned(W, C, **kwargs):
             seen.append(ad._ARENA)
             if len(seen) == len(groups) - 2:   # a full batch, after several steps
-                buffers.extend(ad._ARENA.buffers.values())
+                buffers.extend(ad._ARENA.values())
                 model.params["decoder1.ff.l1.W"].data[:] = np.nan
             return forward(W, C, **kwargs)
 
@@ -424,13 +424,33 @@ class TestStepMemory:
             training.train_epoch(model, groups, cfg, AdamW(model.params), 1,
                                  np.random.default_rng(0))
         assert exc.value.batch == len(groups) - 3
-        arena = seen[0]
-        assert arena is not None and all(a is arena for a in seen)
-        assert ad._ARENA is None and arena.buffers == {}
+        assert seen[0] is not None and all(a is seen[0] for a in seen)
+        assert ad._ARENA is None
         W, C, _ = groups[-1]
         first = forward(W, C).window_attention
         assert buffers and not any(np.shares_memory(first, buf) for buf in buffers)
         assert not np.shares_memory(first, forward(W, C).window_attention)
+
+    def test_a_failed_forward_closes_the_arena(self, monkeypatch):
+        model, train_b, _ = tiny_setup(T=120)
+        groups = dataset.batch_groups(train_b, 16)
+
+        def failing(W, C, **kwargs):
+            raise ShapeMismatch("forced")
+
+        monkeypatch.setattr(model, "forward_two_phase", failing)
+        with pytest.raises(ShapeMismatch):
+            training.train_epoch(model, groups, training.TrainConfig(batch_size=16),
+                                 AdamW(model.params), 1, np.random.default_rng(0))
+        assert ad._ARENA is None
+
+    def test_a_nested_arena_restores_the_outer_one(self):
+        outer, inner = ad.WeightArena(), ad.WeightArena()
+        with outer:
+            with inner:
+                assert ad._ARENA is inner
+            assert ad._ARENA is outer
+        assert ad._ARENA is None
 
     def test_weights_outside_the_arena_are_new_arrays(self):
         model, train_b, _ = tiny_setup()
@@ -445,9 +465,10 @@ class TestStepMemory:
     def test_arena_skips_calls_that_record_no_tape(self):
         model, train_b, _ = tiny_setup()
         W, C, _ = dataset.batch_groups(train_b, 16)[-1]
-        with ad.WeightArena() as arena, ad.no_grad():
+        arena = ad.WeightArena()
+        with arena, ad.no_grad():
             model.forward_two_phase(W, C)
-        assert arena.pos == 0
+        assert arena.pos == 0 and not arena
 
     def test_arena_is_open_only_inside_train_epoch(self, monkeypatch):
         model, train_b, val_b = tiny_setup()
