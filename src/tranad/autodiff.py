@@ -26,6 +26,7 @@ flat buffers, the AdamW optimizer, and the binary checkpoint format.
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import hashlib
 import json
@@ -44,7 +45,7 @@ NORM_EPS = 1e-5    # added to the variance in `add_norm`
 _data = operator.attrgetter("data")
 
 _GRAD_ENABLED = True
-_ARENA = None    # the WeightArena whose `with` block is running
+_ARENA = contextvars.ContextVar("arena", default=None)    # this thread's open WeightArena
 
 
 class no_grad:
@@ -62,19 +63,17 @@ class no_grad:
 
 
 class WeightArena(dict):
-    """Attention-weight buffers by call position, reused across training steps.
-    Inside each `with` block (one step's forward; process-wide, like no_grad's
-    flag) the i-th grad-recording :func:`attention` call writes its weights into
+    """Attention-weight buffers by call position, reused across `with` blocks
+    (training steps, scored chunks).  A block is open on its own thread only:
+    the i-th :func:`attention` call there, taped or not, writes its weights into
     buffer i, replaced where the shape differs: valid until the next block."""
 
     def __enter__(self):
-        global _ARENA
-        self.prev, _ARENA = _ARENA, self
+        self.token = _ARENA.set(self)
         self.pos = 0
 
     def __exit__(self, *exc):
-        global _ARENA
-        _ARENA = self.prev
+        _ARENA.reset(self.token)
 
     def take(self, shape):
         self.pos += 1
@@ -329,8 +328,8 @@ def attention(Q, K, V, weights, n_heads, mask=None):
     `mask` marks logits to suppress (broadcast over the leading axes); they
     get the constant MASK_LOGIT, so their weight is exactly zero and masked
     inputs cannot influence the output or receive gradient.  Returns (output,
-    weights), the weights (..., h, Lq, Lk) being the buffer the backward reads,
-    so callers must not write to it."""
+    weights), the weights (..., h, Lq, Lk) being the buffer the backward reads
+    (the thread's open WeightArena's, taped or not): callers must not write to it."""
     Wq, bq, Wk, bk, Wv, bv, Wo, bo = map(_data, weights)
     ins = (Q.data, K.data, V.data)
     q, k, v = ins[0] @ Wq + bq, ins[1] @ Wk + bk, ins[2] @ Wv + bv
@@ -340,9 +339,10 @@ def attention(Q, K, V, weights, n_heads, mask=None):
         raise ShapeMismatch(f"key count {k.shape[-2]} != value count {v.shape[-2]}")
     qh, kh, vh = _heads(q, n_heads), _heads(k, n_heads), _heads(v, n_heads)
     inv_scale = 1.0 / math.sqrt(q.shape[-1] // n_heads)
-    # the weights are built in one buffer, in place (an open WeightArena's when recording)
-    w = (qh @ kh.swapaxes(-1, -2) if _ARENA is None or not _GRAD_ENABLED else
-         np.matmul(qh, kh.swapaxes(-1, -2), out=_ARENA.take(qh.shape[:-1] + kh.shape[-2:-1])))
+    # the weights are built in one buffer, in place (the open WeightArena's, if any)
+    arena = _ARENA.get()
+    w = (qh @ kh.swapaxes(-1, -2) if arena is None else
+         np.matmul(qh, kh.swapaxes(-1, -2), out=arena.take(qh.shape[:-1] + kh.shape[-2:-1])))
     w *= inv_scale
     if mask is not None:
         np.copyto(w, MASK_LOGIT, where=mask)

@@ -23,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .dataset import batch_groups, check_finite, make_windows
 
-SCORE_CHUNK = 32    # windows per forward, so its attention buffers stay near the cache
+SCORE_CHUNK = 48    # windows per forward, at most 512 // m: its weights stay near the cache
 LAST_ROW = slice(-1, None)
 
 
@@ -49,8 +49,8 @@ def map_chunks(model, batch, fn):
     """[fn(W, C, rows) for each chunk of `batch`] with gradient recording off,
     split statically over this process's allowed cores: part 0 on the calling
     thread, the rest on a pool (one core starts no thread).  The flag is cleared
-    once, around the pool, so a no_grad nested in a worker restores False."""
-    # at most 512 // m windows: each pool thread's malloc arena keeps its largest chunk
+    once, around the pool, so a no_grad nested in a worker restores False.  A
+    part scores its chunks in its own WeightArena: weights last to its next chunk."""
     groups = batch_groups(batch, min(SCORE_CHUNK, max(1, 512 // model.config.m)))
     # sched_getaffinity is missing on macOS and Windows
     cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -58,10 +58,12 @@ def map_chunks(model, batch, fn):
     results = [None] * len(groups)
 
     def run(part):
+        arena = ad.WeightArena()
         # overflow shows up as non-finite results, which the callers reject
         with np.errstate(all="ignore"):
             for i in range(part, len(groups), n):
-                results[i] = fn(*groups[i])
+                with arena:
+                    results[i] = fn(*groups[i])
 
     with ad.no_grad(), ThreadPoolExecutor(max(1, n - 1)) as pool:
         futures = [pool.submit(run, part) for part in range(1, n)]

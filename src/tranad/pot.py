@@ -64,14 +64,12 @@ class ThresholdModel:
 
 def initial_threshold(scores, q_low):
     """Empirical quantile at level 1 - q_low, linearly interpolated."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if scores.size == 0:
+    if np.size(scores) == 0:
         raise EmptyInput("cannot take a quantile of an empty score vector")
     return float(np.quantile(scores, 1.0 - q_low))
 
 
-def gpd_log_likelihood(excesses, gamma, sigma):
-    y = np.asarray(excesses, dtype=np.float64)
+def gpd_log_likelihood(y, gamma, sigma):
     n = y.size
     if sigma <= 0:
         return -np.inf
@@ -179,12 +177,11 @@ def pot_threshold(scores, cfg):
     excesses = scores[scores > u] - u
     if excesses.size < MIN_EXCESSES:
         smax = float(scores.max())
+        gamma, sigma, method = 0.0, 0.0, "max_fallback"
         z = smax * (1 + 1e-6) if smax > 0 else smax + 1e-6
-        return DimThreshold(initial_threshold=u, gamma=0.0, sigma=0.0,
-                            n_excesses=int(excesses.size), n_samples=n,
-                            threshold=max(z, u), method="max_fallback")
-    gamma, sigma, method = fit_gpd(excesses)
-    z = final_threshold(u, gamma, sigma, n, excesses.size, cfg.risk)
+    else:
+        gamma, sigma, method = fit_gpd(excesses)
+        z = final_threshold(u, gamma, sigma, n, excesses.size, cfg.risk)
     return DimThreshold(initial_threshold=u, gamma=gamma, sigma=sigma,
                         n_excesses=int(excesses.size), n_samples=n,
                         threshold=max(z, u), method=method)

@@ -1,14 +1,17 @@
 """Online scoring, threshold labeling and root-cause ranking."""
 
 import functools
+import json
 import os
 import sys
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from tranad import autodiff as ad, dataset, detection, pot, training
+from tranad import autodiff as ad, cli, dataset, detection, pot, training
 from tranad.autodiff import Tensor
 from tranad.model import ModelConfig, TranAD
 
@@ -152,8 +155,8 @@ def allow_cores(monkeypatch, n):
 
 
 class TestPool:
-    # lengths whose last chunk is partial: 32 and 13 windows a chunk at m=3 and 38
-    @pytest.mark.parametrize("m, T", [(3, 29 + 32 + 5), (3, 29 + 2 * 32 - 1),
+    # lengths whose last chunk is partial: 48 and 13 windows a chunk at m=3 and 38
+    @pytest.mark.parametrize("m, T", [(3, 29 + 48 + 5), (3, 29 + 2 * 48 - 1),
                                       (38, 29 + 13 + 4), (38, 29 + 3 * 13 + 12)])
     def test_one_core_bit_equal_to_pool_and_starts_no_thread(self, monkeypatch, m, T):
         model, norm = pool_series(m, T)
@@ -174,7 +177,7 @@ class TestPool:
     @pytest.mark.parametrize("cpus", [3, None])
     def test_platform_without_affinity_pools_every_core(self, monkeypatch, cpus):
         # macOS and Windows have no os.sched_getaffinity; os.cpu_count() may be None
-        model, norm = pool_series(3, 29 + 32 + 5)
+        model, norm = pool_series(3, 29 + 48 + 5)
         allow_cores(monkeypatch, 2)
         pooled = detection.score_series(model, norm)
         monkeypatch.delattr(os, "sched_getaffinity")
@@ -185,7 +188,7 @@ class TestPool:
         np.testing.assert_array_equal(detection.score_series(model, norm), pooled)
         assert workers == [max(1, (cpus or 1) - 1)]    # the caller runs one part itself
 
-    @pytest.mark.parametrize("m, chunk", [(3, 32), (38, 13)])
+    @pytest.mark.parametrize("m, chunk", [(3, 48), (38, 13)])
     def test_results_in_chunk_order_at_most_512_over_m_windows_a_chunk(self, monkeypatch,
                                                                         m, chunk):
         model, norm = pool_series(m, 29 + 2 * chunk + 5)
@@ -231,6 +234,166 @@ class TestPool:
             detection.score_series(model, norm)
         assert threading.active_count() == baseline
         assert ad._GRAD_ENABLED is True
+
+
+
+class TestThreadArenas:
+    """Each thread has its own open WeightArena (`autodiff._ARENA`), and each
+    part of `map_chunks` scores its chunks in one arena of its own."""
+
+    def test_no_buffer_is_shared_between_pool_threads(self, monkeypatch):
+        model, norm = pool_series(3, 29 + 4 * 48 + 5)
+        allow_cores(monkeypatch, 3)
+        entered, enter = [], ad.WeightArena.__enter__
+
+        def spy(arena):
+            entered.append((threading.get_ident(), arena))
+            return enter(arena)
+
+        monkeypatch.setattr(ad.WeightArena, "__enter__", spy)
+        detection.score_series(model, norm)
+        arenas = {id(arena): arena for _, arena in entered}
+        assert len(arenas) == 3    # one per part
+        for key, arena in arenas.items():
+            assert len({thread for thread, a in entered if a is arena}) == 1
+            assert len(arena) == 5
+            others = [buf for k, a in arenas.items() if k != key for buf in a.values()]
+            assert not any(np.shares_memory(buf, other)
+                           for buf in arena.values() for other in others)
+
+    def test_scoring_leaves_the_callers_open_arena_current_and_unchanged(self, monkeypatch):
+        model, norm = pool_series(3, 29 + 2 * 48 + 5)
+        allow_cores(monkeypatch, 2)
+        W, C, _ = dataset.batch_groups(dataset.make_windows(norm, 10, 30), 16)[-1]
+        arena = ad.WeightArena()
+        with arena:
+            model.forward_two_phase(W, C)
+            kept, pos = {i: buf.copy() for i, buf in arena.items()}, arena.pos
+            detection.score_series(model, norm)
+            assert ad._ARENA.get() is arena and arena.pos == pos
+        assert arena.keys() == kept.keys()
+        assert all(arena[i].tobytes() == kept[i].tobytes() for i in kept)
+
+    def test_same_shape_chunks_of_a_thread_write_into_one_buffer(self, monkeypatch):
+        # 29 single windows, then chunks 29-32 of 48 windows and one of 5:
+        # each of the two threads scores two of the full chunks, one after the other
+        model, norm = pool_series(3, 29 + 4 * 48 + 5)
+        allow_cores(monkeypatch, 2)
+
+        def weights(W, C, rows):
+            res = model.forward_two_phase(W, C, decode_rows=detection.LAST_ROW)
+            return threading.get_ident(), res.window_attention
+
+        runs = detection.map_chunks(model, dataset.make_windows(norm, 10, 30), weights)
+        threads = {thread for thread, _ in runs}
+        assert len(threads) == 2
+        for thread in threads:
+            mine = [w for t, w in runs if t == thread]
+            for a, b in zip(mine, mine[1:]):
+                assert np.shares_memory(a, b) == (a.shape == b.shape)
+            assert not any(np.shares_memory(a, b) for a in mine
+                           for t, b in runs if t != thread)
+        full = [w for _, w in runs[29:33]]
+        assert np.shares_memory(full[0], full[2]) and np.shares_memory(full[1], full[3])
+
+    @pytest.mark.parametrize("failing", [None, "caller", "pool"])
+    def test_no_arena_is_left_open_on_the_calling_thread(self, monkeypatch, failing):
+        model, norm = pool_series(3, 29 + 2 * 48 + 5)
+        allow_cores(monkeypatch, 2)
+        opened = []
+
+        def score(W, C, rows):
+            opened.append(ad._ARENA.get() is not None)
+            on_caller = threading.current_thread() is threading.main_thread()
+            if failing == ("caller" if on_caller else "pool") and rows.start >= 29:
+                raise RuntimeError("chunk failed")
+            return detection.score_batch(model, W, C)
+
+        batch = dataset.make_windows(norm, 10, 30)
+        if failing is None:
+            detection.map_chunks(model, batch, score)
+        else:
+            with pytest.raises(RuntimeError, match="chunk failed"):
+                detection.map_chunks(model, batch, score)
+        assert opened and all(opened)
+        assert ad._ARENA.get() is None
+
+    @pytest.mark.parametrize("m, T", [(3, 29 + 3 * 48 + 5), (38, 29 + 3 * 13 + 5)])
+    def test_scores_stay_bit_equal_while_threads_switch_often(self, monkeypatch, m, T):
+        # at m=38 numpy releases the interpreter lock inside the attention
+        # products, so threads that shared a buffer would corrupt each other
+        model, norm = pool_series(m, T)
+        allow_cores(monkeypatch, 1)
+        serial = detection.score_series(model, norm)
+        allow_cores(monkeypatch, 3)    # more workers than this machine may have cores
+        runs = []
+
+        def score_twenty_times():
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)    # switch threads often, so a race would show
+            try:
+                runs.extend(detection.score_series(model, norm) for _ in range(20))
+            finally:
+                sys.setswitchinterval(interval)
+
+        # a daemon thread, so a pool that hangs fails the test instead of the run
+        caller = threading.Thread(target=score_twenty_times, daemon=True)
+        caller.start()
+        caller.join(timeout=120)
+        assert not caller.is_alive(), "20 scoring calls took over 120 s"
+        assert len(runs) == 20
+        assert runs[0].tobytes() == serial.tobytes()
+        for scores in runs[1:]:
+            assert scores.tobytes() == runs[0].tobytes()
+
+
+
+@st.composite
+def scoring_shapes(draw):
+    """(m, K, L, T, seed): a series of short contexts only, or one with one
+    chunk after them, or one with several chunks and a partial last one."""
+    m, K = draw(st.integers(1, 40)), draw(st.integers(1, 6))
+    L = draw(st.integers(K, 12))
+    chunk = min(detection.SCORE_CHUNK, 512 // m)
+    T = draw(st.one_of(
+        st.integers(1, max(1, L - 1)),
+        st.integers(1, chunk).map(lambda r: L - 1 + r),
+        st.tuples(st.integers(2, 3), st.integers(1, chunk - 1)).map(
+            lambda nr: L - 1 + nr[0] * chunk + nr[1])))
+    return m, K, L, T, draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=12)
+@given(scoring_shapes())
+@example((3, 10, 10, 9 + 2 * 48 + 5, 0))    # K == L: every weight array has one shape
+@example((38, 4, 4, 3 + 3 * 13 + 7, 1))
+def test_pooled_scores_and_inspect_rows_equal_one_window_passes(shape):
+    m, K, L, T, seed = shape
+    raw = dataset.RawSeries(values=np.random.default_rng(seed).normal(size=(T, m)))
+    stats = dataset.NormStats(min=np.full(m, -4.0), max=np.full(m, 4.0))
+    norm = dataset.apply_normalize(raw, stats)
+    model = TranAD(ModelConfig(m=m, window_size=K, context_cap=L, init_seed=seed,
+                               dropout=0.0))
+    scores, attention, focus = [], [], []
+    for W, C, rows in dataset.batch_groups(dataset.make_windows(norm, K, L), 1):
+        scores.append(detection.score_batch(model, W, C))
+        with ad.no_grad():
+            res = model.forward_two_phase(W, C, decode_rows=detection.LAST_ROW)
+        attention.extend([rows.start, h, *w] for h, w in enumerate(res.window_attention[0, :, -1]))
+        focus.append([rows.start, *res.focus.data[0, -1]])
+    assert detection.score_series(model, norm).tobytes() == np.concatenate(scores).tobytes()
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: os.path.join(tmp, name) for name in ("c.bin", "s.json", "x.csv", "out")}
+        model.save(paths["c.bin"])
+        with open(paths["s.json"], "w") as f:
+            json.dump({"min": stats.min.tolist(), "max": stats.max.tolist(), "eps": stats.eps}, f)
+        np.savetxt(paths["x.csv"], raw.values, fmt="%.17g", delimiter=",")
+        assert cli.main(["inspect", "--checkpoint", paths["c.bin"], "--stats", paths["s.json"],
+                         "--data", paths["x.csv"], "--out", paths["out"]]) == 0
+        for name, want in (("attention.csv", attention), ("focus.csv", focus)):
+            got = np.loadtxt(os.path.join(paths["out"], name), delimiter=",", skiprows=2,
+                             ndmin=2)
+            assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
 
 
 class TestDetectStream:

@@ -413,9 +413,9 @@ class TestStepMemory:
         forward, seen, buffers = model.forward_two_phase, [], []
 
         def poisoned(W, C, **kwargs):
-            seen.append(ad._ARENA)
+            seen.append(ad._ARENA.get())
             if len(seen) == len(groups) - 2:   # a full batch, after several steps
-                buffers.extend(ad._ARENA.values())
+                buffers.extend(ad._ARENA.get().values())
                 model.params["decoder1.ff.l1.W"].data[:] = np.nan
             return forward(W, C, **kwargs)
 
@@ -425,7 +425,7 @@ class TestStepMemory:
                                  np.random.default_rng(0))
         assert exc.value.batch == len(groups) - 3
         assert seen[0] is not None and all(a is seen[0] for a in seen)
-        assert ad._ARENA is None
+        assert ad._ARENA.get() is None
         W, C, _ = groups[-1]
         first = forward(W, C).window_attention
         assert buffers and not any(np.shares_memory(first, buf) for buf in buffers)
@@ -442,15 +442,15 @@ class TestStepMemory:
         with pytest.raises(ShapeMismatch):
             training.train_epoch(model, groups, training.TrainConfig(batch_size=16),
                                  AdamW(model.params), 1, np.random.default_rng(0))
-        assert ad._ARENA is None
+        assert ad._ARENA.get() is None
 
     def test_a_nested_arena_restores_the_outer_one(self):
         outer, inner = ad.WeightArena(), ad.WeightArena()
         with outer:
             with inner:
-                assert ad._ARENA is inner
-            assert ad._ARENA is outer
-        assert ad._ARENA is None
+                assert ad._ARENA.get() is inner
+            assert ad._ARENA.get() is outer
+        assert ad._ARENA.get() is None
 
     def test_weights_outside_the_arena_are_new_arrays(self):
         model, train_b, _ = tiny_setup()
@@ -462,20 +462,25 @@ class TestStepMemory:
         assert not np.shares_memory(first, second)
         assert np.array_equal(first, kept) and not np.array_equal(first, second)
 
-    def test_arena_skips_calls_that_record_no_tape(self):
+    def test_a_no_grad_pass_writes_its_weights_into_the_arena(self):
         model, train_b, _ = tiny_setup()
         W, C, _ = dataset.batch_groups(train_b, 16)[-1]
         arena = ad.WeightArena()
         with arena, ad.no_grad():
-            model.forward_two_phase(W, C)
-        assert arena.pos == 0 and not arena
+            inside = model.forward_two_phase(W, C).window_attention
+        # two context encoders, the window's self-attention and two cross-attentions
+        assert arena.pos == len(arena) == 5
+        assert any(inside is buf for buf in arena.values())
+        with ad.no_grad():
+            outside = model.forward_two_phase(W, C).window_attention
+        assert not np.shares_memory(inside, outside) and np.array_equal(inside, outside)
 
     def test_arena_is_open_only_inside_train_epoch(self, monkeypatch):
         model, train_b, val_b = tiny_setup()
         forward, calls = model.forward_two_phase, []
 
         def watched(*args, **kwargs):
-            calls.append((ad._ARENA is not None, ad._GRAD_ENABLED))
+            calls.append((ad._ARENA.get() is not None, ad._GRAD_ENABLED))
             return forward(*args, **kwargs)
 
         monkeypatch.setattr(model, "forward_two_phase", watched)
