@@ -120,7 +120,9 @@ class TestScoring:
         truncated = detection.score_series(model, prefix)
         np.testing.assert_array_equal(full[:cut], truncated)
 
-    @pytest.mark.parametrize("T", [detection.SCORE_CHUNK - 1, detection.SCORE_CHUNK,
+    # lengths inside a chunk, and either side of each SCORE_CHUNK boundary
+    @pytest.mark.parametrize("T", [31, 32, 33, 93,
+                                   detection.SCORE_CHUNK - 1, detection.SCORE_CHUNK,
                                    detection.SCORE_CHUNK + 1, 2 * detection.SCORE_CHUNK + 29])
     def test_chunks_match_per_prefix_scores(self, scored_setup, T):
         assert_chunks_match_per_prefix_scores(*scored_setup, T)
