@@ -40,6 +40,8 @@ from .errors import CorruptCheckpoint, ShapeMismatch
 DEFAULT_DTYPE = np.float64
 MASK_LOGIT = -1e9
 NORM_EPS = 1e-5    # added to the variance in `add_norm`
+ADAM_BETAS = (0.9, 0.999)    # AdamW's decay rates of the two moments
+ADAM_EPS = 1e-8              # added to AdamW's sqrt(v-hat)
 # The blocks read weights through a C getter and sum with np.add.reduce, the
 # reduction ndarray.sum makes through a Python wrapper: no Python frame per call.
 _data = operator.attrgetter("data")
@@ -511,25 +513,23 @@ class AdamW:
     is one in-place pass over them: per element the same operations, in the
     same order, as an update parameter by parameter."""
 
-    def __init__(self, store, lr=0.01, betas=(0.9, 0.999), eps=1e-8, weight_decay=1e-5):
-        self.store, self.lr, self.eps = store, lr, eps
-        self.beta1, self.beta2 = betas
-        self.weight_decay, self.step_count = weight_decay, 0
+    def __init__(self, store, lr=0.01, weight_decay=1e-5):
+        self.store, self.lr, self.weight_decay, self.step_count = store, lr, weight_decay, 0
         self.m, self.v, self._a, self._b = (np.zeros_like(store.flat) for _ in range(4))
 
     def step(self):
-        store = self.store
+        store, (beta1, beta2) = self.store, ADAM_BETAS
         self.step_count += 1
         t = self.step_count
         w, g, m, v, a, b = store.flat, store.grad, self.m, self.v, self._a, self._b
         w -= np.multiply(w, self.lr * self.weight_decay, out=a)
-        m *= self.beta1
-        m += np.multiply(g, 1 - self.beta1, out=a)
-        v *= self.beta2
-        v += np.multiply(np.multiply(g, 1 - self.beta2, out=a), g, out=a)
-        np.multiply(np.divide(m, 1 - self.beta1 ** t, out=a), self.lr, out=a)   # lr * m-hat
-        np.sqrt(np.divide(v, 1 - self.beta2 ** t, out=b), out=b)              # sqrt(v-hat)
-        b += self.eps
+        m *= beta1
+        m += np.multiply(g, 1 - beta1, out=a)
+        v *= beta2
+        v += np.multiply(np.multiply(g, 1 - beta2, out=a), g, out=a)
+        np.multiply(np.divide(m, 1 - beta1 ** t, out=a), self.lr, out=a)   # lr * m-hat
+        np.sqrt(np.divide(v, 1 - beta2 ** t, out=b), out=b)              # sqrt(v-hat)
+        b += ADAM_EPS
         w -= np.divide(a, b, out=a)
 
 

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import EmptyInput, InvalidConfig, check_real
 
 MIN_EXCESSES = 10    # the fewest excesses a GPD is fitted to
+GRID_INTERVALS = 10  # grid intervals per bracket of the Grimshaw root search
+BRACKET_EPS = 1e-8   # the brackets' distance from the double root t = 0
 
 
 @dataclass
@@ -42,7 +44,7 @@ class DimThreshold:
     n_excesses: int
     n_samples: int
     threshold: float
-    method: str = "gpd"    # "gpd", "moments", "max_fallback" or "constant"
+    method: str = "gpd"    # "gpd", "moments" or "max_fallback"
 
 
 @dataclass
@@ -92,7 +94,7 @@ def _moments_estimate(y):
     return float(gamma), float(sigma)
 
 
-def _grimshaw_candidates(y, n_points=10, eps=1e-8):
+def _grimshaw_candidates(y):
     """Roots t of the Grimshaw reduction u(t)v(t) = 1; each root gives a
     candidate (gamma, sigma) pair."""
     # imported here: scipy costs most of the package's start-up, and only a fit needs it
@@ -106,17 +108,17 @@ def _grimshaw_candidates(y, n_points=10, eps=1e-8):
         return u(s) * np.mean(1.0 / s) - 1.0
 
     ymin, ymax, ymean = y.min(), y.max(), y.mean()
-    a = -1.0 / ymax + eps
+    a = -1.0 / ymax + BRACKET_EPS
     b = 2.0 * (ymean - ymin) / (ymean * ymin)
     c = 2.0 * (ymean - ymin) / (ymin * ymin)
 
     roots = []
-    for lo, hi in ((a, -eps), (eps, b), (b, c)):
+    for lo, hi in ((a, -BRACKET_EPS), (BRACKET_EPS, b), (b, c)):
         if hi <= lo:
             continue
-        grid = np.linspace(lo, hi, n_points + 1)
+        grid = np.linspace(lo, hi, GRID_INTERVALS + 1)
         vals = np.array([w(t) for t in grid])
-        for i in range(n_points):
+        for i in range(GRID_INTERVALS):
             if not (np.isfinite(vals[i]) and np.isfinite(vals[i + 1])):
                 continue
             if vals[i] == 0.0:
@@ -124,7 +126,7 @@ def _grimshaw_candidates(y, n_points=10, eps=1e-8):
             elif vals[i] * vals[i + 1] < 0:
                 roots.append(optimize.brentq(w, grid[i], grid[i + 1]))
     cands = []
-    for t in roots:   # none is 0: each lies in [a, -eps], [eps, b] or [b, c] with b > 0
+    for t in roots:   # none is 0: no bracket holds 0, as b > 0
         gamma = u(1.0 + t * y) - 1.0
         sigma = gamma / t
         if sigma > 0:
@@ -142,10 +144,9 @@ def fit_gpd(excesses):
         candidates = _grimshaw_candidates(y)
     except (ArithmeticError, RuntimeError, ValueError, Warning):   # not a missing scipy
         return (*_moments_estimate(y), "moments")
-    # the exponential boundary (gamma -> 0, sigma = mean) is always feasible
+    # the exponential boundary (gamma -> 0, sigma = mean) goes first: its likelihood
+    # is finite for finite excesses, and max keeps a finite key over a NaN one
     best = max([(0.0, float(y.mean()))] + candidates, key=lambda c: gpd_log_likelihood(y, *c))
-    if not np.isfinite(gpd_log_likelihood(y, *best)):
-        return (*_moments_estimate(y), "moments")
     return best[0], best[1], "gpd"
 
 
@@ -162,17 +163,12 @@ def final_threshold(u, gamma, sigma, n, n_excesses, q):
 
 def pot_threshold(scores, cfg):
     """Full POT pipeline for one dimension's training scores.  A tail of fewer
-    than MIN_EXCESSES excesses is not fitted: its threshold tops the largest score."""
+    than MIN_EXCESSES excesses is not fitted: its threshold tops the largest
+    score.  Constant scores are such a tail, with no excess at all."""
     scores = np.asarray(scores, dtype=np.float64)
     if scores.size == 0:
         raise EmptyInput("empty score vector")
     n = scores.size
-    if np.all(scores == scores[0]):
-        # constant scores: no tail to fit; threshold just above the constant
-        z = float(scores[0]) + max(abs(scores[0]), 1.0) * np.finfo(float).eps
-        return DimThreshold(initial_threshold=float(scores[0]), gamma=0.0,
-                            sigma=0.0, n_excesses=0, n_samples=n,
-                            threshold=z, method="constant")
     u = initial_threshold(scores, cfg.low_quantile)
     excesses = scores[scores > u] - u
     if excesses.size < MIN_EXCESSES:

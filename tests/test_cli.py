@@ -1,5 +1,7 @@
 """End-to-end command-line surface on a tiny synthetic series."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from tranad import cli, training
 from tranad.errors import InvalidConfig, ParseError
@@ -747,6 +749,92 @@ def test_report_text_reads_whole_or_raises_a_parse_error(pipeline, edits, eol):
     assert scores.dtype == np.float64 and np.isfinite(scores).all()
     assert dim_labels.dtype == agg.dtype == np.int8
     assert set(np.unique(dim_labels)) | set(np.unique(agg)) <= {0, 1}
+
+
+def whole_or_clean_failure(argv, inputs, outputs):
+    """Write `inputs` ({name: bytes}) into a new directory and run `argv(dir,
+    out)`.  The command exits 0 having written exactly `outputs` into `out`,
+    or exits 1 with one `error:` line and leaves the directory as it was."""
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for name, data in inputs.items():
+            (tmp / name).write_bytes(data)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = cli.main(argv(tmp, tmp / "out"))
+        if code == 0:
+            assert sorted(os.listdir(tmp / "out")) == sorted(outputs)
+        else:
+            assert code == 1
+            assert err.getvalue().count("\n") == 1 and err.getvalue().startswith("error:")
+            assert sorted(os.listdir(tmp)) == sorted(inputs)
+
+
+# damage to a checkpoint: single bytes XORed at up to three places, a cut, or
+# bytes appended; a one-byte flip cannot make a shape setting much larger
+DAMAGE = (st.tuples(st.just("flip"), st.lists(st.tuples(st.integers(0, 20000),
+                                                        st.integers(1, 255)),
+                                              min_size=1, max_size=3))
+          | st.tuples(st.just("cut"), st.integers(0, 20000))
+          | st.tuples(st.just("append"), st.binary(min_size=1, max_size=16)))
+
+
+def damaged(data, damage):
+    kind, arg = damage
+    if kind == "cut":
+        return data[:arg % len(data)]
+    if kind == "append":
+        return data + arg
+    data = bytearray(data)
+    for i, mask in arg:
+        data[i % len(data)] ^= mask
+    return bytes(data)
+
+
+@settings(max_examples=100)
+@given(damage=DAMAGE)
+def test_detect_on_a_damaged_checkpoint_runs_whole_or_fails_clean(pipeline, damage):
+    ckpt = damaged((pipeline[3] / "checkpoint.bin").read_bytes(), damage)
+    whole_or_clean_failure(lambda tmp, out: detect_argv(pipeline, out,
+                                                        checkpoint=tmp / "checkpoint.bin"),
+                           {"checkpoint.bin": ckpt}, ["detection.csv"])
+
+
+NUMBER = st.floats(-3, 3) | st.floats() | st.integers() | st.sampled_from([10 ** 400, True, "0"])
+STATS = st.fixed_dictionaries({}, optional={
+    "min": st.lists(NUMBER, max_size=3), "max": st.lists(NUMBER, max_size=3),
+    "eps": NUMBER, "bogus": NUMBER}).map(json.dumps)
+# characters of the trained stats.json text replaced
+TEXT_EDIT = st.tuples(st.integers(0, 200), st.text("0123456789.-+eE,[]{}\":aNn ", max_size=3))
+
+
+@settings(max_examples=100)
+@given(text=STATS, edits=st.lists(TEXT_EDIT, max_size=3), trained=st.booleans())
+def test_detect_on_stats_text_runs_whole_or_fails_clean(pipeline, text, edits, trained):
+    if trained:
+        text = (pipeline[3] / "stats.json").read_text()
+    for i, new in edits:
+        i %= len(text) + 1
+        text = text[:i] + new + text[i + len(new):]
+    _, train_dir, test_dir, run_dir, cfg = pipeline
+    argv = lambda tmp, out: ["detect", "--config", cfg, "--data", str(train_dir / "values.csv"),
+                             "--test", str(test_dir / "values.csv"),
+                             "--checkpoint", str(run_dir / "checkpoint.bin"),
+                             "--stats", str(tmp / "stats.json"), "--out", str(out)]
+    whole_or_clean_failure(argv, {"stats.json": text.encode()}, ["detection.csv"])
+
+
+@given(edits=st.lists(EDIT, max_size=4), eol=st.sampled_from(["\n", "\r\n"]))
+def test_eval_on_report_text_runs_whole_or_fails_clean(pipeline, edits, eol):
+    # the 20-row report of the property above, with one anomalous row in its labels
+    lines = (pipeline[3] / "detection.csv").read_text().splitlines()[:22]
+    for e in edits:
+        lines = edit_lines(lines, e)
+    labels = "".join("1,0\n" if t == 5 else "0,0\n" for t in range(20))
+    argv = lambda tmp, out: ["eval", "--report", str(tmp / "detection.csv"),
+                             "--labels", str(tmp / "labels.csv"), "--out", str(out)]
+    whole_or_clean_failure(argv, {"detection.csv": "".join(ln + eol for ln in lines).encode(),
+                                  "labels.csv": labels.encode()}, ["eval.csv", "eval.json"])
 
 
 class TestEval:

@@ -68,7 +68,7 @@ def make_threshold_model(values, cfg=None):
     cfg = cfg or pot.PotConfig()
     dims = [pot.DimThreshold(initial_threshold=v, gamma=0.0, sigma=0.0,
                              n_excesses=0, n_samples=0, threshold=v,
-                             method="constant")
+                             method="max_fallback")
             for v in values]
     return pot.ThresholdModel(dims=dims, config=cfg)
 
@@ -396,6 +396,34 @@ def test_pooled_scores_and_inspect_rows_equal_one_window_passes(shape):
             got = np.loadtxt(os.path.join(paths["out"], name), delimiter=",", skiprows=2,
                              ndmin=2)
             assert got.tobytes() == np.array(want, dtype=np.float64).tobytes()
+
+
+@st.composite
+def truncation_cases(draw):
+    """(m, K, L, T, t, seed): a series of T rows, cut after its first t."""
+    m, K = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    L, T = draw(st.integers(K, 12)), draw(st.integers(1, 40))
+    return m, K, L, T, draw(st.integers(1, T)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100)
+@given(truncation_cases())
+def test_a_prefix_scores_as_it_does_inside_any_longer_series(case):
+    m, K, L, T, t, seed = case
+    rng = np.random.default_rng(seed)
+    values = rng.uniform(size=(T, m))
+    model = TranAD(ModelConfig(m=m, window_size=K, context_cap=L, init_seed=seed,
+                               dropout=0.0))
+    stats = dataset.NormStats(min=np.zeros(m), max=np.ones(m))
+
+    def scores(v):
+        return detection.score_series(model, dataset.apply_normalize(dataset.RawSeries(v), stats))
+
+    full = scores(values)[:t].tobytes()
+    assert scores(values[:t]).tobytes() == full
+    later = values.copy()
+    later[t:] = rng.normal(scale=10.0, size=(T - t, m))
+    assert scores(later)[:t].tobytes() == full
 
 
 class TestDetectStream:

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from tranad import pot
 from tranad.errors import EmptyInput, InvalidConfig
@@ -68,6 +69,16 @@ class TestFitGpd:
         with pytest.raises(ImportError):
             pot.fit_gpd(np.random.default_rng(10).exponential(1.0, size=100))
 
+    @given(st.lists(st.floats(1e-6, 1e3), min_size=pot.MIN_EXCESSES, max_size=80))
+    def test_never_below_the_exponential_boundary(self, excesses):
+        # the boundary candidate (0, mean) keeps every fit finite and at least as
+        # likely as the exponential tail, without a second fallback
+        y = np.array(excesses)
+        gamma, sigma, method = pot.fit_gpd(y)
+        assert method == "gpd" and np.isfinite([gamma, sigma]).all()
+        assert pot.gpd_log_likelihood(y, gamma, sigma) >= \
+            pot.gpd_log_likelihood(y, 0.0, y.mean())
+
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             pot.fit_gpd(np.linspace(-1.0, 1.0, 20))
@@ -122,8 +133,9 @@ class TestPotThreshold:
             pot.pot_threshold(np.array([]), pot.PotConfig())
 
     def test_constant_scores(self):
+        # no score exceeds the initial threshold, so the tail is too short to fit
         dim = pot.pot_threshold(np.full(100, 2.0), pot.PotConfig())
-        assert dim.method == "constant"
+        assert dim.method == "max_fallback"
         assert dim.threshold > 2.0
 
     def test_outlier_threshold_above_initial(self):

@@ -3,11 +3,13 @@ new setting takes a deliberate test edit, and config dicts of any JSON shape
 that either build or fail with a typed error."""
 
 import dataclasses
+import inspect
 
 import pytest
 from hypothesis import given, strategies as st
 
 from tranad import cli, dataset, pot, training
+from tranad.autodiff import AdamW
 from tranad.errors import TranadError
 from tranad.model import ModelConfig
 
@@ -27,6 +29,8 @@ def test_settings_surface():
         "epochs", "batch_size", "lr", "seed", "use_self_condition", "use_adversarial",
         "use_maml", "lr_decay_every_epochs"}
     assert field_names(pot.PotConfig) == {"risk", "low_quantile"}
+    # Adam's decay rates and epsilon are the constants ADAM_BETAS and ADAM_EPS
+    assert list(inspect.signature(AdamW).parameters) == ["store", "lr", "weight_decay"]
     assert field_names(dataset.SynthSpec) == {"T", "m", "seed", "noise_sigma", "anomalies"}
     assert field_names(dataset.Anomaly) == {"kind", "start", "length", "dims", "magnitude"}
     assert cli.SECTIONS == {"train": training.TrainConfig, "pot": pot.PotConfig}
