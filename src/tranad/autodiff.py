@@ -113,9 +113,11 @@ class Tensor:
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         seeds = [(self, np.ones_like(self.data))]
-        # a cotangent may be shared between parents; each gradient is its own
+        order = tape_order([self], {})[0]
+        # every recorded node carries bit 1; a cotangent may be shared between
+        # parents, so each gradient is its own
         return {leaf: g.copy() for leaf, g in
-                reverse_walk(seeds, tape_order([self], {})[0]).items()}
+                reverse_walk(seeds, order, dict.fromkeys(map(id, order), 1), 1).items()}
 
 
 # -- the reverse walk ---------------------------------------------------------
@@ -145,14 +147,14 @@ def tape_order(roots, tags):
     return order, masks
 
 
-def reverse_walk(seeds, order, masks=None, bit=0):
+def reverse_walk(seeds, order, masks, bit):
     """Propagate the (tensor, cotangent) `seeds` back through `order` and
     return {leaf: cotangent} for the leaves reached.
 
-    With `masks` (from :func:`tape_order`) a node asks its backward rule only
-    for the parents whose mask has `bit`; without, for every parent that
-    requires grad.  A cotangent summed from several contributions that comes
-    out exactly zero is not propagated further."""
+    A node asks its backward rule only for the parents whose mask in `masks`
+    ({id: bits}, as from :func:`tape_order`) has `bit`.  A cotangent summed
+    from several contributions that comes out exactly zero is not propagated
+    further."""
     cot = {}
     summed = set()
 
@@ -177,10 +179,7 @@ def reverse_walk(seeds, order, masks=None, bit=0):
         if id(node) in summed and not g.any():
             continue
         parents = node._parents
-        if masks is None:
-            need = tuple(p.requires_grad for p in parents)
-        else:
-            need = tuple(masks.get(id(p), 0) & bit for p in parents)
+        need = tuple(masks.get(id(p), 0) & bit for p in parents)
         for p, wanted, gp in zip(parents, need, node._backward(g, need)):
             if wanted:
                 add(p, gp)

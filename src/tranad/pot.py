@@ -2,9 +2,10 @@
 
 The initial threshold is an empirical high quantile of the anomaly scores; at
 least MIN_EXCESSES excesses over it are fitted with a GPD by maximum likelihood
-(Grimshaw's reduction, with a method-of-moments fallback), and the final
-threshold is the value-at-risk extrapolation at risk level q.  scipy is
-imported by the Grimshaw root search alone, so only a GPD fit loads it.
+(Grimshaw's reduction: the most likely of the exponential boundary and the
+candidates of the root search), and the final threshold is the value-at-risk
+extrapolation at risk level q.  scipy is imported by the Grimshaw root search
+alone, so only a GPD fit loads it.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ class DimThreshold:
     n_excesses: int
     n_samples: int
     threshold: float
-    method: str = "gpd"    # "gpd", "moments" or "max_fallback"
+    method: str = "gpd"    # "gpd", or "max_fallback" for a tail too short to fit
 
 
 @dataclass
@@ -83,20 +84,10 @@ def gpd_log_likelihood(y, gamma, sigma):
     return -n * math.log(sigma) - (1.0 + 1.0 / gamma) * np.log(z).sum()
 
 
-def _moments_estimate(y):
-    mean = y.mean()
-    var = y.var()
-    if var <= 0:
-        return 0.0, max(mean, np.finfo(float).tiny)
-    ratio = mean * mean / var
-    gamma = 0.5 * (1.0 - ratio)
-    sigma = 0.5 * mean * (1.0 + ratio)
-    return float(gamma), float(sigma)
-
-
 def _grimshaw_candidates(y):
     """Roots t of the Grimshaw reduction u(t)v(t) = 1; each root gives a
-    candidate (gamma, sigma) pair."""
+    candidate (gamma, sigma) pair.  A search that does not converge gives its
+    last iterate, which the likelihood then judges like any other candidate."""
     # imported here: scipy costs most of the package's start-up, and only a fit needs it
     from scipy import optimize
 
@@ -117,14 +108,17 @@ def _grimshaw_candidates(y):
         if hi <= lo:
             continue
         grid = np.linspace(lo, hi, GRID_INTERVALS + 1)
-        vals = np.array([w(t) for t in grid])
+        # an end where some 1 + t y is 0 or below gives log(0) or NaN; the
+        # finiteness test below skips it, so it need not warn
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = np.array([w(t) for t in grid])
         for i in range(GRID_INTERVALS):
             if not (np.isfinite(vals[i]) and np.isfinite(vals[i + 1])):
                 continue
             if vals[i] == 0.0:
                 roots.append(grid[i])
             elif vals[i] * vals[i + 1] < 0:
-                roots.append(optimize.brentq(w, grid[i], grid[i + 1]))
+                roots.append(optimize.brentq(w, grid[i], grid[i + 1], disp=False))
     cands = []
     for t in roots:   # none is 0: no bracket holds 0, as b > 0
         gamma = u(1.0 + t * y) - 1.0
@@ -135,19 +129,14 @@ def _grimshaw_candidates(y):
 
 
 def fit_gpd(excesses):
-    """Maximum-likelihood GPD fit of positive excesses.  Returns
-    (gamma, sigma, method)."""
+    """Maximum-likelihood GPD fit of positive excesses.  Returns (gamma, sigma)."""
     y = np.asarray(excesses, dtype=np.float64)
     if np.any(y <= 0):
         raise ValueError("excesses must be strictly positive")
-    try:
-        candidates = _grimshaw_candidates(y)
-    except (ArithmeticError, RuntimeError, ValueError, Warning):   # not a missing scipy
-        return (*_moments_estimate(y), "moments")
     # the exponential boundary (gamma -> 0, sigma = mean) goes first: its likelihood
     # is finite for finite excesses, and max keeps a finite key over a NaN one
-    best = max([(0.0, float(y.mean()))] + candidates, key=lambda c: gpd_log_likelihood(y, *c))
-    return best[0], best[1], "gpd"
+    return max([(0.0, float(y.mean()))] + _grimshaw_candidates(y),
+               key=lambda c: gpd_log_likelihood(y, *c))
 
 
 def final_threshold(u, gamma, sigma, n, n_excesses, q):
@@ -176,7 +165,7 @@ def pot_threshold(scores, cfg):
         gamma, sigma, method = 0.0, 0.0, "max_fallback"
         z = smax * (1 + 1e-6) if smax > 0 else smax + 1e-6
     else:
-        gamma, sigma, method = fit_gpd(excesses)
+        gamma, sigma, method = *fit_gpd(excesses), "gpd"
         z = final_threshold(u, gamma, sigma, n, excesses.size, cfg.risk)
     return DimThreshold(initial_threshold=u, gamma=gamma, sigma=sigma,
                         n_excesses=int(excesses.size), n_samples=n,

@@ -148,7 +148,7 @@ def test_criterion_05_pot_oracle():
     # GPD(gamma=0.3, sigma=2) parameter recovery on 10k samples
     u = np.random.default_rng(11).uniform(size=10000)
     y = 2.0 / 0.3 * ((1 - u) ** -0.3 - 1)
-    gamma, sigma, _ = pot.fit_gpd(y)
+    gamma, sigma = pot.fit_gpd(y)
     gpd_ok = abs(gamma - 0.3) / 0.3 <= 0.10 and abs(sigma - 2.0) / 2.0 <= 0.10
 
     # z_q on exponential scores vs the Monte-Carlo quantile of 1e6 samples

@@ -41,7 +41,9 @@ def softmax_rows(logits):
 
 def vjp(out, R):
     """{leaf: gradient of sum(R * out)}: one reverse walk seeded with R."""
-    return ad.reverse_walk([(out, np.asarray(R, dtype=float))], ad.tape_order([out], {})[0])
+    order = ad.tape_order([out], {})[0]
+    return ad.reverse_walk([(out, np.asarray(R, dtype=float))], order,
+                           dict.fromkeys(map(id, order), 1), 1)
 
 
 def total(x):
@@ -227,6 +229,13 @@ class TestFusedNodes:
         check_node_gradients(lambda x, *w: ad.attention(x, x, x, w, 3, mask=mask)[0],
                              [rng.normal(size=(2, 4, 6))]
                              + [rng.normal(size=s) for _ in range(4) for s in ((6, 6), 6)])
+
+    def test_attention_key_count_must_match_value_count(self):
+        rng = np.random.default_rng(15)
+        q, k, v = (Tensor(rng.normal(size=(2, n, 4))) for n in (3, 5, 4))
+        weights = [Tensor(rng.normal(size=s)) for _ in range(4) for s in ((4, 4), 4)]
+        with pytest.raises(ShapeMismatch, match="key count 5 != value count 4"):
+            ad.attention(q, k, v, weights, 2)
 
     def test_cross_attention_two_heads(self):
         # queries from one input, keys and values from another; the value
@@ -419,6 +428,10 @@ class TestParamStore:
         # one buffer in path order, every parameter a view into it
         np.testing.assert_array_equal(store.flat, [1, 1, 1, 1, 0, 1, 2])
         assert all(np.shares_memory(p.data, store.flat) for _, p in store.items())
+
+    def test_unknown_attribute_is_absent(self):
+        # only the laid-out buffers are built on first use; any other name is missing
+        assert not hasattr(ParamStore(), "bogus")
 
     def test_built_inside_no_grad_still_trains(self):
         store = ParamStore()

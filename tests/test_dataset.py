@@ -12,6 +12,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from tranad import dataset, detection
 from tranad.errors import (
+    EmptyInput,
     InvalidConfig,
     NonFiniteInput,
     ParseError,
@@ -43,6 +44,11 @@ class TestLoadCsv:
         with pytest.raises(ShapeMismatch):
             dataset.RawSeries(values=dataset.load_csv(v).values,
                               labels=dataset.load_labels(lab))
+
+    @pytest.mark.parametrize("shape", [(4,), (0, 2), (2, 0), (2, 2, 1)])
+    def test_values_not_a_nonempty_matrix(self, shape):
+        with pytest.raises(ShapeMismatch, match="values must be T x m"):
+            dataset.RawSeries(values=np.zeros(shape))
 
     def test_non_numeric_cell_coordinates(self, tmp_path):
         p = tmp_path / "v.csv"
@@ -212,6 +218,10 @@ class TestMakeWindows:
     def test_context_cap_below_window_size_is_invalid_config(self):
         with pytest.raises(InvalidConfig, match="context_cap"):
             dataset.make_windows(self._series(5), 3, 2)
+
+    def test_empty_series_is_empty_input(self):
+        with pytest.raises(EmptyInput, match="empty series"):
+            dataset.make_windows(self._series(0), 3, 4)
 
     @given(st.integers(1, 12).flatmap(lambda K: st.tuples(
         st.integers(1, 90), st.just(K), st.integers(K, 40), st.integers(1, 5),

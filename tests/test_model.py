@@ -232,7 +232,9 @@ class TestTwoPhase:
         adv = training.loss_adversarial(out.O2_hat, Wt)
         L1, L2 = training.loss_combined(p1, adv, n=1)
         one = np.ones_like(L1.data)    # the gradient of L1 + L2
-        grads = ad.reverse_walk([(L1, one), (L2, one)], ad.tape_order([L1, L2], {})[0])
+        order = ad.tape_order([L1, L2], {})[0]
+        grads = ad.reverse_walk([(L1, one), (L2, one)], order,
+                                dict.fromkeys(map(id, order), 1), 1)
         for path, p in model.params.items():
             assert p in grads and np.abs(grads[p]).max() > 0, path
 

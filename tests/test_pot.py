@@ -2,8 +2,10 @@
 value-at-risk extrapolation."""
 
 import dataclasses
+import functools
 import math
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -19,6 +21,13 @@ def gpd_sample(gamma, sigma, n, seed):
     if gamma == 0:
         return -sigma * np.log1p(-u)
     return sigma / gamma * ((1 - u) ** -gamma - 1)
+
+
+def assert_at_least_the_boundary(y):
+    """fit_gpd(y) is finite and at least as likely as the exponential tail (0, mean)."""
+    gamma, sigma = pot.fit_gpd(y)
+    assert np.isfinite([gamma, sigma]).all()
+    assert pot.gpd_log_likelihood(y, gamma, sigma) >= pot.gpd_log_likelihood(y, 0.0, y.mean())
 
 
 class TestInitialThreshold:
@@ -43,13 +52,13 @@ class TestInitialThreshold:
 class TestFitGpd:
     def test_exponential_recovery(self):
         y = np.random.default_rng(10).exponential(1.0, size=10000)
-        gamma, sigma, method = pot.fit_gpd(y)
+        gamma, sigma = pot.fit_gpd(y)
         assert -0.1 <= gamma <= 0.1
         assert 0.9 <= sigma <= 1.1
 
     def test_heavy_tail_recovery(self):
         y = gpd_sample(0.3, 2.0, 10000, seed=11)
-        gamma, sigma, method = pot.fit_gpd(y)
+        gamma, sigma = pot.fit_gpd(y)
         assert gamma == pytest.approx(0.3, rel=0.1)
         assert sigma == pytest.approx(2.0, rel=0.1)
 
@@ -64,7 +73,7 @@ class TestFitGpd:
 
     def test_missing_scipy_fails_instead_of_falling_back(self, monkeypatch):
         # the Grimshaw search imports scipy when it runs; without scipy a fit
-        # must fail, not quietly return the moments estimate
+        # must fail, as no other estimator answers in its place
         monkeypatch.setitem(sys.modules, "scipy", None)
         with pytest.raises(ImportError):
             pot.fit_gpd(np.random.default_rng(10).exponential(1.0, size=100))
@@ -73,22 +82,42 @@ class TestFitGpd:
     def test_never_below_the_exponential_boundary(self, excesses):
         # the boundary candidate (0, mean) keeps every fit finite and at least as
         # likely as the exponential tail, without a second fallback
-        y = np.array(excesses)
-        gamma, sigma, method = pot.fit_gpd(y)
-        assert method == "gpd" and np.isfinite([gamma, sigma]).all()
-        assert pot.gpd_log_likelihood(y, gamma, sigma) >= \
-            pot.gpd_log_likelihood(y, 0.0, y.mean())
+        assert_at_least_the_boundary(np.array(excesses))
+
+    @pytest.mark.parametrize("tail", ["chi-square", "pareto", "uniform"])
+    def test_unconverged_search_still_beats_the_boundary(self, tail, monkeypatch):
+        # a root search stopped after one iteration hands back its last iterate
+        # as a candidate; the likelihood, not an exception, decides
+        from scipy import optimize
+        monkeypatch.setattr(optimize, "brentq", functools.partial(optimize.brentq, maxiter=1))
+        rng = np.random.default_rng(19)
+        for _ in range(40):
+            if tail == "chi-square":
+                y = rng.chisquare(1, size=80)
+            elif tail == "pareto":
+                y = gpd_sample(rng.uniform(0.05, 0.5), 1.0, 80, seed=rng)
+            else:
+                y = rng.uniform(0.01, 1.0, size=80)
+            assert_at_least_the_boundary(y)
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-11, 1e-13, 1e-15])
+    def test_tiny_tail_fits_without_warnings(self, scale):
+        # at this scale a bracket end lands on t = -1/max(y), where w takes
+        # log(0); the grid skips that end without a warning
+        y = np.random.default_rng(20).exponential(1.0, size=60) * scale
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert_at_least_the_boundary(y)
+        assert caught == []
+
+    def test_equal_excesses_give_the_boundary(self):
+        # min = mean empties the two brackets above t = 0, and the one below
+        # holds no root
+        assert pot.fit_gpd(np.full(20, 0.5)) == (0.0, 0.5)
 
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             pot.fit_gpd(np.linspace(-1.0, 1.0, 20))
-
-    def test_moments_formula(self):
-        y = gpd_sample(0.2, 1.0, 5000, seed=12)
-        gamma, sigma = pot._moments_estimate(y)
-        ratio = y.mean() ** 2 / y.var()
-        assert gamma == pytest.approx(0.5 * (1 - ratio))
-        assert sigma == pytest.approx(0.5 * y.mean() * (1 + ratio))
 
 
 class TestFinalThreshold:

@@ -161,7 +161,7 @@ class TestGradientRouting:
             calls.append(walks[-1])
             return rule(g, need)
 
-        def tagged(seeds, order, masks=None, bit=0):
+        def tagged(seeds, order, masks, bit):
             walks.append(bit)
             return walk(seeds, order, masks, bit)
 
